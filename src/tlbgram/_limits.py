@@ -1,9 +1,10 @@
-"""Range guards for the expensive operations.
+"""Domain checks and range guards for the expensive operations.
 
-Every guarded entry point refuses inputs beyond the tested range unless
-TLBGRAM_ALLOW_LARGE is set in the environment.  Overriding the guards is
-unsupported: nothing breaks mathematically, but run times and memory are
-untested out there.
+A domain check (require) refuses inputs that have no meaning, such as a
+size below 1, and is always on.  Every guarded entry point also refuses
+inputs beyond the tested range unless TLBGRAM_ALLOW_LARGE is set in the
+environment.  Overriding the guards is unsupported: nothing breaks
+mathematically, but run times and memory are untested out there.
 """
 
 import os
@@ -11,6 +12,11 @@ import os
 
 def allow_large() -> bool:
     return os.environ.get("TLBGRAM_ALLOW_LARGE", "") not in ("", "0")
+
+
+def require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(what)
 
 
 def guard(ok: bool, what: str) -> None:

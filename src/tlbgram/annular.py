@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from ._limits import guard
+from ._limits import guard, require
 from .polynomials import BivariatePolynomial
 
 _LIFT_RANGE = range(-2, 3)
@@ -193,7 +193,8 @@ def diagram_from_marks(n: int, marks, phase2_chords: int = 0) -> AnnularDiagram:
 @lru_cache(maxsize=None)
 def enumerate_diagrams(n: int) -> tuple[AnnularDiagram, ...]:
     """All diagrams on 2n points, canonically ordered; there are C(2n, n)."""
-    guard(1 <= n <= 7, f"enumerate_diagrams tested for 1 <= n <= 7, got n={n}")
+    require(n >= 1, f"need n >= 1, got n={n}")
+    guard(n <= 7, f"enumerate_diagrams tested for 1 <= n <= 7, got n={n}")
     out = [
         diagram_from_marks(n, marks)
         for marks in combinations(range(1, 2 * n + 1), n)

@@ -17,6 +17,7 @@ from math import comb
 from random import Random
 
 from . import __version__
+from ._limits import require
 from .annular import enumerate_diagrams
 from .disk import (
     count_atmost,
@@ -204,6 +205,7 @@ def _cmd_bijection(args) -> tuple[int, str]:
 
 
 def _cmd_telescoping(args) -> tuple[int, str]:
+    require(args.n >= 1, f"need n >= 1, got n={args.n}")
     results = []
     for n in range(1, args.n + 1):
         lhs, rhs = telescoping_sides(n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from ._limits import guard
+from ._limits import guard, require
 from .annular import AnnularDiagram, diagram_from_marks
 
 __all__ = [
@@ -93,7 +93,7 @@ def _pairs_of_pairs(pairs):
 
 def enumerate_disk(n: int, k: int) -> tuple[DiskDiagram, ...]:
     """All disk diagrams for (n, k); there are Catalan(n + k) of them."""
-    assert n >= 1 and k >= 0
+    require(n >= 1 and k >= 0, f"need n >= 1 and k >= 0, got n={n}, k={k}")
     guard(n + k <= 8, f"enumerate_disk tested for n + k <= 8, got n+k={n + k}")
     return tuple(
         DiskDiagram(n, k, pairs)
@@ -108,7 +108,7 @@ def count_tilde(n: int, k: int) -> int:
 
 def tilde_count_formula(n: int, k: int) -> int:
     """Closed form C(2n, n) - C(2n, n-k-1) for the admissible count."""
-    assert n >= 1 and k >= 0
+    require(n >= 1 and k >= 0, f"need n >= 1 and k >= 0, got n={n}, k={k}")
     drop = comb(2 * n, n - k - 1) if n - k - 1 >= 0 else 0
     return comb(2 * n, n) - drop
 
@@ -177,7 +177,7 @@ def diagram_to_subset(d: AnnularDiagram, j: int) -> frozenset:
 
 def telescoping_sides(n: int) -> tuple[int, int]:
     """Both sides of 2 * sum_i i*C(2n, n-i) = n * C(2n, n)."""
-    assert n >= 1
+    require(n >= 1, f"need n >= 1, got n={n}")
     lhs = 2 * sum(i * comb(2 * n, n - i) for i in range(1, n + 1))
     rhs = n * comb(2 * n, n)
     return lhs, rhs

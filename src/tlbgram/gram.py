@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
-from ._limits import guard
+from ._limits import guard, require
 from .annular import AnnularDiagram, PairingValue, enumerate_diagrams, pair
 from .linalg import (
     MODULAR_PRIMES,
@@ -67,7 +67,8 @@ class GramMatrix:
 @lru_cache(maxsize=None)
 def gram_matrix(n: int) -> GramMatrix:
     """Pair every two basis diagrams; the result is symmetric with d^n diagonal."""
-    guard(1 <= n <= 5, f"gram_matrix tested for 1 <= n <= 5, got n={n}")
+    require(n >= 1, f"need n >= 1, got n={n}")
+    guard(n <= 5, f"gram_matrix tested for 1 <= n <= 5, got n={n}")
     basis = enumerate_diagrams(n)
     size = len(basis)
     vals: list[list[PairingValue]] = [[None] * size for _ in range(size)]
@@ -109,7 +110,8 @@ def sign_conjugation_check(n: int) -> bool:
 
 def determinant_product_form(n: int) -> BivariatePolynomial:
     """Expanded product prod_i (T_i(d)^2 - a^2)^C(2n, n-i)."""
-    guard(1 <= n <= 3, f"symbolic product expansion tested for n <= 3, got n={n}")
+    require(n >= 1, f"need n >= 1, got n={n}")
+    guard(n <= 3, f"symbolic product expansion tested for n <= 3, got n={n}")
     a_sq = BivariatePolynomial.monomial(2, 0)
     result = BivariatePolynomial.constant(1)
     for i in range(1, n + 1):
@@ -226,12 +228,12 @@ def random_delta(rng: random.Random) -> Fraction:
     return Fraction(num, rng.randint(1, 1000))
 
 
-def nullity_with_resample(
-    n: int, k: int, rng: random.Random, max_attempts: int = 5
+def _resample_until_two_agree(
+    measure, draw, rng: random.Random, max_attempts: int
 ) -> tuple[int, list[Fraction]]:
-    """Specialized nullity at fresh random samples until two of them agree.
+    """measure(draw(rng)) at fresh samples until two values agree.
 
-    A non-generic sample can inflate the nullity; agreement of two
+    A non-generic sample can inflate a nullity; agreement of two
     independent samples is accepted, disagreement triggers a resample,
     and more than max_attempts samples raises RuntimeError.  Returns the
     agreed value together with every sample drawn.
@@ -239,12 +241,21 @@ def nullity_with_resample(
     counts: dict[int, int] = {}
     samples: list[Fraction] = []
     for _ in range(max_attempts):
-        delta_value = random_delta(rng)
-        samples.append(delta_value)
-        value = specialized_nullity(n, k, delta_value)
+        sample = draw(rng)
+        samples.append(sample)
+        value = measure(sample)
         counts[value] = counts.get(value, 0) + 1
         if counts[value] == 2:
             return value, samples
     raise RuntimeError(
         f"no two of {max_attempts} samples agreed on the nullity: {counts}"
+    )
+
+
+def nullity_with_resample(
+    n: int, k: int, rng: random.Random, max_attempts: int = 5
+) -> tuple[int, list[Fraction]]:
+    """Specialized nullity at fresh random samples until two of them agree."""
+    return _resample_until_two_agree(
+        lambda d: specialized_nullity(n, k, d), random_delta, rng, max_attempts
     )

@@ -1,14 +1,17 @@
-"""Exact linear algebra over polynomial and rational coefficients.
+"""Exact linear algebra over polynomial, rational and modular coefficients.
 
-Everything here is fraction-free or exact-rational; no floating point
-enters at any stage.
+Determinants over Z[a, d] are fraction-free.  Determinants mod p and
+ranks over Q share one forward elimination over F_p, and a rank found
+mod p is returned only with an exact certificate over Z.  No floating
+point enters at any stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from operator import mul
 
 from .polynomials import BivariatePolynomial
 
@@ -59,10 +62,13 @@ class ExactMatrix:
     entries: tuple
 
     def __post_init__(self):
-        assert self.entries, "matrix must have at least one row"
+        if not self.entries:
+            raise ValueError("matrix must have at least one row")
         width = len(self.entries[0])
-        assert width > 0, "matrix must have at least one column"
-        assert all(len(row) == width for row in self.entries)
+        if width == 0:
+            raise ValueError("matrix must have at least one column")
+        if any(len(row) != width for row in self.entries):
+            raise ValueError("matrix rows must all have the same length")
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
@@ -102,7 +108,8 @@ def det_fraction_free(matrix: ExactMatrix) -> BivariatePolynomial:
     are exact; no rational arithmetic is needed.  Integer entries are
     coerced to constant polynomials.
     """
-    assert matrix.is_square()
+    if not matrix.is_square():
+        raise ValueError("determinant needs a square matrix")
     n = matrix.nrows
     m = [
         [
@@ -135,44 +142,170 @@ def det_fraction_free(matrix: ExactMatrix) -> BivariatePolynomial:
     return -result if sign < 0 else result
 
 
+def _eliminate_mod(m: list, p: int):
+    """Forward Gaussian elimination mod p of the rows m, in place.
+
+    Entries must lie in [0, p).  Columns are taken left to right and a
+    column with no pivot left is skipped.  Each pivot is swapped up to
+    row t, where t pivots came before it, and yielded as (its column, the
+    row it came from) before the rows below it are reduced, so a caller
+    can stop early.  A reduced entry below a pivot is overwritten by its
+    multiplier: m[:t] ends up holding the unit lower and the upper
+    triangular factors of the pivot rows restricted to the pivot columns.
+    """
+    t = 0
+    for col in range(len(m[0]) if m else 0):
+        src = next((i for i in range(t, len(m)) if m[i][col]), None)
+        if src is None:
+            continue
+        m[t], m[src] = m[src], m[t]
+        yield col, src
+        tail = m[t][col + 1 :]
+        inv = pow(m[t][col], -1, p)
+        for row in m[t + 1 :]:
+            if row[col]:
+                factor = row[col] * inv % p
+                row[col] = factor
+                row[col + 1 :] = [
+                    (x - factor * y) % p for x, y in zip(row[col + 1 :], tail)
+                ]
+        t += 1
+
+
+def _rank_primes():
+    """MODULAR_PRIMES, then every prime below them in decreasing order."""
+    yield from MODULAR_PRIMES
+    q = MODULAR_PRIMES[-1]
+    while True:
+        q -= 2
+        if is_prime(q):
+            yield q
+
+
+def _rational_reconstruction(u: int, modulus: int, bound: int):
+    """(num, den) with num = den * u mod modulus, |num|, den <= bound, or None.
+
+    Extended Euclid stopped at the first remainder within the bound
+    (Wang 1981).  When 2 * bound^2 < modulus at most one fraction fits.
+    """
+    r0, r1 = modulus, u % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _kernel_candidate(lifted, modulus, cols, free, ncols):
+    """Integer vectors den * [-X; I] from X mod modulus, or None.
+
+    Each kernel vector keeps one running denominator: an entry is
+    reconstructed after multiplying by the denominator found so far, so
+    most entries come back as integers at once.
+    """
+    bound = isqrt(modulus // 2)
+    kernel = []
+    for f, column in zip(free, lifted):
+        den = 1
+        parts = []
+        for x in column:
+            frac = _rational_reconstruction(x * den, modulus, bound)
+            if frac is None:
+                return None
+            den *= frac[1]
+            parts.append((frac[0], den))
+        v = [0] * ncols
+        for c, (num, part_den) in zip(cols, parts):
+            v[c] = -num * (den // part_den)
+        v[f] = den
+        kernel.append(v)
+    return kernel
+
+
+def _kernel_is_exact(rows, lu, pivot_rows, cols, p) -> bool:
+    """Whether A = rows has the kernel that its elimination mod p predicts.
+
+    B = A[R, C] (pivot rows and columns) is invertible mod p, and lu[:r]
+    holds its LU factors.  X = B^-1 A[R, F], F the free columns, is
+    Dixon-lifted mod p^k (Dixon 1982) with those factors at every step.
+    After each step rational reconstruction proposes X over Q, and the
+    columns of [-X; I], cleared of denominators, are checked against
+    every row of A over Z.  They are independent, so if all vanish the
+    rank is at most r.  The entries of X are ratios of r-minors of
+    A[R, :], each at most its Hadamard bound H, so once p^k > 2 H^2 the
+    proposal is X itself, and a failed check means that the rank over Q
+    exceeds r: p was unlucky.
+    """
+    r = len(cols)
+    pivots = set(cols)
+    free = [j for j in range(len(rows[0])) if j not in pivots]
+    lower = [[lu[t][c] for c in cols[:t]] for t in range(r)]
+    upper = [[lu[t][c] for c in cols[t + 1 :]] for t in range(r)]
+    diag_inv = [pow(lu[t][cols[t]], -1, p) for t in range(r)]
+    b = [[rows[i][c] for c in cols] for i in pivot_rows]
+    hadamard_sq = 1
+    for i in pivot_rows:
+        hadamard_sq *= sum(x * x for x in rows[i])
+    residues = [[rows[i][f] for i in pivot_rows] for f in free]
+    lifted = [[0] * r for _ in free]
+    modulus = 1
+    rejected = None
+    while True:
+        for res, acc in zip(residues, lifted):
+            # Solve B z = res mod p: L w = res, then U z = w.
+            w = []
+            for lrow, y in zip(lower, res):
+                w.append((y - sum(map(mul, lrow, w))) % p)
+            z = [0] * r
+            for t in reversed(range(r)):
+                z[t] = (w[t] - sum(map(mul, upper[t], z[t + 1 :]))) * diag_inv[t] % p
+            for t in range(r):
+                acc[t] += z[t] * modulus
+                res[t] = (res[t] - sum(map(mul, b[t], z))) // p
+        modulus *= p
+        kernel = _kernel_candidate(lifted, modulus, cols, free, len(rows[0]))
+        if kernel is not None and kernel != rejected:
+            if all(sum(map(mul, row, v)) == 0 for v in kernel for row in rows):
+                return True
+            rejected = kernel
+        if modulus > 2 * hadamard_sq:
+            return False
+
+
 def _integer_rank(rows: list) -> int:
-    """Rank of an integer matrix by fraction-free elimination, full pivoting."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    while rank < nr and rank < nc:
-        pr = pc = -1
-        for i in range(rank, nr):
-            for j in range(rank, nc):
-                if m[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        m[rank], m[pr] = m[pr], m[rank]
-        if pc != rank:
-            for row in m:
-                row[rank], row[pc] = row[pc], row[rank]
-        pivot = m[rank][rank]
-        for i in range(rank + 1, nr):
-            head = m[i][rank]
-            for j in range(rank + 1, nc):
-                m[i][j] = (pivot * m[i][j] - head * m[rank][j]) // prev
-            m[i][rank] = 0
-        prev = pivot
-        rank += 1
-    return rank
+    """Rank over Q of an integer matrix, certified.
+
+    Elimination mod p gives a rank r that is never above the rank over Q.
+    Unless r is min(nrows, ncols), it is returned only after an exact
+    kernel of dimension ncols - r has been checked over Z.  Otherwise the
+    next prime is tried; only finitely many primes are unlucky.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    for p in _rank_primes():
+        m = [[x % p for x in row] for row in rows]
+        order = list(range(nrows))
+        cols = []
+        for col, src in _eliminate_mod(m, p):
+            t = len(cols)
+            order[t], order[src] = order[src], order[t]
+            cols.append(col)
+        rank = len(cols)
+        if rank == min(nrows, ncols) or _kernel_is_exact(
+            rows, m, order[:rank], cols, p
+        ):
+            return rank
 
 
 def rank_exact(matrix: ExactMatrix) -> int:
     """Exact rank of a matrix with Fraction (or int) entries.
 
     Rows are scaled to integers first (rank is unchanged by nonzero row
-    scaling); elimination itself is integer and fraction-free.
+    scaling).  The rank is found mod a prime and certified over Z by an
+    exactly verified kernel (see _integer_rank).
     """
     scaled = []
     for row in matrix.entries:
@@ -187,27 +320,18 @@ def det_modular(matrix: ExactMatrix, p: int) -> int:
 
     Requires p prime (checked); returns a value in [0, p).
     """
-    assert matrix.is_square()
+    if not matrix.is_square():
+        raise ValueError("determinant needs a square matrix")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = matrix.nrows
     m = [[int(e) % p for e in row] for row in matrix.entries]
     det = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+    pivots = 0
+    for col, src in _eliminate_mod(m, p):
+        if col != pivots:
+            return 0  # column `pivots` has no pivot
+        if src != col:
             det = -det
-        pivot = m[k][k]
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv % p
-            if factor:
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k, n):
-                    row_i[j] = (row_i[j] - factor * row_k[j]) % p
-    return det % p
+        det = det * m[col][col] % p
+        pivots += 1
+    return det if pivots == matrix.nrows else 0

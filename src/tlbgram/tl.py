@@ -20,8 +20,9 @@ from functools import lru_cache
 from itertools import product
 import random
 
-from ._limits import guard
+from ._limits import guard, require
 from .annular import enumerate_diagrams, pair
+from .gram import _resample_until_two_agree
 from .linalg import ExactMatrix, rank_exact
 from .polynomials import LOOP_VALUE_A, LaurentScalar, RationalFunction
 
@@ -267,7 +268,8 @@ def jones_wenzl(k: int) -> TLElement:
     where f' is f_{k-1} on the first k-1 strands and D is the quantum
     dimension.
     """
-    guard(1 <= k <= 8, f"jones_wenzl tested for 1 <= k <= 8, got k={k}")
+    require(k >= 1, f"need k >= 1, got k={k}")
+    guard(k <= 8, f"jones_wenzl tested for 1 <= k <= 8, got k={k}")
     if k in _JW_CACHE:
         return _JW_CACHE[k]
     if k == 1:
@@ -289,7 +291,8 @@ def encircle(k: int) -> TLElement:
     smoothings are resolved; a state contributes A^(#A - #B) times the
     loop value for each closed component.
     """
-    guard(0 <= k <= 4, f"encircle tested for 0 <= k <= 4, got k={k}")
+    require(k >= 0, f"need k >= 0, got k={k}")
+    guard(k <= 4, f"encircle tested for 0 <= k <= 4, got k={k}")
     if k == 0:
         return TLElement(0, {PlanarMatching(0, ()): RationalFunction(LOOP_VALUE_A)})
 
@@ -404,7 +407,8 @@ class SkeinValueMatrix:
 @lru_cache(maxsize=None)
 def skein_matrix(n: int, k: int) -> SkeinValueMatrix:
     """Evaluations with the (k-1)-strand projector filling the core."""
-    guard(1 <= n <= 4, f"skein_matrix tested for 1 <= n <= 4, got n={n}")
+    require(n >= 1, f"need n >= 1, got n={n}")
+    guard(n <= 4, f"skein_matrix tested for 1 <= n <= 4, got n={n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     basis = enumerate_diagrams(n)
@@ -449,15 +453,6 @@ def skein_nullity_with_resample(
 
     Returns the agreed value together with every sample drawn.
     """
-    counts: dict[int, int] = {}
-    samples: list[Fraction] = []
-    for _ in range(max_attempts):
-        a_sample = random_bracket_sample(rng)
-        samples.append(a_sample)
-        value = skein_nullity(n, k, a_sample)
-        counts[value] = counts.get(value, 0) + 1
-        if counts[value] == 2:
-            return value, samples
-    raise RuntimeError(
-        f"no two of {max_attempts} samples agreed on the nullity: {counts}"
+    return _resample_until_two_agree(
+        lambda a: skein_nullity(n, k, a), random_bracket_sample, rng, max_attempts
     )

@@ -189,3 +189,28 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("tlbgram.cli.telescoping_sides", lambda n: (1, 2))
     assert main(["telescoping", "1"]) == 1
     capsys.readouterr()
+
+
+def assert_one_line_error(capsys, *argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_counts_below_domain_exits_2(capsys):
+    assert_one_line_error(capsys, "counts", "0", "1")
+
+
+def test_counts_negative_bound_exits_2(capsys):
+    assert_one_line_error(capsys, "counts", "2", "-1")
+
+
+def test_telescoping_below_domain_exits_2(capsys):
+    assert_one_line_error(capsys, "telescoping", "-3")
+
+
+def test_domain_checks_ignore_size_override(capsys, monkeypatch):
+    monkeypatch.setenv("TLBGRAM_ALLOW_LARGE", "1")
+    assert_one_line_error(capsys, "jones-wenzl", "0")

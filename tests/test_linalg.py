@@ -1,20 +1,27 @@
 """Exact determinants and ranks against independent oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from math import comb, lcm
 
 import pytest
 
+from tlbgram.gram import gram_matrix, random_delta, specialized_nullity
 from tlbgram.linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
+    _integer_rank,
     det_fraction_free,
     det_modular,
     is_prime,
     rank_exact,
 )
-from tlbgram.polynomials import BivariatePolynomial
+from tlbgram.polynomials import BivariatePolynomial, chebyshev
+from tlbgram.tl import random_bracket_sample, skein_matrix
 
 A = BivariatePolynomial.var_a()
 D = BivariatePolynomial.var_d()
@@ -40,9 +47,9 @@ def det_by_cofactor(rows):
 
 
 def test_matrix_shape_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExactMatrix.from_rows([])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert (m.nrows, m.ncols) == (2, 3)
@@ -158,6 +165,50 @@ def rank_by_gauss(rows):
     return rank
 
 
+def rank_by_bareiss(rows):
+    """Fraction-free Bareiss elimination over Z with full pivoting, a
+    second rank oracle that shares no arithmetic with the modular rank."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    while rank < nr and rank < nc:
+        pr = pc = -1
+        for i in range(rank, nr):
+            for j in range(rank, nc):
+                if m[i][j]:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        m[rank], m[pr] = m[pr], m[rank]
+        if pc != rank:
+            for row in m:
+                row[rank], row[pc] = row[pc], row[rank]
+        pivot = m[rank][rank]
+        for i in range(rank + 1, nr):
+            head = m[i][rank]
+            for j in range(rank + 1, nc):
+                m[i][j] = (pivot * m[i][j] - head * m[rank][j]) // prev
+            m[i][rank] = 0
+        prev = pivot
+        rank += 1
+    return rank
+
+
+def scaled_rows(matrix):
+    """Each row of a Fraction matrix times the lcm of its denominators."""
+    out = []
+    for row in matrix.entries:
+        fracs = [Fraction(e) for e in row]
+        mult = lcm(*(f.denominator for f in fracs))
+        out.append([int(f * mult) for f in fracs])
+    return out
+
+
 def test_rank_matches_gauss_oracle():
     rng = random.Random(205)
     for _ in range(25):
@@ -176,6 +227,11 @@ def test_det_modular_frozen_examples():
     for p in (7, MODULAR_PRIMES[0]):
         assert det_modular(eye, p) == 1
     assert det_modular(ExactMatrix.from_rows([[7, 0], [0, 1]]), 7) == 0
+    # a zero leading entry forces a row swap, which flips the sign
+    assert det_modular(ExactMatrix.from_rows([[0, 1], [1, 0]]), 7) == 6
+    # no pivot in a middle column, then in the last column
+    assert det_modular(ExactMatrix.from_rows([[1, 1, 1], [2, 2, 3], [0, 0, 1]]), 7) == 0
+    assert det_modular(ExactMatrix.from_rows([[1, 2], [2, 4]]), 7) == 0
 
 
 def test_det_modular_rejects_composite():
@@ -227,3 +283,77 @@ def test_modular_primes_are_the_four_largest_below_2_to_53():
     upper = 2**53
     for lo, hi in zip(MODULAR_PRIMES, (upper,) + MODULAR_PRIMES[:-1]):
         assert all(not is_prime(x) for x in range(lo + 1, hi))
+
+
+def test_rank_certificate_survives_unlucky_primes():
+    p0, p1, p2, p3 = MODULAR_PRIMES
+    # rank 1 mod p0; the kernel predicted mod p0 fails over Z
+    assert _integer_rank([[p0, 0], [0, 1]]) == 2
+    # every fixed prime is unlucky, so the next prime below them decides
+    assert _integer_rank([[p0 * p1 * p2 * p3, 0], [0, 1]]) == 2
+    # deficient over Q and unlucky mod p0: rank 1 there, 2 over Q
+    assert _integer_rank([[p0, 0, 0], [0, 1, 1], [0, 1, 1]]) == 2
+    assert _integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert _integer_rank([[p0, 2 * p0], [3 * p0, 6 * p0]]) == 1
+
+
+def test_rank_of_random_low_rank_products_with_large_entries():
+    rng = random.Random(207)
+    for _ in range(30):
+        nr = rng.randint(1, 12)
+        nc = rng.randint(1, 12)
+        k = rng.randint(1, min(nr, nc))
+        u = [[rng.getrandbits(100) - 2**99 for _ in range(k)] for _ in range(nr)]
+        v = [[rng.getrandbits(100) - 2**99 for _ in range(nc)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(ui, col)) for col in zip(*v)] for ui in u]
+        assert _integer_rank(rows) == rank_by_gauss(rows) == k
+
+
+def test_rank_of_gram_and_skein_matrices_matches_bareiss():
+    rng = random.Random(208)
+    n, k = 4, 2
+    delta = random_delta(rng)
+    t_k = chebyshev(k).evaluate(0, delta)
+    gram_rows = scaled_rows(gram_matrix(n).evaluate_rational(-t_k, delta))
+    a0 = random_bracket_sample(rng)
+    skein = skein_matrix(n, k).entries.entries
+    skein_rows = scaled_rows(
+        ExactMatrix.from_rows([[e.evaluate(a0) for e in row] for row in skein])
+    )
+    for rows in (gram_rows, skein_rows):
+        assert _integer_rank(rows) == rank_by_bareiss(rows) == 70 - comb(8, 2)
+
+
+@pytest.mark.slow
+def test_gram_nullity_at_n5_matches_binomial():
+    rng = random.Random(209)
+    for k in (4, 5):
+        assert specialized_nullity(5, k, random_delta(rng)) == comb(10, 5 - k)
+
+
+def test_input_checks_survive_python_O():
+    script = """
+from tlbgram.disk import enumerate_disk, telescoping_sides, tilde_count_formula
+from tlbgram.linalg import ExactMatrix, det_fraction_free, det_modular
+wide = ExactMatrix.from_rows([[1, 2]])
+bad = [
+    lambda: ExactMatrix.from_rows([[1, 2], [3]]),
+    lambda: det_fraction_free(wide),
+    lambda: det_modular(wide, 7),
+    lambda: enumerate_disk(0, 1),
+    lambda: tilde_count_formula(2, -1),
+    lambda: telescoping_sides(0),
+]
+for call in bad:
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
