@@ -33,6 +33,7 @@ from .gram import (
     sign_conjugation_check,
     verify_determinant,
 )
+from .polynomials import quotient_text
 from .tl import jones_wenzl, skein_nullity_with_resample
 
 
@@ -141,7 +142,7 @@ def _cmd_nullity_skein(args) -> tuple[int, str]:
 def _cmd_jones_wenzl(args) -> tuple[int, str]:
     f = jones_wenzl(args.k)
     terms = sorted(
-        ((m.to_paren(), c.to_text()) for m, c in f.terms.items())
+        (m.to_paren(), quotient_text(c, f.den)) for m, c in f.terms.items()
     )
     report = {
         "version": __version__,

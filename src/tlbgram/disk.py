@@ -34,7 +34,10 @@ __all__ = [
 
 def noncrossing_matchings(num_points: int):
     """Yield every non-crossing matching of 0..num_points-1 as sorted pairs."""
-    assert num_points >= 0 and num_points % 2 == 0
+    require(
+        num_points >= 0 and num_points % 2 == 0,
+        f"need an even number of points >= 0, got {num_points}",
+    )
 
     def rec(points):
         if not points:
@@ -60,10 +63,13 @@ class DiskDiagram:
     def __post_init__(self):
         total = 2 * (self.n + self.k)
         flat = [p for pair in self.pairs for p in pair]
-        assert sorted(flat) == list(range(total)), "not a perfect matching"
-        for (a, b), (c, d) in _pairs_of_pairs(self.pairs):
-            lo, hi = min(a, b), max(a, b)
-            assert ((lo < c < hi) + (lo < d < hi)) % 2 == 0, "chords cross"
+        require(sorted(flat) == list(range(total)), "not a perfect matching")
+        spans = [(min(a, b), max(a, b)) for a, b in self.pairs]
+        crossed = any(
+            (lo < c < hi) != (lo < d < hi)
+            for (lo, hi), (c, d) in _pairs_of_pairs(spans)
+        )
+        require(not crossed, "chords cross")
 
     def label(self, position: int) -> str:
         """Boundary labels: a_1..a_{2n}, l_1..l_k, then u_k down to u_1."""

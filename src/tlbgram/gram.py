@@ -122,7 +122,7 @@ def determinant_product_form(n: int) -> BivariatePolynomial:
 
 def determinant_product_value_mod(n: int, a_value: int, d_value: int, p: int) -> int:
     """The factored determinant evaluated at a point mod p."""
-    assert n >= 1
+    require(n >= 1, f"need n >= 1, got n={n}")
     t_prev, t_cur = 2 % p, d_value % p  # T_0, T_1
     a_sq = a_value * a_value % p
     result = 1

@@ -1,6 +1,6 @@
 """Sparse exact polynomial arithmetic.
 
-Three coefficient domains cover everything computed here:
+Two coefficient domains cover everything computed here:
 
 * ``BivariatePolynomial``: integer polynomials in the two loop variables
   ``a`` (non-trivial loop) and ``d`` (trivial loop), stored as a dict
@@ -8,12 +8,13 @@ Three coefficient domains cover everything computed here:
 * ``LaurentScalar``: integer Laurent polynomials in the bracket variable
   ``A``, stored as a dict mapping an integer exponent to a nonzero
   integer coefficient.
-* ``RationalFunction``: reduced quotients of Laurent polynomials, the
-  coefficient field needed for Jones-Wenzl projectors.
 
-All three keep a canonical zero-free representation, so structural
-equality coincides with mathematical equality.  Instances are treated as
-immutable; arithmetic always builds new objects.
+Both keep a canonical zero-free representation, so structural equality
+coincides with mathematical equality.  Instances are treated as
+immutable; arithmetic always builds new objects.  Quotients of Laurent
+polynomials, such as Jones-Wenzl coefficients, are carried as separate
+numerators and denominators; ``lowest_terms`` reduces one to canonical
+form for printing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+
+from ._limits import require
 
 
 class BivariatePolynomial:
@@ -335,6 +338,15 @@ class LaurentScalar:
             total += c * Fraction(a_value) ** e
         return total
 
+    def exact_div(self, divisor: "LaurentScalar") -> "LaurentScalar":
+        """Quotient self/divisor, raising ValueError unless division is exact."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by zero Laurent polynomial")
+        if self.is_zero():
+            return LaurentScalar.zero()
+        quot = _poly_divexact(_dense_from_laurent(self), _dense_from_laurent(divisor))
+        return _laurent_from_dense(quot, self.min_exp() - divisor.min_exp())
+
     def to_text(self) -> str:
         """Canonical text form, e.g. ``1*A^4 + 1*A^-4``."""
         if not self.terms:
@@ -369,7 +381,7 @@ class LaurentScalar:
 LOOP_VALUE_A = LaurentScalar({2: -1, -2: -1})
 
 
-# --- dense integer polynomial helpers (internal, used for gcd reduction) ---
+# --- dense integer polynomial helpers (internal: exact division, gcd) ---
 
 
 def _poly_trim(p: list) -> list:
@@ -413,7 +425,7 @@ def _poly_shift_mul(p: list, k: int) -> list:
 
 def _poly_pseudo_rem(u: list, v: list) -> list:
     # leading-coefficient-scaled remainder; keeps everything in integers
-    assert v
+    require(bool(v), "pseudo-remainder by the zero polynomial")
     u = list(u)
     lv = v[-1]
     while len(u) >= len(v):
@@ -435,130 +447,58 @@ def _poly_gcd(u: list, v: list) -> list:
 
 
 def _poly_divexact(p: list, q: list) -> list:
-    """Exact quotient of integer polynomials; asserts exactness."""
-    assert q
+    """Exact quotient of integer polynomials; ValueError unless exact."""
+    require(bool(q), "division by the zero polynomial")
     p = list(p)
     out = [0] * (len(p) - len(q) + 1) if len(p) >= len(q) else []
     while len(p) >= len(q):
         d = len(p) - len(q)
         lead = p[-1]
-        assert lead % q[-1] == 0
+        require(lead % q[-1] == 0, "inexact polynomial division")
         c = lead // q[-1]
         out[d] = c
         p = _poly_sub(p, _poly_shift_mul(_poly_mul_scalar(q, c), d))
-    assert not p, "inexact polynomial division"
+    require(not p, "inexact polynomial division")
     return _poly_trim(out)
 
 
-class RationalFunction:
-    """Quotient of Laurent polynomials in ``A``, kept in reduced form.
+def lowest_terms(
+    num: LaurentScalar, den: LaurentScalar
+) -> tuple[LaurentScalar, LaurentScalar]:
+    """The quotient num/den reduced to its canonical form.
 
-    Canonical form: the denominator is an ordinary integer polynomial
-    with nonzero constant term and positive leading coefficient, the
-    numerator carries any leftover power of ``A``, the polynomial parts
-    share no common factor, and gcd of the two integer contents is 1.
-    With that normalization structural equality is semantic equality.
+    The denominator is an ordinary integer polynomial with nonzero
+    constant term and positive leading coefficient, the numerator
+    carries any leftover power of ``A``, the polynomial parts share no
+    common factor, and gcd of the two integer contents is 1.  Equal
+    quotients therefore reduce to identical pairs.
     """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero():
+        return LaurentScalar.zero(), LaurentScalar.constant(1)
+    shift = num.min_exp() - den.min_exp()
+    np = _dense_from_laurent(num)
+    dp = _dense_from_laurent(den)
+    g = _poly_gcd(np, dp)
+    if len(g) > 1:
+        np = _poly_divexact(np, g)
+        dp = _poly_divexact(dp, g)
+    cg = gcd(_poly_content(np), _poly_content(dp))
+    if dp[-1] < 0:
+        cg = -cg
+    return (
+        _laurent_from_dense([c // cg for c in np], shift),
+        _laurent_from_dense([c // cg for c in dp], 0),
+    )
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, int):
-            num = LaurentScalar.constant(num)
-        if den is None:
-            den = LaurentScalar.constant(1)
-        elif isinstance(den, int):
-            den = LaurentScalar.constant(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = LaurentScalar.zero()
-            self.den = LaurentScalar.constant(1)
-            return
-        shift = num.min_exp() - den.min_exp()
-        np = _dense_from_laurent(num)
-        dp = _dense_from_laurent(den)
-        g = _poly_gcd(np, dp)
-        if len(g) > 1 or g[0] != 1:
-            np = _poly_divexact(np, g)
-            dp = _poly_divexact(dp, g)
-        cg = gcd(_poly_content(np), _poly_content(dp))
-        if dp[-1] < 0:
-            cg = -cg
-        np = [c // cg for c in np]
-        dp = [c // cg for c in dp]
-        self.num = _laurent_from_dense(np, shift)
-        self.den = _laurent_from_dense(dp, 0)
-
-    @classmethod
-    def from_laurent(cls, s: LaurentScalar) -> "RationalFunction":
-        return cls(s)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, LaurentScalar)):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __add__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, LaurentScalar)):
-            other = RationalFunction(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, LaurentScalar)):
-            other = RationalFunction(other)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, LaurentScalar)):
-            other = RationalFunction(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, LaurentScalar)):
-            other = RationalFunction(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def evaluate(self, a_value: Fraction) -> Fraction:
-        d = self.den.evaluate(a_value)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at A={a_value}")
-        return self.num.evaluate(a_value) / d
-
-    def to_text(self) -> str:
-        if self.den == LaurentScalar.constant(1):
-            return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-    def __repr__(self):
-        return f"RationalFunction({self.to_text()!r})"
+def quotient_text(num: LaurentScalar, den: LaurentScalar) -> str:
+    """Text of num/den in lowest terms, e.g. ``(1*A^2) / (1*A^4 + 1*A^0)``."""
+    num, den = lowest_terms(num, den)
+    if den == 1:
+        return num.to_text()
+    return f"({num.to_text()}) / ({den.to_text()})"
 
 
 def _dense_from_laurent(s: LaurentScalar) -> list:
@@ -584,7 +524,7 @@ def chebyshev(i: int) -> BivariatePolynomial:
 
     With this normalization T_i(x + 1/x) = x^i + x^-i.
     """
-    assert i >= 0
+    require(i >= 0, f"need i >= 0, got i={i}")
     d = BivariatePolynomial.var_d()
     while len(_CHEBYSHEV_CACHE) <= i:
         _CHEBYSHEV_CACHE.append(
@@ -595,7 +535,7 @@ def chebyshev(i: int) -> BivariatePolynomial:
 
 def chebyshev_in_bracket(k: int) -> LaurentScalar:
     """T_k evaluated at d = -A^2 - A^-2, namely (-1)^k (A^{2k} + A^{-2k})."""
-    assert k >= 0
+    require(k >= 0, f"need k >= 0, got k={k}")
     sign = -1 if k & 1 else 1
     if k == 0:
         return LaurentScalar.constant(2)

@@ -24,7 +24,7 @@ from ._limits import guard, require
 from .annular import enumerate_diagrams, pair
 from .gram import _resample_until_two_agree
 from .linalg import ExactMatrix, rank_exact
-from .polynomials import LOOP_VALUE_A, LaurentScalar, RationalFunction
+from .polynomials import LOOP_VALUE_A, LaurentScalar
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def identity_matching(k: int) -> PlanarMatching:
 
 def cup_cap_matching(i: int, k: int) -> PlanarMatching:
     """Generator e_i, 1 <= i <= k-1: cup at bottom slots i-1, i, cap above."""
-    assert 1 <= i < k
+    require(1 <= i < k, f"need 1 <= i < k, got i={i}, k={k}")
     match = [2 * k - 1 - p for p in range(2 * k)]
     lo, hi = i - 1, i
     match[lo], match[hi] = hi, lo
@@ -85,93 +85,58 @@ def all_matchings(k: int) -> tuple[PlanarMatching, ...]:
     return tuple(out)
 
 
-def _glue(x: PlanarMatching, y: PlanarMatching) -> tuple[tuple[int, ...], int]:
-    """Stack y on top of x; return the boundary matching and loop count.
+def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:
+    """Follow two involutions of the nodes 0..N-1 in turn.
 
-    Nodes 0..2k-1 are x's positions, 2k..4k-1 are y's shifted by 2k.
-    x's top slot s (node 2k-1-s) is glued to y's bottom slot s
-    (node 2k+s); the result keeps x's bottom and y's top.
+    ``total`` is defined on every node, ``partial`` on every node but the
+    ends 0..ends-1.  A path leaves an end along ``total`` and alternates
+    until it reaches another end; the nodes no path visits form closed
+    loops.  Returns the matching of the ends and the number of loops.
     """
-    assert x.k == y.k
-    k = x.k
-    glue = {}
-    for s in range(k):
-        glue[2 * k - 1 - s] = 2 * k + s
-        glue[2 * k + s] = 2 * k - 1 - s
-
-    def dmatch(v: int) -> int:
-        return x.match[v] if v < 2 * k else 2 * k + y.match[v - 2 * k]
-
-    def is_boundary(v: int) -> bool:
-        return v < k or v >= 3 * k
-
-    visited: set[int] = set()
-    newmatch = [0] * (2 * k)
-    for p0 in range(2 * k):
-        v0 = p0 if p0 < k else 2 * k + p0
-        if v0 in visited:
+    seen = [False] * len(total)
+    ends_match = [0] * ends
+    for start in range(ends):
+        if seen[start]:
             continue
-        visited.add(v0)
-        v = dmatch(v0)
-        while not is_boundary(v):
-            visited.add(v)
-            v = glue[v]
-            visited.add(v)
-            v = dmatch(v)
-        visited.add(v)
-        p1 = v if v < k else v - 2 * k
-        newmatch[p0] = p1
-        newmatch[p1] = p0
+        v = total[start]
+        while v >= ends:
+            w = partial[v]
+            seen[v] = seen[w] = True
+            v = total[w]
+        seen[start] = seen[v] = True
+        ends_match[start], ends_match[v] = v, start
     loops = 0
-    for v in range(k, 3 * k):
-        if v in visited:
+    for start in range(ends, len(total)):
+        if seen[start]:
             continue
         loops += 1
-        cur = v
-        while cur not in visited:
-            visited.add(cur)
-            nxt = dmatch(cur)
-            visited.add(nxt)
-            cur = glue[nxt]
-    return tuple(newmatch), loops
+        v = start
+        while not seen[v]:
+            w = partial[v]
+            seen[v] = seen[w] = True
+            v = total[w]
+    return tuple(ends_match), loops
 
 
-def _closure_loops(m: PlanarMatching) -> int:
-    """Loops after joining each top point to the bottom point below it."""
-    k = m.k
-    visited: set[int] = set()
-    loops = 0
-    for start in range(2 * k):
-        if start in visited:
-            continue
-        loops += 1
-        cur = start
-        while cur not in visited:
-            visited.add(cur)
-            q = m.match[cur]
-            visited.add(q)
-            cur = 2 * k - 1 - q
-    return loops
-
-
-_ONE = RationalFunction(1)
+_ONE = LaurentScalar.constant(1)
 
 
 class TLElement:
-    """Formal combination of planar matchings with rational-function weights."""
+    """Combination of planar matchings with Laurent weights over one denominator.
 
-    __slots__ = ("k", "terms")
+    The element is sum(terms[m] * m) / den.  Denominators are never
+    reduced, so two elements are compared by cross-multiplication.
+    """
 
-    def __init__(self, k: int, terms=None):
+    __slots__ = ("k", "terms", "den")
+
+    def __init__(self, k: int, terms=None, den: LaurentScalar = _ONE):
+        terms = terms or {}
+        require(all(m.k == k for m in terms), f"every matching needs {k} strands")
+        require(not den.is_zero(), "zero denominator")
         self.k = k
-        clean = {}
-        for m, c in (terms or {}).items():
-            assert m.k == k
-            if not isinstance(c, RationalFunction):
-                c = RationalFunction(c)
-            if not c.is_zero():
-                clean[m] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.den = den
 
     @classmethod
     def from_matching(cls, m: PlanarMatching, coeff=_ONE) -> "TLElement":
@@ -191,51 +156,83 @@ class TLElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TLElement):
             return NotImplemented
-        return self.k == other.k and self.terms == other.terms
+        return (
+            self.k == other.k
+            and self.terms.keys() == other.terms.keys()
+            and all(
+                c * other.den == other.terms[m] * self.den
+                for m, c in self.terms.items()
+            )
+        )
 
     def __add__(self, other: "TLElement") -> "TLElement":
-        assert self.k == other.k
-        out = dict(self.terms)
+        require(self.k == other.k, f"strand counts {self.k} and {other.k} differ")
+        out = {m: c * other.den for m, c in self.terms.items()}
         for m, c in other.terms.items():
+            c = c * self.den
             s = out.get(m)
             out[m] = c if s is None else s + c
-        return TLElement(self.k, out)
+        return TLElement(self.k, out, self.den * other.den)
 
     def __sub__(self, other: "TLElement") -> "TLElement":
-        return self + other.scale(RationalFunction(-1))
+        return self + other.scale(-1)
 
     def scale(self, factor) -> "TLElement":
-        return TLElement(self.k, {m: c * factor for m, c in self.terms.items()})
+        """Multiply by a Laurent polynomial or integer."""
+        return TLElement(
+            self.k, {m: c * factor for m, c in self.terms.items()}, self.den
+        )
 
     def __mul__(self, other: "TLElement") -> "TLElement":
-        assert self.k == other.k
+        """Stack other on top of self."""
+        require(self.k == other.k, f"strand counts {self.k} and {other.k} differ")
+        k = self.k
+        # Nodes 0..k-1 are self's bottom and k..2k-1 other's top, so the
+        # ends are already positions of the product.  Nodes 2k..3k-1 are
+        # self's top positions k..2k-1 and 3k..4k-1 other's bottom
+        # positions 0..k-1; self's top slot s (node 3k-1-s) is glued to
+        # other's bottom slot s (node 3k+s).
+        seam = [0] * (2 * k) + [6 * k - 1 - v for v in range(2 * k, 4 * k)]
+        uppers = []
+        for m2, c2 in other.terms.items():
+            upper = [q if q >= k else q + 3 * k for q in m2.match]
+            uppers.append((upper[k:], upper[:k], c2))
         out: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                match, loops = _glue(m1, m2)
+            lower = [q if q < k else q + k for q in m1.match]
+            bottom, top = lower[:k], lower[k:]
+            for upper_top, upper_bottom, c2 in uppers:
+                match, loops = _trace(
+                    bottom + upper_top + top + upper_bottom, seam, 2 * k
+                )
                 coeff = c1 * c2 * LOOP_VALUE_A**loops
-                key = PlanarMatching(self.k, match)
+                key = PlanarMatching(k, match)
                 s = out.get(key)
                 out[key] = coeff if s is None else s + coeff
-        return TLElement(self.k, out)
+        return TLElement(k, out, self.den * other.den)
 
-    def markov_closure(self) -> RationalFunction:
-        """Trace: close every strand around and evaluate the loops."""
-        total = RationalFunction(0)
+    def markov_closure(self) -> tuple[LaurentScalar, LaurentScalar]:
+        """Trace: close every strand around and evaluate the loops.
+
+        Returns the numerator and denominator of the value.
+        """
+        k = self.k
+        closure = [2 * k - 1 - p for p in range(2 * k)]
+        total = LaurentScalar.zero()
         for m, c in self.terms.items():
-            total = total + c * LOOP_VALUE_A ** _closure_loops(m)
-        return total
+            total = total + c * LOOP_VALUE_A ** _trace(m.match, closure, 0)[1]
+        return total, self.den
 
     def __repr__(self):
         body = ", ".join(
             f"{m.to_pairs()}: {c.to_text()}" for m, c in self.terms.items()
         )
-        return f"TLElement(k={self.k}, {{{body}}})"
+        return f"TLElement(k={self.k}, {{{body}}}, den={self.den.to_text()})"
 
 
 def quantum_dimension(k: int) -> LaurentScalar:
     """Loop value of the closed k-strand projector: (-1)^k sum A^{2k-4i}."""
-    assert k >= 0
+    require(k >= 0, f"need k >= 0, got k={k}")
     sign = -1 if k & 1 else 1
     return LaurentScalar({2 * k - 4 * i: sign for i in range(k + 1)})
 
@@ -254,7 +251,7 @@ def _embed(m: PlanarMatching) -> PlanarMatching:
 
 
 def _embed_element(x: TLElement) -> TLElement:
-    return TLElement(x.k + 1, {_embed(m): c for m, c in x.terms.items()})
+    return TLElement(x.k + 1, {_embed(m): c for m, c in x.terms.items()}, x.den)
 
 
 _JW_CACHE: dict[int, TLElement] = {}
@@ -266,7 +263,13 @@ def jones_wenzl(k: int) -> TLElement:
         f_1 = 1,   f_k = f' - (D_{k-2}/D_{k-1}) f' e_{k-1} f'
 
     where f' is f_{k-1} on the first k-1 strands and D is the quantum
-    dimension.
+    dimension.  It is carried fraction-free as f_k = N_k / c_k, with
+    c_1 = 1 and c_k = c_{k-1} D_{k-1}, so that
+
+        N_k = D_{k-1} N' - D_{k-2} (N' e_{k-1} N') / c_{k-1}
+
+    where N' is N_{k-1} on the first k-1 strands.  The division is exact
+    (a ValueError says otherwise); coefficients are never reduced.
     """
     require(k >= 1, f"need k >= 1, got k={k}")
     guard(k <= 8, f"jones_wenzl tested for 1 <= k <= 8, got k={k}")
@@ -275,10 +278,17 @@ def jones_wenzl(k: int) -> TLElement:
     if k == 1:
         f = TLElement.identity(1)
     else:
-        prev = _embed_element(jones_wenzl(k - 1))
-        coeff = RationalFunction(quantum_dimension(k - 2), quantum_dimension(k - 1))
-        side = prev * TLElement.generator(k - 1, k) * prev
-        f = prev - side.scale(coeff)
+        prev = jones_wenzl(k - 1)
+        top = _embed_element(prev)
+        # side.terms is N' e_{k-1} N'; its denominator is not needed
+        side = top * TLElement.generator(k - 1, k) * top
+        d_prev, d_prev2 = quantum_dimension(k - 1), quantum_dimension(k - 2)
+        terms = {m: c * d_prev for m, c in top.terms.items()}
+        for m, c in side.terms.items():
+            c = (c * d_prev2).exact_div(prev.den)
+            s = terms.get(m)
+            terms[m] = -c if s is None else s - c
+        f = TLElement(k, terms, prev.den * d_prev)
     _JW_CACHE[k] = f
     return f
 
@@ -294,83 +304,49 @@ def encircle(k: int) -> TLElement:
     require(k >= 0, f"need k >= 0, got k={k}")
     guard(k <= 4, f"encircle tested for 0 <= k <= 4, got k={k}")
     if k == 0:
-        return TLElement(0, {PlanarMatching(0, ()): RationalFunction(LOOP_VALUE_A)})
+        return TLElement(0, {PlanarMatching(0, ()): LOOP_VALUE_A})
 
-    edges: dict = {}
+    # Boundary position p is node p.  Slot s (counter-clockwise W=0, S=1,
+    # E=2, N=3) of crossing j is node 2k + 4j + s; crossings 0..k-1 are
+    # the lower ones, k..2k-1 the upper ones.
+    def port(j: int, slot: int) -> int:
+        return 2 * k + 4 * j + slot
+
+    edges = [0] * (10 * k)
 
     def join(p1, p2):
         edges[p1] = p2
         edges[p2] = p1
 
-    # slots counter-clockwise: W=0, S=1, E=2, N=3
     for i in range(k):
-        join(("b", i), (("L", i), 1))
-        join((("L", i), 3), (("U", i), 1))
-        join((("U", i), 3), ("t", i))
+        join(i, port(i, 1))
+        join(port(i, 3), port(k + i, 1))
+        join(port(k + i, 3), 2 * k - 1 - i)
         if i + 1 < k:
-            join((("L", i), 2), (("L", i + 1), 0))
-            join((("U", i), 2), (("U", i + 1), 0))
-    join((("L", 0), 0), (("U", 0), 0))
-    join((("L", k - 1), 2), (("U", k - 1), 2))
-
-    vertices = [("L", i) for i in range(k)] + [("U", i) for i in range(k)]
-    over_slot = {"L": 0, "U": 1}  # curve is horizontal below, strand vertical above
+            join(port(i, 2), port(i + 1, 0))
+            join(port(k + i, 2), port(k + i + 1, 0))
+    join(port(0, 0), port(k, 0))
+    join(port(k - 1, 2), port(2 * k - 1, 2))
 
     terms: dict[PlanarMatching, LaurentScalar] = {}
     for state in product((0, 1), repeat=2 * k):  # 0 = A smoothing, 1 = B
-        smooth: dict = {}
+        smooth = [0] * (10 * k)
         exponent = 0
-        for v, choice in zip(vertices, state):
-            s = over_slot[v[0]]
+        for j, choice in enumerate(state):
+            s = 0 if j < k else 1  # curve is horizontal below, strand vertical above
             step = -1 if choice == 0 else 1
             exponent += 1 - 2 * choice
             for end in (s, s + 2):
-                a = (v, end % 4)
-                b = (v, (end + step) % 4)
+                a = port(j, end)
+                b = port(j, (end + step) % 4)
                 smooth[a] = b
                 smooth[b] = a
-        visited: set = set()
-        newmatch = [0] * (2 * k)
-        boundary = [("b", i) for i in range(k)] + [("t", i) for i in range(k)]
-
-        def position(port) -> int:
-            side, i = port
-            return i if side == "b" else 2 * k - 1 - i
-
-        for start in boundary:
-            if start in visited:
-                continue
-            visited.add(start)
-            cur = edges[start]
-            while cur in smooth:
-                visited.add(cur)
-                cur = smooth[cur]
-                visited.add(cur)
-                cur = edges[cur]
-            visited.add(cur)
-            p0, p1 = position(start), position(cur)
-            newmatch[p0] = p1
-            newmatch[p1] = p0
-        loops = 0
-        for v in vertices:
-            for slot in range(4):
-                port = (v, slot)
-                if port in visited:
-                    continue
-                loops += 1
-                cur = port
-                while cur not in visited:
-                    visited.add(cur)
-                    nxt = smooth[cur]
-                    visited.add(nxt)
-                    cur = edges[nxt]
+        match, loops = _trace(edges, smooth, 2 * k)
         weight = LaurentScalar.monomial(exponent) * LOOP_VALUE_A**loops
-        key = PlanarMatching(k, tuple(newmatch))
+        key = PlanarMatching(k, match)
         prev = terms.get(key)
         terms[key] = weight if prev is None else prev + weight
-    return TLElement(
-        k, {m: RationalFunction(c) for m, c in terms.items() if not c.is_zero()}
-    )
+    return TLElement(k, terms)
 
 
 def encircle_eigenvalue(k: int) -> LaurentScalar:
@@ -386,7 +362,7 @@ def projector_pairing_value(strands: int, nontrivial: int, trivial: int) -> Laur
     value; the closed projector itself contributes its quantum
     dimension.
     """
-    assert strands >= 0
+    require(strands >= 0, f"need strands >= 0, got strands={strands}")
     return (
         encircle_eigenvalue(strands) ** nontrivial
         * LOOP_VALUE_A**trivial

@@ -1,6 +1,7 @@
 """Command-line front end: shapes, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -104,6 +105,50 @@ def test_jones_wenzl_paren_output(capsys):
     assert code == 0
     assert "(())\t1*A^0" in out
     assert "()()\t(1*A^2) / (1*A^4 + 1*A^0)" in out
+
+
+# sha256 of `jones-wenzl k` stdout, recorded from the gcd-normalised
+# implementation that the fraction-free projectors replaced.
+JONES_WENZL_SHA256 = {
+    "text": {
+        1: "90be130c2e1692cfed9c5cb3acf4341ad077fb45413f36f3ed561b7b152b29e8",
+        2: "9454796e28eabdaecd27b4df530e7da1e8f4d6fde1744e7b1f91a463cf7c1f09",
+        3: "66e8b773b7ef7f58e1251436545d698235c08aa647bbe28628da59ed79d03dea",
+        4: "002a337d234db8706c5ce9de23b875a0193c980e67b24a46c79cf864dc0a083a",
+        5: "12d3ba0fe300f749d99bb76f7e001d229d582c15f5caf3b4d4b32e8b91d36cfd",
+        6: "ccb57d3caff9f9146891ddbf1ed95bbc45cb2d9cf0550206ed77a1603829fd7e",
+        7: "500b3a3dd4dd727192ef5e7ffc7f3d7244c923148e8a927390e3d0b94a3a880f",
+        8: "99262801c6c93a3cd3dfb7b3ba4f8d4a41184552dd5ceeb37d2e5f5afa5622b6",
+    },
+    "json": {
+        1: "3180e254603c1faeabd8f0c29aa54ed0f7dbdffd93ce2a32330715b161404cff",
+        2: "aa3d7ad948afdf2003fb7bf332bded2507ca86b3a860d778c3d9ee45d933aeb4",
+        3: "c3ca7589e5d848ee157d230d8882ed6b9b1f253b7f1588eb553d52360883fb5d",
+        4: "e2b8f51e72d204e8de62d7fe4e58bbdf68e6b9b7eebedd25e7b35feb2f937448",
+        5: "36dcf3e4061c60aaea405edf0fb91491b46409a831af7a73ca59b74ad22e0df0",
+        6: "67eafaddc07a44ee85a513caf860e2405b0830aa2c86ea9a5e4046357325fec1",
+        7: "278073d7ab8ee86eb126c621fcfa20af104139a67b0946c8ff00b5cf8b454a5c",
+    },
+}
+
+
+def assert_jones_wenzl_pinned(capsys, k, fmt):
+    flags = () if fmt == "text" else ("--format", fmt)
+    code, out = run(capsys, "jones-wenzl", str(k), *flags)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == JONES_WENZL_SHA256[fmt][k]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_jones_wenzl_output_pinned(capsys, fmt, k):
+    assert_jones_wenzl_pinned(capsys, k, fmt)
+
+
+@pytest.mark.slow
+def test_jones_wenzl_8_output_pinned(capsys):
+    assert_jones_wenzl_pinned(capsys, 8, "text")
 
 
 def test_counts_csv_default(capsys):

@@ -37,9 +37,9 @@ def test_noncrossing_matchings_never_interleave():
 
 
 def test_disk_diagram_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DiskDiagram(1, 0, ((0, 1), (1, 2)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DiskDiagram(1, 1, ((0, 2), (1, 3)))  # crossing
 
 

@@ -333,8 +333,19 @@ def test_gram_nullity_at_n5_matches_binomial():
 
 def test_input_checks_survive_python_O():
     script = """
-from tlbgram.disk import enumerate_disk, telescoping_sides, tilde_count_formula
+from tlbgram.disk import (
+    DiskDiagram, enumerate_disk, noncrossing_matchings, telescoping_sides,
+    tilde_count_formula,
+)
+from tlbgram.gram import determinant_product_value_mod
 from tlbgram.linalg import ExactMatrix, det_fraction_free, det_modular
+from tlbgram.polynomials import (
+    LaurentScalar, _poly_divexact, chebyshev, chebyshev_in_bracket,
+)
+from tlbgram.tl import (
+    TLElement, cup_cap_matching, identity_matching, projector_pairing_value,
+    quantum_dimension,
+)
 wide = ExactMatrix.from_rows([[1, 2]])
 bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
@@ -343,6 +354,17 @@ bad = [
     lambda: enumerate_disk(0, 1),
     lambda: tilde_count_formula(2, -1),
     lambda: telescoping_sides(0),
+    lambda: DiskDiagram(1, 0, ((0, 1), (1, 2))),
+    lambda: list(noncrossing_matchings(3)),
+    lambda: cup_cap_matching(0, 2),
+    lambda: quantum_dimension(-2),
+    lambda: projector_pairing_value(-1, 0, 0),
+    lambda: chebyshev(-1),
+    lambda: chebyshev_in_bracket(-1),
+    lambda: determinant_product_value_mod(0, 1, 1, 7),
+    lambda: TLElement(2, {identity_matching(1): LaurentScalar.constant(1)}),
+    lambda: TLElement.identity(1) * TLElement.identity(2),
+    lambda: _poly_divexact([1, 0, 1], [1, 1]),
 ]
 for call in bad:
     try:

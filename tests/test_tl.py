@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -11,7 +12,6 @@ from tlbgram.gram import gram_matrix, specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
     LaurentScalar,
-    RationalFunction,
     chebyshev_in_bracket,
     substitute_loop_values,
 )
@@ -60,9 +60,8 @@ def test_all_matchings_counts():
 
 def test_generator_relations():
     # e_i^2 = delta e_i, and the braid-like absorption around a corner
-    delta = RationalFunction(LOOP_VALUE_A)
     e1 = TLElement.generator(1, 2)
-    assert e1 * e1 == e1.scale(delta)
+    assert e1 * e1 == e1.scale(LOOP_VALUE_A)
     e1_3 = TLElement.generator(1, 3)
     e2_3 = TLElement.generator(2, 3)
     assert e1_3 * e2_3 * e1_3 == e1_3
@@ -83,11 +82,79 @@ def test_distant_generators_commute():
 
 def test_projector_smallest_cases():
     assert jones_wenzl(1) == TLElement.identity(1)
-    delta = RationalFunction(LOOP_VALUE_A)
-    expected = TLElement.identity(2) - TLElement.generator(1, 2).scale(
-        RationalFunction(1) / delta
-    )
-    assert jones_wenzl(2) == expected
+    # f_2 = 1 - e_1 / delta
+    one = LaurentScalar.constant(1)
+    e1_over_delta = TLElement(2, {cup_cap_matching(1, 2): one}, LOOP_VALUE_A)
+    assert jones_wenzl(2) == TLElement.identity(2) - e1_over_delta
+    assert jones_wenzl(2) != TLElement.identity(2) - TLElement.generator(1, 2)
+
+
+def test_element_equality_cross_multiplies():
+    # numerator and denominator scaled alike give the same element
+    e1 = TLElement.generator(1, 2)
+    assert TLElement(2, e1.scale(LOOP_VALUE_A).terms, LOOP_VALUE_A) == e1
+    assert e1 != TLElement(2, e1.terms, LaurentScalar.constant(2))
+    assert e1 != TLElement.identity(2)
+
+
+def test_element_strand_checks():
+    one = LaurentScalar.constant(1)
+    with pytest.raises(ValueError):
+        TLElement(2, {identity_matching(1): one})
+    with pytest.raises(ValueError):
+        TLElement.identity(1) * TLElement.identity(2)
+    with pytest.raises(ValueError):
+        TLElement.identity(1) + TLElement.identity(2)
+    with pytest.raises(ValueError):
+        TLElement(1, {identity_matching(1): one}, LaurentScalar.zero())
+
+
+@lru_cache(maxsize=None)
+def product_term(m1, m2):
+    """The single term of the product of two matchings."""
+    product = TLElement.from_matching(m1) * TLElement.from_matching(m2)
+    ((m, weight),) = product.terms.items()
+    return m, weight
+
+
+def jones_wenzl_at(k, a):
+    """f_k at A = a by the plain recurrence, with Fraction coefficients."""
+
+    def times(x, y):
+        out = {}
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m, weight = product_term(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2 * weight.evaluate(a)
+        return out
+
+    f = {identity_matching(1): Fraction(1)}
+    for j in range(2, k + 1):
+        moved = [p if p < j - 1 else p + 2 for p in range(2 * j - 2)]
+        top = {}
+        for m, c in f.items():
+            match = [0] * (2 * j)
+            match[j - 1], match[j] = j, j - 1  # the new strand
+            for p, q in enumerate(m.match):
+                match[moved[p]] = moved[q]
+            top[PlanarMatching(j, tuple(match))] = c
+        lower, upper = quantum_dimension(j - 2), quantum_dimension(j - 1)
+        ratio = lower.evaluate(a) / upper.evaluate(a)
+        side = times(times(top, {cup_cap_matching(j - 1, j): Fraction(1)}), top)
+        f = dict(top)
+        for m, c in side.items():
+            f[m] = f.get(m, 0) - ratio * c
+        f = {m: c for m, c in f.items() if c}
+    return f
+
+
+def test_projector_matches_fraction_recurrence():
+    for a in (Fraction(2, 3), Fraction(-5, 7), Fraction(3)):
+        for k in range(1, 7):
+            f = jones_wenzl(k)
+            den = f.den.evaluate(a)
+            values = {m: c.evaluate(a) / den for m, c in f.terms.items()}
+            assert values == jones_wenzl_at(k, a)
 
 
 def test_projector_idempotent_and_cup_killed():
@@ -127,10 +194,11 @@ def test_quantum_dimension_closed_form():
 
 
 def test_markov_closure_frozen_values():
-    delta = RationalFunction(LOOP_VALUE_A)
-    assert TLElement.identity(2).markov_closure() == delta * delta
-    assert TLElement.generator(1, 2).markov_closure() == delta
-    assert jones_wenzl(3).markov_closure() == RationalFunction(quantum_dimension(3))
+    delta = LOOP_VALUE_A
+    assert TLElement.identity(2).markov_closure() == (delta * delta, 1)
+    assert TLElement.generator(1, 2).markov_closure() == (delta, 1)
+    num, den = jones_wenzl(3).markov_closure()
+    assert num == quantum_dimension(3) * den
 
 
 def test_encircle_nothing_is_a_free_loop():
@@ -138,13 +206,14 @@ def test_encircle_nothing_is_a_free_loop():
     assert len(e0.terms) == 1
     ((m, c),) = e0.terms.items()
     assert m == PlanarMatching(0, ())
-    assert c == RationalFunction(LOOP_VALUE_A)
+    assert c == LOOP_VALUE_A
+    assert e0.den == 1
 
 
 def test_encircle_eigenvalue_on_projectors():
     for k in (1, 2):
         f = jones_wenzl(k)
-        scaled = f.scale(RationalFunction(encircle_eigenvalue(k)))
+        scaled = f.scale(encircle_eigenvalue(k))
         assert encircle(k) * f == scaled
     assert encircle_eigenvalue(1) == LaurentScalar({4: -1, -4: -1})
 
