@@ -33,7 +33,10 @@ __all__ = [
 
 
 def noncrossing_matchings(num_points: int):
-    """Yield every non-crossing matching of 0..num_points-1 as sorted pairs."""
+    """Iterate every non-crossing matching of 0..num_points-1 as sorted pairs.
+
+    The argument is checked at the call, before the first matching.
+    """
     require(
         num_points >= 0 and num_points % 2 == 0,
         f"need an even number of points >= 0, got {num_points}",
@@ -49,7 +52,7 @@ def noncrossing_matchings(num_points: int):
                 for outside in rec(points[idx + 1 :]):
                     yield ((first, points[idx]),) + inside + outside
 
-    yield from rec(tuple(range(num_points)))
+    return rec(tuple(range(num_points)))
 
 
 @dataclass(frozen=True)

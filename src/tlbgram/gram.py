@@ -53,15 +53,28 @@ class GramMatrix:
             for row in self.pairings
         ]
 
-    def evaluate_rational(self, a_value: Fraction, d_value: Fraction) -> ExactMatrix:
-        a_value = Fraction(a_value)
-        d_value = Fraction(d_value)
-        return ExactMatrix.from_rows(
-            [
-                [a_value**v.nontrivial * d_value**v.trivial for v in row]
-                for row in self.pairings
-            ]
-        )
+
+def specialized_rows(pairings, a_value: Fraction, d_value: Fraction) -> list[list[int]]:
+    """Integer rows of the pairings at a = a_value, d = d_value.
+
+    Write a_value = xn/xd and d_value = yn/yd in lowest terms, and M, T
+    for the largest exponents of a and d.  Entry a^m d^t becomes
+    xn^m xd^(M-m) * yn^t yd^(T-t): the specialized entry times xd^M yd^T,
+    a positive integer shared by every entry, so the rows have the rank
+    of the specialized matrix.
+    """
+    a_value = Fraction(a_value)
+    d_value = Fraction(d_value)
+    top_a = max(v.nontrivial for row in pairings for v in row)
+    top_d = max(v.trivial for row in pairings for v in row)
+
+    def powers(num: int, den: int, top: int) -> list[int]:
+        return [num**i * den ** (top - i) for i in range(top + 1)]
+
+    a_pows = powers(a_value.numerator, a_value.denominator, top_a)
+    d_pows = powers(d_value.numerator, d_value.denominator, top_d)
+    table = [[x * y for y in d_pows] for x in a_pows]
+    return [[table[v.nontrivial][v.trivial] for v in row] for row in pairings]
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +229,8 @@ def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
     t_k = chebyshev(k).evaluate(0, delta_value)
     a_value = t_k if k & 1 else -t_k
     g = gram_matrix(n)
-    rank = rank_exact(g.evaluate_rational(a_value, delta_value))
-    return g.size() - rank
+    rows = specialized_rows(g.pairings, a_value, delta_value)
+    return g.size() - rank_exact(ExactMatrix.from_rows(rows))
 
 
 def random_delta(rng: random.Random) -> Fraction:

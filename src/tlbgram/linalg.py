@@ -9,7 +9,6 @@ point enters at any stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
@@ -304,14 +303,14 @@ def rank_exact(matrix: ExactMatrix) -> int:
     """Exact rank of a matrix with Fraction (or int) entries.
 
     Rows are scaled to integers first (rank is unchanged by nonzero row
-    scaling).  The rank is found mod a prime and certified over Z by an
-    exactly verified kernel (see _integer_rank).
+    scaling); a row of ints is scaled by 1.  The rank is found mod a
+    prime and certified over Z by an exactly verified kernel (see
+    _integer_rank).
     """
     scaled = []
     for row in matrix.entries:
-        fracs = [Fraction(e) for e in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        scaled.append([int(f * mult) for f in fracs])
+        mult = lcm(*(e.denominator for e in row))
+        scaled.append([e.numerator * (mult // e.denominator) for e in row])
     return _integer_rank(scaled)
 
 

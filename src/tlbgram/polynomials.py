@@ -37,7 +37,8 @@ class BivariatePolynomial:
             for exps, coeff in terms.items():
                 if coeff:
                     ea, ed = exps
-                    assert ea >= 0 and ed >= 0
+                    if ea < 0 or ed < 0:
+                        raise ValueError(f"negative exponent in {exps}")
                     clean[exps] = coeff
         self.terms = clean
 
@@ -131,7 +132,8 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "BivariatePolynomial":
-        assert exponent >= 0
+        if exponent < 0:
+            raise ValueError(f"need exponent >= 0, got {exponent}")
         result = BivariatePolynomial.constant(1)
         base = self
         e = exponent
@@ -319,7 +321,8 @@ class LaurentScalar:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentScalar":
-        assert exponent >= 0
+        if exponent < 0:
+            raise ValueError(f"need exponent >= 0, got {exponent}")
         result = LaurentScalar.constant(1)
         base = self
         e = exponent
@@ -332,7 +335,7 @@ class LaurentScalar:
 
     def evaluate(self, a_value: Fraction) -> Fraction:
         """Evaluate at a nonzero exact scalar."""
-        assert a_value != 0
+        require(a_value != 0, "Laurent polynomials are evaluated away from 0")
         total = Fraction(0)
         for e, c in self.terms.items():
             total += c * Fraction(a_value) ** e

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 import random
 
 from ._limits import guard, require
 from .annular import enumerate_diagrams, pair
-from .gram import _resample_until_two_agree
+from .gram import _resample_until_two_agree, specialized_rows
 from .linalg import ExactMatrix, rank_exact
 from .polynomials import LOOP_VALUE_A, LaurentScalar
 
@@ -372,12 +372,27 @@ def projector_pairing_value(strands: int, nontrivial: int, trivial: int) -> Laur
 
 @dataclass(frozen=True)
 class SkeinValueMatrix:
-    """Matrix of skein evaluations over the annular diagram basis."""
+    """Matrix of skein evaluations over the annular diagram basis.
+
+    It is kept as the pairing exponents of every two basis diagrams;
+    entry (i, j) is projector_pairing_value(k - 1, m, t) for the
+    exponents (m, t) of pairings[i][j], built when entries is first read.
+    """
 
     n: int
     k: int
     basis: tuple
-    entries: ExactMatrix
+    pairings: tuple
+
+    @cached_property
+    def entries(self) -> ExactMatrix:
+        strands = self.k - 1
+        return ExactMatrix.from_rows(
+            [
+                [projector_pairing_value(strands, v.nontrivial, v.trivial) for v in row]
+                for row in self.pairings
+            ]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -388,28 +403,34 @@ def skein_matrix(n: int, k: int) -> SkeinValueMatrix:
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     basis = enumerate_diagrams(n)
-    rows = []
-    for d1 in basis:
-        row = []
-        for d2 in basis:
-            v = pair(d1, d2)
-            row.append(projector_pairing_value(k - 1, v.nontrivial, v.trivial))
-        rows.append(row)
-    return SkeinValueMatrix(n, k, basis, ExactMatrix.from_rows(rows))
+    rows = [[None] * len(basis) for _ in basis]
+    for i, d1 in enumerate(basis):
+        for j in range(i, len(basis)):
+            rows[i][j] = rows[j][i] = pair(d1, basis[j])
+    return SkeinValueMatrix(n, k, basis, tuple(map(tuple, rows)))
 
 
 def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
-    """Nullity of the skein matrix at a rational bracket value."""
+    """Nullity of the skein matrix at a rational bracket value.
+
+    Evaluation at A is a ring homomorphism, so the skein matrix at A is
+    quantum_dimension(k-1) at A times the pairings at
+    a = encircle_eigenvalue(k-1), d = LOOP_VALUE_A, both evaluated at A
+    once.  That dimension is nonzero at every rational A other than 0
+    and +-1 (its zeros are roots of unity), so it leaves the rank alone.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     a_sample = Fraction(a_sample)
     if a_sample in (0, 1, -1):
         raise ValueError("sample must avoid 0 and the roots of unity +-1")
     m = skein_matrix(n, k)
-    values = ExactMatrix.from_rows(
-        [[entry.evaluate(a_sample) for entry in row] for row in m.entries.entries]
+    rows = specialized_rows(
+        m.pairings,
+        encircle_eigenvalue(k - 1).evaluate(a_sample),
+        LOOP_VALUE_A.evaluate(a_sample),
     )
-    return len(m.basis) - rank_exact(values)
+    return len(m.basis) - rank_exact(ExactMatrix.from_rows(rows))
 
 
 def random_bracket_sample(rng: random.Random) -> Fraction:

@@ -151,6 +151,33 @@ def test_jones_wenzl_8_output_pinned(capsys):
     assert_jones_wenzl_pinned(capsys, 8, "text")
 
 
+# sha256 of nullity stdout, recorded from the implementation that
+# evaluated every matrix entry as a Fraction before the rank.
+NULLITY_SHA256 = {
+    ("nullity-gram", "3", "2", "--seed", "7"):
+        "96513afeb2b7641c0cd88d1e53c46ed6d2c105959eb21af68e3bfb902e0b20ee",
+    ("nullity-skein", "3", "2", "--seed", "7"):
+        "7d40bcba1fdb05f8079a1eb36ada2d3c3be66a86cb3d8207c4f21138348f5a50",
+    ("nullity-gram", "4", "2", "--seed", "7", "--format", "json"):
+        "29482781a9e7a0ca415506857ae65aa71b4716d18a0d4616c6a0c608ab5e68e3",
+    ("nullity-skein", "4", "2", "--seed", "7", "--format", "json"):
+        "68db6428f51ee1f10c76fdcbb6871ca64b8138ecda4ce4f1fc8671c774d37fd7",
+    ("nullity-skein", "4", "4", "--seed", "7", "--format", "json"):
+        "818a27ba27cacfc6513723d8ae6efb5fcc0a05703b24e51d5fc1486cd9347ddd",
+}
+
+
+@pytest.mark.parametrize("argv", list(NULLITY_SHA256), ids=" ".join)
+def test_nullity_output_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NULLITY_SHA256[argv]
+
+
+def test_nullity_skein_past_its_guard_exits_2(capsys):
+    assert_one_line_error(capsys, "nullity-skein", "5", "2")
+
+
 def test_counts_csv_default(capsys):
     code, out = run(capsys, "counts", "2", "1")
     assert code == 0

@@ -17,6 +17,7 @@ from tlbgram.gram import (
     random_delta,
     sign_conjugation_check,
     specialized_nullity,
+    specialized_rows,
     verify_determinant,
 )
 from tlbgram.linalg import MODULAR_PRIMES, det_fraction_free
@@ -170,14 +171,32 @@ def test_nullity_agrees_across_specialization_sign():
     # the two sign choices for the a-image give conjugate matrices
     rng = random.Random(402)
     from tlbgram.linalg import rank_exact
+    from test_linalg import gram_at
 
     for n, k in ((1, 1), (2, 1), (2, 2), (3, 2)):
         d0 = random_delta(rng)
         t_k = chebyshev(k).evaluate(0, d0)
-        g = gram_matrix(n)
-        r_plus = rank_exact(g.evaluate_rational(t_k, d0))
-        r_minus = rank_exact(g.evaluate_rational(-t_k, d0))
+        r_plus = rank_exact(gram_at(n, t_k, d0))
+        r_minus = rank_exact(gram_at(n, -t_k, d0))
         assert r_plus == r_minus
+
+
+def test_specialized_rows_are_a_positive_multiple_of_the_evaluated_matrix():
+    pairings = gram_matrix(2).pairings
+    for a_value, d_value in (
+        (Fraction(-7, 3), Fraction(5, 4)),
+        (Fraction(2), Fraction(-9, 10)),
+        (Fraction(3, 5), Fraction(1, 6)),
+    ):
+        rows = specialized_rows(pairings, a_value, d_value)
+        # the largest exponents at n = 2 are a^2 and d^2
+        common = a_value.denominator**2 * d_value.denominator**2
+        for row, pairing_row in zip(rows, pairings):
+            assert all(isinstance(x, int) for x in row)
+            assert row == [
+                common * a_value**v.nontrivial * d_value**v.trivial
+                for v in pairing_row
+            ]
 
 
 def test_resample_protocol_returns_all_samples():

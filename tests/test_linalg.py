@@ -21,7 +21,7 @@ from tlbgram.linalg import (
     rank_exact,
 )
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
-from tlbgram.tl import random_bracket_sample, skein_matrix
+from tlbgram.tl import random_bracket_sample, skein_matrix, skein_nullity
 
 A = BivariatePolynomial.var_a()
 D = BivariatePolynomial.var_d()
@@ -309,19 +309,58 @@ def test_rank_of_random_low_rank_products_with_large_entries():
         assert _integer_rank(rows) == rank_by_gauss(rows) == k
 
 
+def gram_at(n, a_value, d_value):
+    """The Gram matrix of size n evaluated entry by entry over Fraction."""
+    a_value, d_value = Fraction(a_value), Fraction(d_value)
+    return ExactMatrix.from_rows(
+        [
+            [a_value**v.nontrivial * d_value**v.trivial for v in row]
+            for row in gram_matrix(n).pairings
+        ]
+    )
+
+
+def skein_at(n, k, a_sample):
+    """The skein matrix evaluated entry by entry at a bracket value."""
+    entries = skein_matrix(n, k).entries.entries
+    return ExactMatrix.from_rows([[e.evaluate(a_sample) for e in row] for row in entries])
+
+
 def test_rank_of_gram_and_skein_matrices_matches_bareiss():
     rng = random.Random(208)
     n, k = 4, 2
     delta = random_delta(rng)
     t_k = chebyshev(k).evaluate(0, delta)
-    gram_rows = scaled_rows(gram_matrix(n).evaluate_rational(-t_k, delta))
-    a0 = random_bracket_sample(rng)
-    skein = skein_matrix(n, k).entries.entries
-    skein_rows = scaled_rows(
-        ExactMatrix.from_rows([[e.evaluate(a0) for e in row] for row in skein])
-    )
+    gram_rows = scaled_rows(gram_at(n, -t_k, delta))
+    skein_rows = scaled_rows(skein_at(n, k, random_bracket_sample(rng)))
     for rows in (gram_rows, skein_rows):
         assert _integer_rank(rows) == rank_by_bareiss(rows) == 70 - comb(8, 2)
+
+
+# Cases of the two nullity oracles below: every k for n <= 3, and k = 2
+# at n = 4.  Even k puts a minus sign on T_k(d0); each case is sampled
+# once with a positive and once with a negative d0 or A.
+ORACLE_CASES = [(n, k) for n in (1, 2, 3) for k in range(1, n + 1)] + [(4, 2)]
+
+
+def test_gram_nullity_matches_gauss_on_fraction_matrix():
+    rng = random.Random(210)
+    for n, k in ORACLE_CASES:
+        for sign in (1, -1):
+            d0 = sign * abs(random_delta(rng))
+            t_k = chebyshev(k).evaluate(0, d0)
+            a_value = t_k if k & 1 else -t_k
+            expected = comb(2 * n, n) - rank_by_gauss(gram_at(n, a_value, d0).entries)
+            assert specialized_nullity(n, k, d0) == expected, (n, k, d0)
+
+
+def test_skein_nullity_matches_gauss_on_evaluated_skein_matrix():
+    rng = random.Random(211)
+    for n, k in ORACLE_CASES:
+        for sign in (1, -1):
+            a0 = sign * abs(random_bracket_sample(rng))
+            expected = comb(2 * n, n) - rank_by_gauss(skein_at(n, k, a0).entries)
+            assert skein_nullity(n, k, a0) == expected, (n, k, a0)
 
 
 @pytest.mark.slow
@@ -340,7 +379,8 @@ from tlbgram.disk import (
 from tlbgram.gram import determinant_product_value_mod
 from tlbgram.linalg import ExactMatrix, det_fraction_free, det_modular
 from tlbgram.polynomials import (
-    LaurentScalar, _poly_divexact, chebyshev, chebyshev_in_bracket,
+    BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
+    chebyshev_in_bracket,
 )
 from tlbgram.tl import (
     TLElement, cup_cap_matching, identity_matching, projector_pairing_value,
@@ -355,7 +395,7 @@ bad = [
     lambda: tilde_count_formula(2, -1),
     lambda: telescoping_sides(0),
     lambda: DiskDiagram(1, 0, ((0, 1), (1, 2))),
-    lambda: list(noncrossing_matchings(3)),
+    lambda: noncrossing_matchings(3),
     lambda: cup_cap_matching(0, 2),
     lambda: quantum_dimension(-2),
     lambda: projector_pairing_value(-1, 0, 0),
@@ -365,6 +405,10 @@ bad = [
     lambda: TLElement(2, {identity_matching(1): LaurentScalar.constant(1)}),
     lambda: TLElement.identity(1) * TLElement.identity(2),
     lambda: _poly_divexact([1, 0, 1], [1, 1]),
+    lambda: LaurentScalar.monomial(2).evaluate(0),
+    lambda: LaurentScalar.constant(2) ** -1,
+    lambda: BivariatePolynomial.constant(2) ** -1,
+    lambda: BivariatePolynomial({(-1, 0): 1}),
 ]
 for call in bad:
     try:
@@ -376,6 +420,7 @@ for call in bad:
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
