@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, lcm
 
 from . import __version__
 from ._limits import guard, require
@@ -34,15 +34,33 @@ from .polynomials import BivariatePolynomial, chebyshev
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Basis diagrams plus the pairing of every two of them."""
+    """Basis diagrams plus the pairing of every two of them.
+
+    Entry (i, j) is the monomial a^m d^t of pairings[i][j], built when
+    entries is first read.
+    """
 
     n: int
     basis: tuple[AnnularDiagram, ...]
     pairings: tuple[tuple[PairingValue, ...], ...]
-    entries: ExactMatrix
+
+    @cached_property
+    def entries(self) -> ExactMatrix:
+        return ExactMatrix.from_rows(
+            [[v.as_polynomial() for v in row] for row in self.pairings]
+        )
 
     def size(self) -> int:
         return len(self.basis)
+
+    def crossing_ordered(self) -> ExactMatrix:
+        """entries with the basis stably sorted by ascending cut crossings.
+
+        Rows and columns move together, so the determinant is unchanged.
+        """
+        order = sorted(range(self.size()), key=lambda i: self.basis[i].cut_crossings())
+        rows = self.entries.entries
+        return ExactMatrix.from_rows([[rows[i][j] for j in order] for i in order])
 
     def evaluate_mod(self, a_value: int, d_value: int, p: int) -> list[list[int]]:
         return [
@@ -57,24 +75,25 @@ class GramMatrix:
 def specialized_rows(pairings, a_value: Fraction, d_value: Fraction) -> list[list[int]]:
     """Integer rows of the pairings at a = a_value, d = d_value.
 
-    Write a_value = xn/xd and d_value = yn/yd in lowest terms, and M, T
-    for the largest exponents of a and d.  Entry a^m d^t becomes
-    xn^m xd^(M-m) * yn^t yd^(T-t): the specialized entry times xd^M yd^T,
-    a positive integer shared by every entry, so the rows have the rank
-    of the specialized matrix.
+    Each row of specialized entries a_value^m d_value^t is scaled by the
+    lcm of its own denominators, a positive integer, so the rows have
+    the rank of the specialized matrix.  A row holds only a few distinct
+    pairings, and each is specialized once from a table of the products.
     """
     a_value = Fraction(a_value)
     d_value = Fraction(d_value)
     top_a = max(v.nontrivial for row in pairings for v in row)
     top_d = max(v.trivial for row in pairings for v in row)
-
-    def powers(num: int, den: int, top: int) -> list[int]:
-        return [num**i * den ** (top - i) for i in range(top + 1)]
-
-    a_pows = powers(a_value.numerator, a_value.denominator, top_a)
-    d_pows = powers(d_value.numerator, d_value.denominator, top_d)
+    a_pows = [a_value**i for i in range(top_a + 1)]
+    d_pows = [d_value**i for i in range(top_d + 1)]
     table = [[x * y for y in d_pows] for x in a_pows]
-    return [[table[v.nontrivial][v.trivial] for v in row] for row in pairings]
+    rows = []
+    for row in pairings:
+        values = {v: table[v.nontrivial][v.trivial] for v in set(row)}
+        scale = lcm(*(x.denominator for x in values.values()))
+        scaled = {v: x.numerator * (scale // x.denominator) for v, x in values.items()}
+        rows.append([scaled[v] for v in row])
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -91,11 +110,7 @@ def gram_matrix(n: int) -> GramMatrix:
             vals[i][j] = v
             vals[j][i] = v
         assert vals[i][i] == PairingValue(0, n)
-    pairings = tuple(tuple(row) for row in vals)
-    entries = ExactMatrix.from_rows(
-        [[v.as_polynomial() for v in row] for row in pairings]
-    )
-    return GramMatrix(n, basis, pairings, entries)
+    return GramMatrix(n, basis, tuple(tuple(row) for row in vals))
 
 
 def crossing_signs(basis) -> tuple[int, ...]:
@@ -164,14 +179,19 @@ def verify_determinant(
 ) -> dict:
     """Compare det G_n against the Chebyshev product; returns a report dict.
 
-    Symbolic mode expands both sides exactly.  Modular mode samples
+    Symbolic mode expands both sides exactly.  The determinant is taken
+    of GramMatrix.crossing_ordered().  The diagonal is d^n and every
+    other entry has a lower power of d, so in any basis order each
+    k x k leading principal minor has leading term d^(n k): Bareiss
+    never swaps rows and keeps to its symmetric path.  Crossing order
+    puts the zero-crossing stratum first, whose pairings are powers of d
+    alone, so the first minors do not involve a.  Modular mode samples
     random points mod a fixed prime and compares evaluations, reporting
     the Schwartz-Zippel style error bound trials * D / p.
     """
     if mode == "symbolic":
         guard(n <= 3, f"symbolic verification tested for n <= 3, got n={n}")
-        g = gram_matrix(n)
-        det = det_fraction_free(g.entries)
+        det = det_fraction_free(gram_matrix(n).crossing_ordered())
         product = determinant_product_form(n)
         return {
             "version": __version__,

@@ -106,6 +106,12 @@ def det_fraction_free(matrix: ExactMatrix) -> BivariatePolynomial:
     Every intermediate entry is a minor of the input, so all divisions
     are exact; no rational arithmetic is needed.  Integer entries are
     coerced to constant polynomials.
+
+    A symmetric input stays symmetric through every step that swaps no
+    rows.  Until the first swap only the entries on and right of the
+    diagonal are computed, each mirrored below it; the mirror keeps the
+    trailing block whole, so from the first swap on the loop simply runs
+    its full range.
     """
     if not matrix.is_square():
         raise ValueError("determinant needs a square matrix")
@@ -117,6 +123,7 @@ def det_fraction_free(matrix: ExactMatrix) -> BivariatePolynomial:
         ]
         for row in matrix.entries
     ]
+    symmetric = matrix.is_symmetric()
     sign = 1
     prev = BivariatePolynomial.constant(1)
     for k in range(n - 1):
@@ -128,13 +135,17 @@ def det_fraction_free(matrix: ExactMatrix) -> BivariatePolynomial:
                 return BivariatePolynomial.zero()
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+            symmetric = False
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
             head = row_i[k]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]).exact_div(prev)
+            for j in range(i if symmetric else k + 1, n):
+                entry = (pivot * row_i[j] - head * row_k[j]).exact_div(prev)
+                row_i[j] = entry
+                if symmetric:
+                    m[j][i] = entry
             row_i[k] = BivariatePolynomial.zero()
         prev = pivot
     result = m[n - 1][n - 1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from ._limits import require
@@ -151,30 +152,43 @@ class BivariatePolynomial:
         return e, self.terms[e]
 
     def exact_div(self, divisor: "BivariatePolynomial") -> "BivariatePolynomial":
-        """Quotient self/divisor, raising ValueError unless division is exact."""
+        """Quotient self/divisor, raising ValueError unless division is exact.
+
+        Each step divides the leading term of the remainder (lex order,
+        ``d`` major, ``a`` minor) by that of the divisor.  Remainder
+        exponents wait in a heap keyed (-d, -a), pushed when they first
+        enter the remainder; a popped exponent whose coefficient has
+        cancelled to 0 is skipped.  Every exponent added later lies below
+        the one being divided, so none is pushed twice.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return BivariatePolynomial.zero()
         (dea, ded), dc = divisor.leading()
+        tail = [(e, c) for e, c in divisor.terms.items() if e != (dea, ded)]
         rem = dict(self.terms)
+        heap = [(-ed, -ea) for ea, ed in rem]
+        heapify(heap)
         quot: dict = {}
-        while rem:
-            e = max(rem, key=lambda t: (t[1], t[0]))
-            c = rem[e]
-            ea, ed = e
-            if ea < dea or ed < ded or c % dc:
+        while heap:
+            ned, nea = heappop(heap)
+            c = rem.pop((-nea, -ned))
+            if not c:
+                continue
+            qa, qd = -nea - dea, -ned - ded
+            if qa < 0 or qd < 0 or c % dc:
                 raise ValueError("inexact polynomial division")
-            qe = (ea - dea, ed - ded)
             qc = c // dc
-            quot[qe] = qc
-            for (fa, fd), fc in divisor.terms.items():
-                key = (qe[0] + fa, qe[1] + fd)
-                s = rem.get(key, 0) - qc * fc
-                if s:
-                    rem[key] = s
+            quot[(qa, qd)] = qc
+            for (fa, fd), fc in tail:
+                key = (qa + fa, qd + fd)
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -qc * fc
+                    heappush(heap, (-key[1], -key[0]))
                 else:
-                    rem.pop(key, None)
+                    rem[key] = old - qc * fc
         res = BivariatePolynomial.__new__(BivariatePolynomial)
         res.terms = quot
         return res

@@ -174,6 +174,22 @@ def test_nullity_output_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == NULLITY_SHA256[argv]
 
 
+# sha256 of `det-verify 3` stdout, recorded from the implementation that
+# ran Bareiss on every entry of G_3 in canonical basis order.
+DET_VERIFY_3_SHA256 = {
+    "text": "061fbef4a4e9a72d8716fbc48fe461d167433c4a07a7c9ecd9e59aee833af18a",
+    "json": "9b2fb4824b6aedeb1c71d549c07378926587a9391792a3b4018e7ab7ae87627b",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_det_verify_3_output_pinned(capsys, fmt):
+    flags = () if fmt == "text" else ("--format", fmt)
+    code, out = run(capsys, "det-verify", "3", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_3_SHA256[fmt]
+
+
 def test_nullity_skein_past_its_guard_exits_2(capsys):
     assert_one_line_error(capsys, "nullity-skein", "5", "2")
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -181,22 +181,29 @@ def test_nullity_agrees_across_specialization_sign():
         assert r_plus == r_minus
 
 
-def test_specialized_rows_are_a_positive_multiple_of_the_evaluated_matrix():
+def test_specialized_rows_are_positive_multiples_of_the_evaluated_rows():
     pairings = gram_matrix(2).pairings
     for a_value, d_value in (
         (Fraction(-7, 3), Fraction(5, 4)),
         (Fraction(2), Fraction(-9, 10)),
         (Fraction(3, 5), Fraction(1, 6)),
+        (Fraction(-7, 9), Fraction(5, 3)),  # denominators share a factor
     ):
         rows = specialized_rows(pairings, a_value, d_value)
-        # the largest exponents at n = 2 are a^2 and d^2
-        common = a_value.denominator**2 * d_value.denominator**2
         for row, pairing_row in zip(rows, pairings):
+            evaluated = [a_value**v.nontrivial * d_value**v.trivial for v in pairing_row]
+            # the smallest positive integer that clears the row
+            scale = lcm(*(x.denominator for x in evaluated))
             assert all(isinstance(x, int) for x in row)
-            assert row == [
-                common * a_value**v.nontrivial * d_value**v.trivial
-                for v in pairing_row
-            ]
+            assert row == [scale * x for x in evaluated]
+
+
+def test_specialized_rows_keep_entries_as_narrow_as_the_row_lcm():
+    # On the Gram route a = T_k(d0) has denominator yd^k, so one common
+    # factor xd^M yd^T would carry yd^(k M + T) on every row.
+    d0 = Fraction(-997, 991)
+    rows = specialized_rows(gram_matrix(4).pairings, chebyshev(4).evaluate(0, d0), d0)
+    assert max(abs(x).bit_length() for row in rows for x in row) == 160
 
 
 def test_resample_protocol_returns_all_samples():

@@ -116,6 +116,67 @@ def test_det_singular_and_pivoting():
     assert det_fraction_free(ExactMatrix.from_rows([[0, 0], [0, 0]])) == 0
 
 
+def random_symmetric(rng, n, zero_share):
+    """A random symmetric n x n matrix of small polynomials."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < zero_share:
+                entry = BivariatePolynomial.zero()
+            else:
+                entry = BivariatePolynomial(
+                    {
+                        (rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-3, 3)
+                        for _ in range(2)
+                    }
+                )
+            rows[i][j] = rows[j][i] = entry
+    return rows
+
+
+def test_det_matches_cofactor_on_random_symmetric_polynomial_matrices():
+    rng = random.Random(212)
+    for zero_share in (0.0, 0.6):
+        for _ in range(12):
+            rows = random_symmetric(rng, rng.randint(1, 5), zero_share)
+            matrix = ExactMatrix.from_rows(rows)
+            assert matrix.is_symmetric()
+            assert det_fraction_free(matrix) == det_by_cofactor(rows)
+
+
+def test_det_of_symmetric_matrices_with_row_swaps():
+    zero = BivariatePolynomial.zero()
+    # swap at step 0: [[0, 1], [1, 0]] padded with a block [[d, a], [a, d]]
+    swap_first = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, D, A], [0, 0, A, D]]
+    swap_first = [[zero + e for e in row] for row in swap_first]
+    assert det_fraction_free(ExactMatrix.from_rows(swap_first)) == A * A - D * D
+    # swap at step 1: the 2x2 leading minor vanishes
+    swap_later = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]
+    assert det_fraction_free(ExactMatrix.from_rows(swap_later)) == -1
+    scaled = [[D * e for e in row] for row in swap_later]
+    assert det_fraction_free(ExactMatrix.from_rows(scaled)) == -(D**3)
+    # swap at step 2, whose full-range step reads the mirrored m[3][2]
+    four = [[2, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 2]]
+    assert det_fraction_free(ExactMatrix.from_rows(four)) == 4
+    for rows in (swap_first, swap_later, scaled, four):
+        assert ExactMatrix.from_rows(rows).is_symmetric()
+        polys = [[zero + e for e in row] for row in rows]
+        assert det_fraction_free(ExactMatrix.from_rows(rows)) == det_by_cofactor(polys)
+
+
+def test_crossing_ordered_gram_matrix_has_the_canonical_determinant():
+    for n in (1, 2):
+        g = gram_matrix(n)
+        # stable sort by crossings: at n = 2 the basis reads 0, 1, 1, 0, 1, 2
+        order = sorted(range(g.size()), key=lambda i: g.basis[i].cut_crossings())
+        ordered = g.crossing_ordered()
+        assert ordered.entries == tuple(
+            tuple(g.entries[i, j] for j in order) for i in order
+        )
+        assert det_fraction_free(ordered) == det_fraction_free(g.entries)
+    assert order == [0, 3, 1, 2, 4, 5]
+
+
 def test_det_alternating_multilinearity_spot_check():
     rng = random.Random(203)
     for _ in range(10):
