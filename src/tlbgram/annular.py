@@ -204,6 +204,27 @@ def enumerate_diagrams(n: int) -> tuple[AnnularDiagram, ...]:
     return tuple(out)
 
 
+def rotation_permutation(n: int) -> tuple[int, ...]:
+    """Basis index of each diagram turned one step, i -> i+1 (mod 2n).
+
+    The chord at 2n becomes (1, i+1) with its flag toggled: its end
+    moves past the reference segment.  Turning moves the segment, not
+    the loops, and a closed loop's winding does not depend on where it
+    is cut, so pair(R x, R y) == pair(x, y) for the turn R.
+    """
+    basis = enumerate_diagrams(n)
+    index = {d.chords: k for k, d in enumerate(basis)}
+    top = 2 * n
+    turned = (
+        tuple(sorted(
+            (1, i + 1, 1 - w) if j == top else (i + 1, j + 1, w)
+            for i, j, w in d.chords
+        ))
+        for d in basis
+    )
+    return tuple(index[chords] for chords in turned)
+
+
 @dataclass(frozen=True)
 class PairingValue:
     """Evaluation of the bilinear form on two diagrams: a^m * d^t."""

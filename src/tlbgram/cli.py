@@ -33,7 +33,7 @@ from .gram import (
     sign_conjugation_check,
     verify_determinant,
 )
-from .polynomials import quotient_text
+from .polynomials import BivariatePolynomial, quotient_text
 from .tl import jones_wenzl, skein_nullity_with_resample
 
 
@@ -83,7 +83,7 @@ def _cmd_enumerate(args) -> tuple[int, str]:
 
 def _cmd_gram(args) -> tuple[int, str]:
     g = gram_matrix(args.n)
-    texts = [[e.to_text() for e in row] for row in g.entries.entries]
+    texts = g.tabulate(lambda m, t: BivariatePolynomial.monomial(m, t).to_text())
     report = {
         "version": __version__,
         "n": args.n,

@@ -20,7 +20,13 @@ from math import comb, lcm
 
 from . import __version__
 from ._limits import guard, require
-from .annular import AnnularDiagram, PairingValue, enumerate_diagrams, pair
+from .annular import (
+    AnnularDiagram,
+    PairingValue,
+    enumerate_diagrams,
+    pair,
+    rotation_permutation,
+)
 from .linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
@@ -62,14 +68,21 @@ class GramMatrix:
         rows = self.entries.entries
         return ExactMatrix.from_rows([[rows[i][j] for j in order] for i in order])
 
+    def tabulate(self, value) -> list[list]:
+        """value(m, t) for every entry a^m d^t, computed once per (m, t).
+
+        A loop of a pairing passes through at least two of the 2n points,
+        so m + t <= n and an (n+1) x (n+1) table covers every entry.
+        """
+        span = range(self.n + 1)
+        table = [[value(m, t) for t in span] for m in span]
+        return [[table[v.nontrivial][v.trivial] for v in row] for row in self.pairings]
+
     def evaluate_mod(self, a_value: int, d_value: int, p: int) -> list[list[int]]:
-        return [
-            [
-                pow(a_value, v.nontrivial, p) * pow(d_value, v.trivial, p) % p
-                for v in row
-            ]
-            for row in self.pairings
-        ]
+        """The entries at a = a_value, d = d_value, reduced mod p."""
+        return self.tabulate(
+            lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p
+        )
 
 
 def specialized_rows(pairings, a_value: Fraction, d_value: Fraction) -> list[list[int]]:
@@ -98,19 +111,30 @@ def specialized_rows(pairings, a_value: Fraction, d_value: Fraction) -> list[lis
 
 @lru_cache(maxsize=None)
 def gram_matrix(n: int) -> GramMatrix:
-    """Pair every two basis diagrams; the result is symmetric with d^n diagonal."""
+    """The pairing of every two basis diagrams: symmetric, d^n on the diagonal.
+
+    Turning the 2n points one step permutes the basis and keeps every
+    pairing, so the row of R(i) is the row of i with its columns moved
+    by R.  One row per rotation orbit is paired; the rest are copies.
+    """
     require(n >= 1, f"need n >= 1, got n={n}")
     guard(n <= 5, f"gram_matrix tested for 1 <= n <= 5, got n={n}")
     basis = enumerate_diagrams(n)
-    size = len(basis)
-    vals: list[list[PairingValue]] = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            v = pair(basis[i], basis[j])
-            vals[i][j] = v
-            vals[j][i] = v
-        assert vals[i][i] == PairingValue(0, n)
-    return GramMatrix(n, basis, tuple(tuple(row) for row in vals))
+    turn = rotation_permutation(n)
+    # back[turn[j]] == j: column k of the turned row is column back[k]
+    back = sorted(range(len(basis)), key=turn.__getitem__)
+    rows: list[tuple[PairingValue, ...] | None] = [None] * len(basis)
+    for start, x in enumerate(basis):
+        if rows[start] is not None:
+            continue
+        row = tuple(pair(x, y) for y in basis)
+        i = start
+        while rows[i] is None:
+            assert row[i] == PairingValue(0, n)
+            rows[i] = row
+            i = turn[i]
+            row = tuple(map(row.__getitem__, back))
+    return GramMatrix(n, basis, tuple(rows))
 
 
 def crossing_signs(basis) -> tuple[int, ...]:
@@ -122,18 +146,17 @@ def sign_conjugation_check(n: int) -> bool:
     """Negating the non-trivial loop variable conjugates by the sign matrix.
 
     Checks entrywise that the a -> -a image of every pairing equals
-    sign_i * sign_j times the pairing, i.e. the parity of m matches the
-    parity of the two crossing numbers combined.
+    sign_i * sign_j times the pairing.  The image of a^m d^t is
+    (-1)^m a^m d^t, so this reads m = c_i + c_j (mod 2) for the crossing
+    numbers c, checked on the exponents.
     """
     g = gram_matrix(n)
     signs = crossing_signs(g.basis)
-    for i in range(g.size()):
-        for j in range(g.size()):
-            entry = g.entries[i, j]
-            expected = entry if signs[i] * signs[j] > 0 else -entry
-            if entry.substitute_negated_a() != expected:
-                return False
-    return True
+    return all(
+        (v.nontrivial & 1 == 0) == (s_i == s_j)
+        for s_i, row in zip(signs, g.pairings)
+        for v, s_j in zip(row, signs)
+    )
 
 
 def determinant_product_form(n: int) -> BivariatePolynomial:

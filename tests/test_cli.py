@@ -190,6 +190,27 @@ def test_det_verify_3_output_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_3_SHA256[fmt]
 
 
+# sha256 of json stdout, recorded from the implementation that paired
+# every two basis diagrams and rendered each entry as a polynomial.
+BASIS_JSON_SHA256 = {
+    ("gram", "4"):
+        "e3438aca1009d225e777243466edc20d8433200d47263ebb1dd29502e7ff38f8",
+    ("gram", "5"):
+        "c0794a6076d15f6d99f1d4eada800dd364c5ffb5de26b24b57d09fdcadf08e94",
+    ("lemma2", "5"):
+        "7ead0ce9d27627e7d1ba01ca008535a235ccc64101ff58bd6ef5b31a4a29886d",
+    ("det-verify", "5", "--mode", "modular", "--trials", "1", "--seed", "0"):
+        "73239eea922026c06c7bfa4552cdf4194635994de669df14aeaf01fe44a89e5f",
+}
+
+
+@pytest.mark.parametrize("argv", list(BASIS_JSON_SHA256), ids=" ".join)
+def test_basis_json_output_pinned(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIS_JSON_SHA256[argv]
+
+
 def test_nullity_skein_past_its_guard_exits_2(capsys):
     assert_one_line_error(capsys, "nullity-skein", "5", "2")
 
@@ -302,3 +323,49 @@ def test_telescoping_below_domain_exits_2(capsys):
 def test_domain_checks_ignore_size_override(capsys, monkeypatch):
     monkeypatch.setenv("TLBGRAM_ALLOW_LARGE", "1")
     assert_one_line_error(capsys, "jones-wenzl", "0")
+
+
+# Cheap sizes only: every command below stays well under a second for
+# these ranges, including the out-of-range values that must exit 2.
+CHEAP_COMMANDS = {
+    "enumerate": 1,
+    "gram": 1,
+    "lemma2": 1,
+    "det-verify": 1,
+    "counts": 2,
+    "bijection": 2,
+    "telescoping": 1,
+    "jones-wenzl": 1,
+    "nullity-gram": 2,
+    "nullity-skein": 2,
+}
+
+
+def test_cli_contract_holds_for_small_arguments(capsys):
+    # In process, a traceback would be an exception escaping main().
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(
+        max_examples=200, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(data=st.data())
+    def contract(data):
+        command = data.draw(st.sampled_from(sorted(CHEAP_COMMANDS)))
+        arity = CHEAP_COMMANDS[command]
+        numbers = data.draw(
+            st.lists(st.integers(-2, 3), min_size=arity, max_size=arity)
+        )
+        fmt = data.draw(st.sampled_from(["json", "csv", "text"]))
+        argv = [command, *map(str, numbers), "--format", fmt]
+        if command == "det-verify":
+            argv += ["--mode", "modular", "--trials", "2"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.err, argv
+
+    contract()

@@ -2,12 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 import pytest
 
-from tlbgram.annular import PairingValue
+from tlbgram.annular import (
+    AnnularDiagram,
+    PairingValue,
+    enumerate_diagrams,
+    pair,
+    rotation_permutation,
+)
 from tlbgram.gram import (
+    GramMatrix,
     crossing_signs,
     degree_bound,
     determinant_product_form,
@@ -77,6 +85,129 @@ def test_crossing_signs():
 def test_sign_conjugation_small():
     for n in range(1, 4):
         assert sign_conjugation_check(n)
+
+
+def test_sign_conjugation_matches_the_polynomial_statement():
+    for n in range(1, 5):
+        g = gram_matrix(n)
+        signs = crossing_signs(g.basis)
+        for i in range(g.size()):
+            for j in range(g.size()):
+                entry = g.entries[i, j]
+                image = entry if signs[i] == signs[j] else -entry
+                assert entry.substitute_negated_a() == image
+
+
+def test_sign_conjugation_catches_one_wrong_parity(monkeypatch):
+    g = gram_matrix(3)
+    rows = [list(row) for row in g.pairings]
+    v = rows[1][7]
+    rows[1][7] = PairingValue(v.nontrivial + 1, v.trivial)
+    broken = GramMatrix(3, g.basis, tuple(tuple(row) for row in rows))
+    monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
+    assert not sign_conjugation_check(3)
+
+
+# Rotation orbits.  gram_matrix pairs one row per orbit of the turn
+# i -> i+1 and copies the rest, so the invariances it relies on are
+# checked here against pair() itself, entry by entry.
+
+
+@lru_cache(maxsize=None)
+def dense_pairings(n):
+    """The all-pairs oracle: pair(basis[i], basis[j]) for every i, j."""
+    basis = enumerate_diagrams(n)
+    return tuple(tuple(pair(x, y) for y in basis) for x in basis)
+
+
+def turned(d):
+    """d turned one step by hand; the constructor checks it is planar."""
+    top = 2 * d.n
+    return AnnularDiagram(
+        d.n,
+        tuple(
+            (i + 1, 1, 1 - w) if j == top else (i + 1, j + 1, w)
+            for i, j, w in d.chords
+        ),
+    )
+
+
+def reflected(d):
+    """d mirrored by i -> 2n+1-i with flags kept."""
+    top = 2 * d.n + 1
+    return AnnularDiagram(d.n, tuple((top - j, top - i, w) for i, j, w in d.chords))
+
+
+def orbit_count(perm):
+    seen = set()
+    count = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rotation_permutation_turns_each_diagram(n):
+    basis = enumerate_diagrams(n)
+    turn = rotation_permutation(n)
+    assert [basis[k] for k in turn] == [turned(d) for d in basis]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rotation_permutation_has_order_dividing_2n(n):
+    turn = rotation_permutation(n)
+    assert sorted(turn) == list(range(comb(2 * n, n)))
+    power = list(range(len(turn)))
+    for _ in range(2 * n):
+        power = [turn[k] for k in power]
+    assert power == list(range(len(turn)))
+
+
+def test_rotation_orbit_counts():
+    assert [orbit_count(rotation_permutation(n)) for n in range(1, 6)] == [1, 2, 4, 10, 26]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pairing_is_rotation_invariant(n):
+    table = dense_pairings(n)
+    turn = rotation_permutation(n)
+    for i, row in enumerate(table):
+        turned_row = table[turn[i]]
+        assert all(turned_row[turn[j]] == v for j, v in enumerate(row))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pairing_is_reflection_invariant(n):
+    basis = enumerate_diagrams(n)
+    index = {d: k for k, d in enumerate(basis)}
+    mirror = [index[reflected(d)] for d in basis]
+    table = dense_pairings(n)
+    for i, row in enumerate(table):
+        mirrored_row = table[mirror[i]]
+        assert all(mirrored_row[mirror[j]] == v for j, v in enumerate(row))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gram_from_orbits_matches_dense_pairings(n):
+    assert gram_matrix(n).pairings == dense_pairings(n)
+
+
+def test_evaluate_mod_matches_each_entry():
+    rng = random.Random(77)
+    p = MODULAR_PRIMES[1]
+    for n in range(1, 5):
+        g = gram_matrix(n)
+        for av, dv in [(0, 0), (0, 3), (rng.randrange(p), rng.randrange(p))]:
+            expected = [
+                [pow(av, v.nontrivial, p) * pow(dv, v.trivial, p) % p for v in row]
+                for row in g.pairings
+            ]
+            assert g.evaluate_mod(av, dv, p) == expected
 
 
 def test_product_form_frozen():
