@@ -160,8 +160,11 @@ def diagram_from_marks(n: int, marks, phase2_chords: int = 0) -> AnnularDiagram:
     w=1 chord, ``phase2_chords`` times, consuming everything left.
     """
     marks = set(marks)
-    assert all(1 <= p <= 2 * n for p in marks)
-    assert len(marks) + phase2_chords == n
+    require(all(1 <= p <= 2 * n for p in marks), f"marks must lie in 1..{2 * n}")
+    require(
+        len(marks) + phase2_chords == n,
+        f"need {n} chords, got {len(marks)} marks and {phase2_chords} phase-2 chords",
+    )
     surviving = list(range(1, 2 * n + 1))
     chords: list[tuple[int, int, int]] = []
     while marks:

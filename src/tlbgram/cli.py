@@ -28,6 +28,7 @@ from .disk import (
     tilde_count_formula,
 )
 from .gram import (
+    _tabulate,
     gram_matrix,
     nullity_with_resample,
     sign_conjugation_check,
@@ -83,7 +84,9 @@ def _cmd_enumerate(args) -> tuple[int, str]:
 
 def _cmd_gram(args) -> tuple[int, str]:
     g = gram_matrix(args.n)
-    texts = g.tabulate(lambda m, t: BivariatePolynomial.monomial(m, t).to_text())
+    texts = _tabulate(
+        g.n, g.pairings, lambda m, t: BivariatePolynomial.monomial(m, t).to_text()
+    )
     report = {
         "version": __version__,
         "n": args.n,
@@ -111,31 +114,22 @@ def _cmd_sign_check(args) -> tuple[int, str]:
     return (0 if ok else 1), _render(report, args.format)
 
 
-def _nullity_report(args, value: int, samples, size: int) -> dict:
+def _cmd_nullity(args) -> tuple[int, str]:
+    """Either nullity route; args.resample is the route's resample loop."""
+    value, samples = args.resample(args.n, args.k, Random(args.seed))
     bound = comb(2 * args.n, args.n - args.k)
-    return {
+    report = {
         "version": __version__,
         "n": args.n,
         "k": args.k,
         "seed": args.seed,
         "sample": str(samples[-1]),
         "samples": [str(s) for s in samples],
-        "rank": size - value,
+        "rank": comb(2 * args.n, args.n) - value,
         "nullity": value,
         "bound": bound,
         "pass": value >= bound,
     }
-
-
-def _cmd_nullity_gram(args) -> tuple[int, str]:
-    value, samples = nullity_with_resample(args.n, args.k, Random(args.seed))
-    report = _nullity_report(args, value, samples, comb(2 * args.n, args.n))
-    return (0 if report["pass"] else 1), _render(report, args.format)
-
-
-def _cmd_nullity_skein(args) -> tuple[int, str]:
-    value, samples = skein_nullity_with_resample(args.n, args.k, Random(args.seed))
-    report = _nullity_report(args, value, samples, comb(2 * args.n, args.n))
     return (0 if report["pass"] else 1), _render(report, args.format)
 
 
@@ -280,23 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags(p)
     p.set_defaults(func=_cmd_sign_check)
 
-    p = sub.add_parser(
-        "nullity-gram", help="nullity of the specialized Gram matrix"
-    )
-    p.add_argument("n", type=int, help="number of chords")
-    p.add_argument("k", type=int, help="factor index, 1..n")
-    p.add_argument("--seed", type=int, default=0)
-    output_flags(p, default="json")
-    p.set_defaults(func=_cmd_nullity_gram)
-
-    p = sub.add_parser(
-        "nullity-skein", help="nullity of the projector-evaluation matrix"
-    )
-    p.add_argument("n", type=int, help="number of chords")
-    p.add_argument("k", type=int, help="factor index, 1..n")
-    p.add_argument("--seed", type=int, default=0)
-    output_flags(p, default="json")
-    p.set_defaults(func=_cmd_nullity_skein)
+    for name, text, resample in (
+        ("nullity-gram", "nullity of the specialized Gram matrix",
+         nullity_with_resample),
+        ("nullity-skein", "nullity of the projector-evaluation matrix",
+         skein_nullity_with_resample),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("n", type=int, help="number of chords")
+        p.add_argument("k", type=int, help="factor index, 1..n")
+        p.add_argument("--seed", type=int, default=0)
+        output_flags(p, default="json")
+        p.set_defaults(func=_cmd_nullity, resample=resample)
 
     p = sub.add_parser("jones-wenzl", help="print a Jones-Wenzl projector")
     p.add_argument("k", type=int, help="number of strands")

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb
 
 from . import __version__
 from ._limits import guard, require
@@ -68,57 +68,35 @@ class GramMatrix:
         rows = self.entries.entries
         return ExactMatrix.from_rows([[rows[i][j] for j in order] for i in order])
 
-    def tabulate(self, value) -> list[list]:
-        """value(m, t) for every entry a^m d^t, computed once per (m, t).
-
-        A loop of a pairing passes through at least two of the 2n points,
-        so m + t <= n and an (n+1) x (n+1) table covers every entry.
-        """
-        span = range(self.n + 1)
-        table = [[value(m, t) for t in span] for m in span]
-        return [[table[v.nontrivial][v.trivial] for v in row] for row in self.pairings]
-
     def evaluate_mod(self, a_value: int, d_value: int, p: int) -> list[list[int]]:
         """The entries at a = a_value, d = d_value, reduced mod p."""
-        return self.tabulate(
-            lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p
+        return _tabulate(
+            self.n,
+            self.pairings,
+            lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p,
         )
 
 
-def specialized_rows(pairings, a_value: Fraction, d_value: Fraction) -> list[list[int]]:
-    """Integer rows of the pairings at a = a_value, d = d_value.
+def _tabulate(n: int, pairings, value) -> list[list]:
+    """value(m, t) for every pairing a^m d^t, computed once per (m, t).
 
-    Each row of specialized entries a_value^m d_value^t is scaled by the
-    lcm of its own denominators, a positive integer, so the rows have
-    the rank of the specialized matrix.  A row holds only a few distinct
-    pairings, and each is specialized once from a table of the products.
+    A loop of a pairing passes through at least two of the 2n points,
+    so m + t <= n and an (n+1) x (n+1) table covers every entry.
     """
-    a_value = Fraction(a_value)
-    d_value = Fraction(d_value)
-    top_a = max(v.nontrivial for row in pairings for v in row)
-    top_d = max(v.trivial for row in pairings for v in row)
-    a_pows = [a_value**i for i in range(top_a + 1)]
-    d_pows = [d_value**i for i in range(top_d + 1)]
-    table = [[x * y for y in d_pows] for x in a_pows]
-    rows = []
-    for row in pairings:
-        values = {v: table[v.nontrivial][v.trivial] for v in set(row)}
-        scale = lcm(*(x.denominator for x in values.values()))
-        scaled = {v: x.numerator * (scale // x.denominator) for v, x in values.items()}
-        rows.append([scaled[v] for v in row])
-    return rows
+    span = range(n + 1)
+    table = [[value(m, t) for t in span] for m in span]
+    return [[table[v.nontrivial][v.trivial] for v in row] for row in pairings]
 
 
 @lru_cache(maxsize=None)
-def gram_matrix(n: int) -> GramMatrix:
-    """The pairing of every two basis diagrams: symmetric, d^n on the diagonal.
+def _pairing_table(n: int):
+    """The basis and the pairing of every two of its diagrams.
 
     Turning the 2n points one step permutes the basis and keeps every
     pairing, so the row of R(i) is the row of i with its columns moved
     by R.  One row per rotation orbit is paired; the rest are copies.
+    Both the Gram matrix and the skein matrix read this one table.
     """
-    require(n >= 1, f"need n >= 1, got n={n}")
-    guard(n <= 5, f"gram_matrix tested for 1 <= n <= 5, got n={n}")
     basis = enumerate_diagrams(n)
     turn = rotation_permutation(n)
     # back[turn[j]] == j: column k of the turned row is column back[k]
@@ -134,7 +112,24 @@ def gram_matrix(n: int) -> GramMatrix:
             rows[i] = row
             i = turn[i]
             row = tuple(map(row.__getitem__, back))
-    return GramMatrix(n, basis, tuple(rows))
+    return basis, tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def gram_matrix(n: int) -> GramMatrix:
+    """The pairing of every two basis diagrams: symmetric, d^n on the diagonal."""
+    require(n >= 1, f"need n >= 1, got n={n}")
+    guard(n <= 5, f"gram_matrix tested for 1 <= n <= 5, got n={n}")
+    return GramMatrix(n, *_pairing_table(n))
+
+
+def _nullity_at(n: int, pairings, a_value: Fraction, d_value: Fraction) -> int:
+    """Nullity over Q of the pairings at a = a_value, d = d_value.
+
+    rank_exact clears each row of its own denominators.
+    """
+    rows = _tabulate(n, pairings, lambda m, t: a_value**m * d_value**t)
+    return len(pairings) - rank_exact(ExactMatrix.from_rows(rows))
 
 
 def crossing_signs(basis) -> tuple[int, ...]:
@@ -271,9 +266,7 @@ def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
     delta_value = Fraction(delta_value)
     t_k = chebyshev(k).evaluate(0, delta_value)
     a_value = t_k if k & 1 else -t_k
-    g = gram_matrix(n)
-    rows = specialized_rows(g.pairings, a_value, delta_value)
-    return g.size() - rank_exact(ExactMatrix.from_rows(rows))
+    return _nullity_at(n, gram_matrix(n).pairings, a_value, delta_value)
 
 
 def random_delta(rng: random.Random) -> Fraction:

@@ -313,10 +313,12 @@ def _integer_rank(rows: list) -> int:
 def rank_exact(matrix: ExactMatrix) -> int:
     """Exact rank of a matrix with Fraction (or int) entries.
 
-    Rows are scaled to integers first (rank is unchanged by nonzero row
-    scaling); a row of ints is scaled by 1.  The rank is found mod a
-    prime and certified over Z by an exactly verified kernel (see
-    _integer_rank).
+    Each row is scaled to integers by the lcm of its own denominators
+    (rank is unchanged by nonzero row scaling); a row of ints is scaled
+    by 1.  Both nullity routes hand their specialized rows here as
+    Fractions, so this is the one place where denominators are cleared.
+    The rank is found mod a prime and certified over Z by an exactly
+    verified kernel (see _integer_rank).
     """
     scaled = []
     for row in matrix.entries:

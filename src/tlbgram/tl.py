@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 import random
 
 from ._limits import guard, require
-from .annular import enumerate_diagrams, pair
-from .gram import _resample_until_two_agree, specialized_rows
-from .linalg import ExactMatrix, rank_exact
+from .gram import _nullity_at, _pairing_table, _resample_until_two_agree, _tabulate
+from .linalg import ExactMatrix
 from .polynomials import LOOP_VALUE_A, LaurentScalar
 
 
@@ -374,9 +373,11 @@ def projector_pairing_value(strands: int, nontrivial: int, trivial: int) -> Laur
 class SkeinValueMatrix:
     """Matrix of skein evaluations over the annular diagram basis.
 
-    It is kept as the pairing exponents of every two basis diagrams;
-    entry (i, j) is projector_pairing_value(k - 1, m, t) for the
-    exponents (m, t) of pairings[i][j], built when entries is first read.
+    It is kept as the pairing exponents of every two basis diagrams, the
+    same table the Gram matrix reads; entry (i, j) is
+    projector_pairing_value(k - 1, m, t) for the exponents (m, t) of
+    pairings[i][j].  entries is built when first read, with one value
+    per exponent pair (m, t).
     """
 
     n: int
@@ -386,28 +387,22 @@ class SkeinValueMatrix:
 
     @cached_property
     def entries(self) -> ExactMatrix:
-        strands = self.k - 1
-        return ExactMatrix.from_rows(
-            [
-                [projector_pairing_value(strands, v.nontrivial, v.trivial) for v in row]
-                for row in self.pairings
-            ]
-        )
+        value = partial(projector_pairing_value, self.k - 1)
+        return ExactMatrix.from_rows(_tabulate(self.n, self.pairings, value))
 
 
 @lru_cache(maxsize=None)
 def skein_matrix(n: int, k: int) -> SkeinValueMatrix:
-    """Evaluations with the (k-1)-strand projector filling the core."""
+    """Evaluations with the (k-1)-strand projector filling the core.
+
+    The basis and the pairings are those of gram_matrix(n): one table,
+    assembled from rotation orbits, serves both routes.
+    """
     require(n >= 1, f"need n >= 1, got n={n}")
-    guard(n <= 4, f"skein_matrix tested for 1 <= n <= 4, got n={n}")
+    guard(n <= 5, f"skein_matrix tested for 1 <= n <= 5, got n={n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    basis = enumerate_diagrams(n)
-    rows = [[None] * len(basis) for _ in basis]
-    for i, d1 in enumerate(basis):
-        for j in range(i, len(basis)):
-            rows[i][j] = rows[j][i] = pair(d1, basis[j])
-    return SkeinValueMatrix(n, k, basis, tuple(map(tuple, rows)))
+    return SkeinValueMatrix(n, k, *_pairing_table(n))
 
 
 def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
@@ -424,13 +419,12 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
     a_sample = Fraction(a_sample)
     if a_sample in (0, 1, -1):
         raise ValueError("sample must avoid 0 and the roots of unity +-1")
-    m = skein_matrix(n, k)
-    rows = specialized_rows(
-        m.pairings,
+    return _nullity_at(
+        n,
+        skein_matrix(n, k).pairings,
         encircle_eigenvalue(k - 1).evaluate(a_sample),
         LOOP_VALUE_A.evaluate(a_sample),
     )
-    return len(m.basis) - rank_exact(ExactMatrix.from_rows(rows))
 
 
 def random_bracket_sample(rng: random.Random) -> Fraction:

@@ -212,7 +212,7 @@ def test_basis_json_output_pinned(capsys, argv):
 
 
 def test_nullity_skein_past_its_guard_exits_2(capsys):
-    assert_one_line_error(capsys, "nullity-skein", "5", "2")
+    assert_one_line_error(capsys, "nullity-skein", "6", "2")
 
 
 def test_counts_csv_default(capsys):

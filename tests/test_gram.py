@@ -16,6 +16,8 @@ from tlbgram.annular import (
 )
 from tlbgram.gram import (
     GramMatrix,
+    _nullity_at,
+    _tabulate,
     crossing_signs,
     degree_bound,
     determinant_product_form,
@@ -25,10 +27,9 @@ from tlbgram.gram import (
     random_delta,
     sign_conjugation_check,
     specialized_nullity,
-    specialized_rows,
     verify_determinant,
 )
-from tlbgram.linalg import MODULAR_PRIMES, det_fraction_free
+from tlbgram.linalg import MODULAR_PRIMES, _integer_rank, det_fraction_free
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
 
 A = BivariatePolynomial.var_a()
@@ -312,7 +313,20 @@ def test_nullity_agrees_across_specialization_sign():
         assert r_plus == r_minus
 
 
-def test_specialized_rows_are_positive_multiples_of_the_evaluated_rows():
+def rank_inputs(monkeypatch):
+    """Record every integer matrix that rank_exact hands to _integer_rank."""
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return _integer_rank(rows)
+
+    monkeypatch.setattr("tlbgram.linalg._integer_rank", spy)
+    return seen
+
+
+def test_rank_rows_are_row_lcm_multiples_of_the_evaluated_rows(monkeypatch):
+    seen = rank_inputs(monkeypatch)
     pairings = gram_matrix(2).pairings
     for a_value, d_value in (
         (Fraction(-7, 3), Fraction(5, 4)),
@@ -320,7 +334,9 @@ def test_specialized_rows_are_positive_multiples_of_the_evaluated_rows():
         (Fraction(3, 5), Fraction(1, 6)),
         (Fraction(-7, 9), Fraction(5, 3)),  # denominators share a factor
     ):
-        rows = specialized_rows(pairings, a_value, d_value)
+        seen.clear()
+        _nullity_at(2, pairings, a_value, d_value)
+        (rows,) = seen
         for row, pairing_row in zip(rows, pairings):
             evaluated = [a_value**v.nontrivial * d_value**v.trivial for v in pairing_row]
             # the smallest positive integer that clears the row
@@ -329,12 +345,28 @@ def test_specialized_rows_are_positive_multiples_of_the_evaluated_rows():
             assert row == [scale * x for x in evaluated]
 
 
-def test_specialized_rows_keep_entries_as_narrow_as_the_row_lcm():
+def test_rank_rows_are_as_narrow_as_the_row_lcm(monkeypatch):
     # On the Gram route a = T_k(d0) has denominator yd^k, so one common
     # factor xd^M yd^T would carry yd^(k M + T) on every row.
-    d0 = Fraction(-997, 991)
-    rows = specialized_rows(gram_matrix(4).pairings, chebyshev(4).evaluate(0, d0), d0)
+    seen = rank_inputs(monkeypatch)
+    specialized_nullity(4, 4, Fraction(-997, 991))
+    (rows,) = seen
     assert max(abs(x).bit_length() for row in rows for x in row) == 160
+
+
+def test_tabulate_computes_each_exponent_pair_once():
+    for n in range(1, 6):
+        calls = []
+
+        def value(m, t):
+            calls.append((m, t))
+            return (m, t)
+
+        pairings = gram_matrix(n).pairings
+        table = _tabulate(n, pairings, value)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == (n + 1) ** 2
+        assert table == [[(v.nontrivial, v.trivial) for v in row] for row in pairings]
 
 
 def test_resample_protocol_returns_all_samples():

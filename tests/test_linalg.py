@@ -433,6 +433,7 @@ def test_gram_nullity_at_n5_matches_binomial():
 
 def test_input_checks_survive_python_O():
     script = """
+from tlbgram.annular import diagram_from_marks
 from tlbgram.disk import (
     DiskDiagram, enumerate_disk, noncrossing_matchings, telescoping_sides,
     tilde_count_formula,
@@ -470,6 +471,9 @@ bad = [
     lambda: LaurentScalar.constant(2) ** -1,
     lambda: BivariatePolynomial.constant(2) ** -1,
     lambda: BivariatePolynomial({(-1, 0): 1}),
+    lambda: diagram_from_marks(1, {1, 2}),
+    lambda: diagram_from_marks(2, {1, 7}),
+    lambda: diagram_from_marks(2, {1}),
 ]
 for call in bad:
     try:

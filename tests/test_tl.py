@@ -17,6 +17,7 @@ from tlbgram.polynomials import (
 )
 from tlbgram.tl import (
     PlanarMatching,
+    SkeinValueMatrix,
     TLElement,
     all_matchings,
     cup_cap_matching,
@@ -26,6 +27,7 @@ from tlbgram.tl import (
     jones_wenzl,
     projector_pairing_value,
     quantum_dimension,
+    random_bracket_sample,
     skein_matrix,
     skein_nullity,
     skein_nullity_with_resample,
@@ -251,7 +253,7 @@ def test_skein_matrix_symmetric():
 
 def test_skein_matrix_guards():
     with pytest.raises(ValueError):
-        skein_matrix(5, 1)
+        skein_matrix(6, 1)
     with pytest.raises(ValueError):
         skein_matrix(2, 0)
 
@@ -293,6 +295,39 @@ def test_skein_nullity_matches_gram_route():
         a0 = Fraction(num, num + 1)
         d0 = -(a0**2) - 1 / a0**2
         assert skein_nullity(n, k, a0) == specialized_nullity(n, k, d0)
+
+
+def test_skein_matrix_reads_the_gram_pairing_table():
+    for n in range(1, 5):
+        for k in range(1, n + 2):
+            m = skein_matrix(n, k)
+            assert m.pairings is gram_matrix(n).pairings
+            assert m.basis is gram_matrix(n).basis
+
+
+def test_skein_entries_evaluate_each_exponent_pair_once(monkeypatch):
+    calls = []
+
+    def counted(strands, nontrivial, trivial):
+        calls.append((nontrivial, trivial))
+        return projector_pairing_value(strands, nontrivial, trivial)
+
+    monkeypatch.setattr("tlbgram.tl.projector_pairing_value", counted)
+    cached = skein_matrix(4, 2)
+    # a fresh matrix, so that entries is not already cached
+    SkeinValueMatrix(4, 2, cached.basis, cached.pairings).entries
+    assert len(calls) == len(set(calls)) == 25
+
+
+@pytest.mark.slow
+def test_both_routes_give_the_binomial_nullity_at_n5():
+    rng = random.Random(502)
+    for k in range(1, 6):
+        a0 = random_bracket_sample(rng)
+        d0 = -(a0**2) - 1 / a0**2
+        expected = comb(10, 5 - k)
+        assert skein_nullity(5, k, a0) == expected, (k, a0)
+        assert specialized_nullity(5, k, d0) == expected, (k, d0)
 
 
 def test_skein_resample_protocol():
