@@ -7,7 +7,8 @@ a^m d^t.  The determinant of the full matrix factors as
 
 with T_i the normalized Chebyshev polynomials.  This module builds the
 matrix, expands the product, and compares the two either symbolically
-(fraction-free determinant) or modulo a large prime at random points.
+(the determinant interpolated from its values mod p) or modulo a large
+prime at random points.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .annular import (
 from .linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
-    det_fraction_free,
+    det_interpolated,
     det_modular,
     is_prime,
     rank_exact,
@@ -58,15 +59,6 @@ class GramMatrix:
 
     def size(self) -> int:
         return len(self.basis)
-
-    def crossing_ordered(self) -> ExactMatrix:
-        """entries with the basis stably sorted by ascending cut crossings.
-
-        Rows and columns move together, so the determinant is unchanged.
-        """
-        order = sorted(range(self.size()), key=lambda i: self.basis[i].cut_crossings())
-        rows = self.entries.entries
-        return ExactMatrix.from_rows([[rows[i][j] for j in order] for i in order])
 
     def evaluate_mod(self, a_value: int, d_value: int, p: int) -> list[list[int]]:
         """The entries at a = a_value, d = d_value, reduced mod p."""
@@ -188,6 +180,39 @@ def degree_bound(n: int) -> int:
     return 2 * n * comb(2 * n, n)
 
 
+def _determinant(n: int) -> BivariatePolynomial:
+    """det G_n over Z[a, d], interpolated mod p from the pairing exponents.
+
+    By Lemma 2 (sign_conjugation_check) every pairing a^m d^t of i and j
+    has m = c_i + c_j mod 2, c the crossing parities (0 or 1).  Conjugating G
+    by diag(a^c) gives entries a^(m + c_i - c_j) d^t whose a-exponents are
+    even and nonnegative: a matrix over Z[x, d], x = a^2, with the same
+    determinant.  Row i of G has degree at most max_j m_ij in a and
+    max_j t_ij in d, so the row sums bound the degrees of det G.  Every
+    entry has modulus 1 where |a| = |d| = 1, so Hadamard's bound N^(N/2)
+    caps every coefficient (N = C(2n, n) is even).
+    """
+    if not sign_conjugation_check(n):
+        raise RuntimeError(f"Lemma 2 parity fails at n={n}: det G_n is not even in a")
+    g = gram_matrix(n)
+    odd = [s < 0 for s in crossing_signs(g.basis)]
+
+    def rows(x: int, d: int, p: int) -> list[list[int]]:
+        table = _tabulate(
+            n, g.pairings, lambda m, t: pow(x, m // 2, p) * pow(d, t, p) % p
+        )
+        for row, odd_i in zip(table, odd):
+            if odd_i:  # m is odd where c_j is even: x^((m + 1) / 2)
+                row[:] = [v if odd_j else v * x % p for v, odd_j in zip(row, odd)]
+        return table
+
+    deg_a = sum(max(v.nontrivial for v in row) for row in g.pairings)
+    deg_d = sum(max(v.trivial for v in row) for row in g.pairings)
+    size = g.size()
+    det = det_interpolated(rows, deg_a // 2, deg_d, size ** (size // 2))
+    return BivariatePolynomial({(2 * i, j): c for (i, j), c in det.terms.items()})
+
+
 def verify_determinant(
     n: int,
     mode: str = "symbolic",
@@ -197,19 +222,15 @@ def verify_determinant(
 ) -> dict:
     """Compare det G_n against the Chebyshev product; returns a report dict.
 
-    Symbolic mode expands both sides exactly.  The determinant is taken
-    of GramMatrix.crossing_ordered().  The diagonal is d^n and every
-    other entry has a lower power of d, so in any basis order each
-    k x k leading principal minor has leading term d^(n k): Bareiss
-    never swaps rows and keeps to its symmetric path.  Crossing order
-    puts the zero-crossing stratum first, whose pairings are powers of d
-    alone, so the first minors do not involve a.  Modular mode samples
-    random points mod a fixed prime and compares evaluations, reporting
-    the Schwartz-Zippel style error bound trials * D / p.
+    Symbolic mode expands both sides exactly; the determinant is
+    interpolated from its values mod p on a grid (see _determinant).
+    Modular mode samples random points mod a fixed prime and compares
+    evaluations, reporting the Schwartz-Zippel style error bound
+    trials * D / p.
     """
     if mode == "symbolic":
         guard(n <= 3, f"symbolic verification tested for n <= 3, got n={n}")
-        det = det_fraction_free(gram_matrix(n).crossing_ordered())
+        det = _determinant(n)
         product = determinant_product_form(n)
         return {
             "version": __version__,

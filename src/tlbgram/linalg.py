@@ -1,9 +1,9 @@
 """Exact linear algebra over polynomial, rational and modular coefficients.
 
-Determinants over Z[a, d] are fraction-free.  Determinants mod p and
-ranks over Q share one forward elimination over F_p, and a rank found
-mod p is returned only with an exact certificate over Z.  No floating
-point enters at any stage.
+Every determinant and rank runs on one forward elimination over F_p.
+A determinant over Z[x, y] is interpolated from its values mod enough
+primes, and a rank found mod p is returned only with an exact
+certificate over Z.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
+from ._limits import require
 from .polynomials import BivariatePolynomial
 
 # The four largest primes below 2^53; large enough that a single random
@@ -25,11 +26,22 @@ MODULAR_PRIMES = (
 )
 
 
+# The first 13 primes as Miller-Rabin witnesses decide primality below
+# this bound, psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", 2017; OEIS A014233); the bound itself passes them but is
+# 1287836182261 * 2575672364521.
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24 (fixed witness set)."""
+    """Deterministic Miller-Rabin; n must lie below PRIME_TEST_LIMIT."""
+    require(
+        n < PRIME_TEST_LIMIT,
+        f"primality is only decided below {PRIME_TEST_LIMIT}, got {n}",
+    )
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for p in small:
         if n % p == 0:
             return n == p
@@ -98,58 +110,6 @@ class ExactMatrix:
         return all(
             m[i][j] == m[j][i] for i in range(self.nrows) for j in range(i)
         )
-
-
-def det_fraction_free(matrix: ExactMatrix) -> BivariatePolynomial:
-    """Determinant over the bivariate polynomial ring, Bareiss style.
-
-    Every intermediate entry is a minor of the input, so all divisions
-    are exact; no rational arithmetic is needed.  Integer entries are
-    coerced to constant polynomials.
-
-    A symmetric input stays symmetric through every step that swaps no
-    rows.  Until the first swap only the entries on and right of the
-    diagonal are computed, each mirrored below it; the mirror keeps the
-    trailing block whole, so from the first swap on the loop simply runs
-    its full range.
-    """
-    if not matrix.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.nrows
-    m = [
-        [
-            BivariatePolynomial.constant(e) if isinstance(e, int) else e
-            for e in row
-        ]
-        for row in matrix.entries
-    ]
-    symmetric = matrix.is_symmetric()
-    sign = 1
-    prev = BivariatePolynomial.constant(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, n) if not m[r][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return BivariatePolynomial.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-            symmetric = False
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(i if symmetric else k + 1, n):
-                entry = (pivot * row_i[j] - head * row_k[j]).exact_div(prev)
-                row_i[j] = entry
-                if symmetric:
-                    m[j][i] = entry
-            row_i[k] = BivariatePolynomial.zero()
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
 
 
 def _eliminate_mod(m: list, p: int):
@@ -327,16 +287,8 @@ def rank_exact(matrix: ExactMatrix) -> int:
     return _integer_rank(scaled)
 
 
-def det_modular(matrix: ExactMatrix, p: int) -> int:
-    """Determinant of an integer matrix mod p by Gaussian elimination.
-
-    Requires p prime (checked); returns a value in [0, p).
-    """
-    if not matrix.is_square():
-        raise ValueError("determinant needs a square matrix")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m = [[int(e) % p for e in row] for row in matrix.entries]
+def _det_mod(m: list, p: int) -> int:
+    """Determinant mod p of the square rows m, entries in [0, p); m is overwritten."""
     det = 1
     pivots = 0
     for col, src in _eliminate_mod(m, p):
@@ -346,4 +298,75 @@ def det_modular(matrix: ExactMatrix, p: int) -> int:
             det = -det
         det = det * m[col][col] % p
         pivots += 1
-    return det if pivots == matrix.nrows else 0
+    return det if pivots == len(m) else 0
+
+
+def det_modular(matrix: ExactMatrix, p: int) -> int:
+    """Determinant of an integer matrix mod p by Gaussian elimination.
+
+    Requires p prime (checked); returns a value in [0, p).
+    """
+    if not matrix.is_square():
+        raise ValueError("determinant needs a square matrix")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _det_mod([[int(e) % p for e in row] for row in matrix.entries], p)
+
+
+def _interpolate_mod(values: list, p: int) -> list:
+    """Coefficients mod p, lowest first, of the polynomial taking values[k] at k.
+
+    Newton's divided differences on the nodes 0, 1, ..., then the Newton
+    form expanded by Horner's rule.
+    """
+    c = list(values)
+    for k in range(1, len(c)):
+        inv = pow(k, -1, p)  # nodes i and i - k differ by k
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    poly = [c[-1]]
+    for i in range(len(c) - 2, -1, -1):
+        # poly * (x - i) + c[i]
+        poly = [(lo - i * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[i]) % p
+    return poly
+
+
+def det_interpolated(
+    evaluate, deg_x: int, deg_y: int, bound: int
+) -> BivariatePolynomial:
+    """Determinant of a square matrix over Z[x, y], by evaluation mod p.
+
+    evaluate(x, y, p) returns the rows of the matrix at (x, y), reduced
+    mod p.  The determinant must have degree at most deg_x in x and deg_y
+    in y, and no coefficient above bound in absolute value.  Mod each
+    prime it is eliminated at every point of the grid x, y = 0, 1, ...,
+    interpolated in y at each x and then in x.  Primes from _rank_primes
+    are taken until their product exceeds 2 * bound; the coefficients are
+    combined by the Chinese remainder theorem and lifted to the symmetric
+    range (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
+    The result carries x as its a variable and y as its d variable.
+    """
+    coeffs = [[0] * (deg_y + 1) for _ in range(deg_x + 1)]
+    modulus = 1
+    primes = _rank_primes()
+    while modulus <= 2 * bound:
+        p = next(primes)
+        in_y = [
+            _interpolate_mod(
+                [_det_mod(evaluate(x, y, p), p) for y in range(deg_y + 1)], p
+            )
+            for x in range(deg_x + 1)
+        ]
+        step = pow(modulus, -1, p)
+        for j in range(deg_y + 1):
+            column = _interpolate_mod([row[j] for row in in_y], p)
+            for row, c in zip(coeffs, column):
+                row[j] += modulus * ((c - row[j]) * step % p)
+        modulus *= p
+    half = modulus // 2
+    return BivariatePolynomial({
+        (i, j): c - modulus if c > half else c
+        for i, row in enumerate(coeffs)
+        for j, c in enumerate(row)
+    })

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 from ._limits import require
@@ -144,54 +143,6 @@ class BivariatePolynomial:
             base = base * base
             e >>= 1
         return result
-
-    def leading(self) -> tuple[tuple[int, int], int]:
-        """Leading term under lex order with ``d`` major, ``a`` minor."""
-        assert self.terms, "zero polynomial has no leading term"
-        e = max(self.terms, key=lambda t: (t[1], t[0]))
-        return e, self.terms[e]
-
-    def exact_div(self, divisor: "BivariatePolynomial") -> "BivariatePolynomial":
-        """Quotient self/divisor, raising ValueError unless division is exact.
-
-        Each step divides the leading term of the remainder (lex order,
-        ``d`` major, ``a`` minor) by that of the divisor.  Remainder
-        exponents wait in a heap keyed (-d, -a), pushed when they first
-        enter the remainder; a popped exponent whose coefficient has
-        cancelled to 0 is skipped.  Every exponent added later lies below
-        the one being divided, so none is pushed twice.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return BivariatePolynomial.zero()
-        (dea, ded), dc = divisor.leading()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != (dea, ded)]
-        rem = dict(self.terms)
-        heap = [(-ed, -ea) for ea, ed in rem]
-        heapify(heap)
-        quot: dict = {}
-        while heap:
-            ned, nea = heappop(heap)
-            c = rem.pop((-nea, -ned))
-            if not c:
-                continue
-            qa, qd = -nea - dea, -ned - ded
-            if qa < 0 or qd < 0 or c % dc:
-                raise ValueError("inexact polynomial division")
-            qc = c // dc
-            quot[(qa, qd)] = qc
-            for (fa, fd), fc in tail:
-                key = (qa + fa, qd + fd)
-                old = rem.get(key)
-                if old is None:
-                    rem[key] = -qc * fc
-                    heappush(heap, (-key[1], -key[0]))
-                else:
-                    rem[key] = old - qc * fc
-        res = BivariatePolynomial.__new__(BivariatePolynomial)
-        res.terms = quot
-        return res
 
     def substitute_negated_a(self) -> "BivariatePolynomial":
         """The image under a -> -a."""

@@ -174,20 +174,41 @@ def test_nullity_output_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == NULLITY_SHA256[argv]
 
 
-# sha256 of `det-verify 3` stdout, recorded from the implementation that
-# ran Bareiss on every entry of G_3 in canonical basis order.
+# sha256 of `det-verify 3` stdout.  Text and json were recorded from the
+# implementation that ran Bareiss on every entry of G_3 in canonical basis
+# order, csv from Bareiss on the crossing-ordered basis.
 DET_VERIFY_3_SHA256 = {
     "text": "061fbef4a4e9a72d8716fbc48fe461d167433c4a07a7c9ecd9e59aee833af18a",
     "json": "9b2fb4824b6aedeb1c71d549c07378926587a9391792a3b4018e7ab7ae87627b",
+    "csv": "ed52535676028996bc4cce36d5b3d030e1039932d1fefb566785934639caf1c4",
 }
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_det_verify_3_output_pinned(capsys, fmt):
     flags = () if fmt == "text" else ("--format", fmt)
     code, out = run(capsys, "det-verify", "3", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_3_SHA256[fmt]
+
+
+# sha256 of symbolic `det-verify 1` and `det-verify 2` stdout, recorded
+# from the implementation that ran Bareiss on the crossing-ordered basis.
+DET_VERIFY_SHA256 = {
+    ("1", "text"): "f7a71594865feb17663f820f3d5ec6dc6b21104611cb2b9a87c1dc6c6ecd537d",
+    ("1", "json"): "501512c8d0acca2f37797d88ab7eea357432187d3555e093b5938fb299e30206",
+    ("1", "csv"): "a6fababc6bee583e841e1ff4b25c4adfaf2819a9b4e6e74566e849be01f3b6b0",
+    ("2", "text"): "c293b6e358308ba17c75315fc32259d9a81e53f9cb309f11307e8107715ec841",
+    ("2", "json"): "d45cd42329c4994b5a03384536f68e7409e14305c9a8779915dca6c3c4941be0",
+    ("2", "csv"): "a3dc58abbfc3f57ed4683a17b269b8ffe802f48bee5850c70d2a1c5a8580bc91",
+}
+
+
+@pytest.mark.parametrize("n, fmt", list(DET_VERIFY_SHA256), ids="-".join)
+def test_det_verify_output_pinned(capsys, n, fmt):
+    code, out = run(capsys, "det-verify", n, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_SHA256[n, fmt]
 
 
 # sha256 of json stdout, recorded from the implementation that paired
@@ -306,6 +327,22 @@ def assert_one_line_error(capsys, *argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_twelve_base_pseudoprime_is_rejected_as_a_prime(capsys):
+    # passes Miller-Rabin to the bases 2..37, but not to 41
+    assert_one_line_error(
+        capsys, "det-verify", "2", "--mode", "modular",
+        "--prime", "318665857834031151167461",
+    )
+
+
+def test_prime_past_the_proven_primality_range_exits_2(capsys):
+    # a composite that passes Miller-Rabin to the first 13 prime bases
+    assert_one_line_error(
+        capsys, "det-verify", "2", "--mode", "modular",
+        "--prime", "3317044064679887385961981",
+    )
 
 
 def test_counts_below_domain_exits_2(capsys):

@@ -16,6 +16,7 @@ from tlbgram.annular import (
 )
 from tlbgram.gram import (
     GramMatrix,
+    _determinant,
     _nullity_at,
     _tabulate,
     crossing_signs,
@@ -29,7 +30,7 @@ from tlbgram.gram import (
     specialized_nullity,
     verify_determinant,
 )
-from tlbgram.linalg import MODULAR_PRIMES, _integer_rank, det_fraction_free
+from tlbgram.linalg import MODULAR_PRIMES, _integer_rank, det_interpolated
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
 
 A = BivariatePolynomial.var_a()
@@ -233,12 +234,36 @@ def test_product_value_mod_matches_expansion():
 
 
 def test_determinant_is_monic_in_loop_variable():
+    for n in (1, 2, 3):
+        det = _determinant(n)
+        top = n * comb(2 * n, n)
+        assert det.degree_d() == top
+        assert {e: c for e, c in det.terms.items() if e[1] == top} == {(0, top): 1}
+
+
+def test_conjugated_determinant_matches_the_direct_one():
+    # Interpolating the entries a^m d^t themselves, over the full degree
+    # in a, needs no Lemma 2 and gives the same polynomial.
     for n in (1, 2):
-        det = det_fraction_free(gram_matrix(n).entries)
-        exps, coeff = det.leading()
-        assert exps == (0, n * comb(2 * n, n))
-        assert coeff == 1
-        assert det.degree_d() == n * comb(2 * n, n)
+        g = gram_matrix(n)
+        direct = det_interpolated(
+            g.evaluate_mod,
+            sum(max(v.nontrivial for v in row) for row in g.pairings),
+            sum(max(v.trivial for v in row) for row in g.pairings),
+            g.size() ** (g.size() // 2),
+        )
+        assert direct == _determinant(n) == determinant_product_form(n)
+
+
+def test_symbolic_determinant_refuses_a_wrong_parity(monkeypatch):
+    g = gram_matrix(2)
+    rows = [list(row) for row in g.pairings]
+    v = rows[0][1]
+    rows[0][1] = rows[1][0] = PairingValue(v.nontrivial + 1, v.trivial)
+    broken = GramMatrix(2, g.basis, tuple(tuple(row) for row in rows))
+    monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
+    with pytest.raises(RuntimeError):
+        verify_determinant(2, mode="symbolic")
 
 
 def test_verify_symbolic_report():
@@ -282,7 +307,7 @@ def test_verify_rejects_bad_parameters():
 
 def test_degree_bound_value():
     assert degree_bound(2) == 2 * 2 * comb(4, 2)
-    det = det_fraction_free(gram_matrix(2).entries)
+    det = _determinant(2)
     assert det.degree_d() + det.degree_a() <= degree_bound(2)
 
 

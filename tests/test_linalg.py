@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 
@@ -14,8 +14,9 @@ from tlbgram.gram import gram_matrix, random_delta, specialized_nullity
 from tlbgram.linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
+    PRIME_TEST_LIMIT,
     _integer_rank,
-    det_fraction_free,
+    det_interpolated,
     det_modular,
     is_prime,
     rank_exact,
@@ -46,6 +47,27 @@ def det_by_cofactor(rows):
     return total
 
 
+def det_by_interpolation(rows, bound=None):
+    """det_interpolated on rows of int or BivariatePolynomial entries.
+
+    Degrees are bounded by the row sums of the largest entry degrees, and
+    coefficients by the product of the rows' coefficient 1-norms.
+    """
+    polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
+    deg_x = sum(max(max(e.degree_a(), 0) for e in row) for row in polys)
+    deg_y = sum(max(max(e.degree_d(), 0) for e in row) for row in polys)
+    if bound is None:
+        bound = prod(
+            sum(abs(c) for e in row for c in e.terms.values()) for row in polys
+        )
+    return det_interpolated(
+        lambda x, y, p: [[e.evaluate_mod(x, y, p) for e in row] for row in polys],
+        deg_x,
+        deg_y,
+        bound,
+    )
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([])
@@ -64,12 +86,11 @@ def test_symmetry_predicate():
 
 
 def test_det_frozen_examples():
-    g1 = ExactMatrix.from_rows([[D, A], [A, D]])
-    assert det_fraction_free(g1) == D * D - A * A
-    eye4 = ExactMatrix.from_rows(
-        [[int(i == j) for j in range(4)] for i in range(4)]
-    )
-    assert det_fraction_free(eye4) == 1
+    assert det_by_interpolation([[D, A], [A, D]]) == D * D - A * A
+    eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert det_by_interpolation(eye4) == 1
+    # x^2 y - 3 is negative at most grid points: the lift is symmetric
+    assert det_by_interpolation([[A * A * D - 3]]) == A * A * D - 3
 
 
 def test_det_matches_cofactor_on_random_integer_matrices():
@@ -80,7 +101,7 @@ def test_det_matches_cofactor_on_random_integer_matrices():
             [BivariatePolynomial.constant(rng.randint(-9, 9)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_fraction_free(ExactMatrix.from_rows(rows)) == det_by_cofactor(rows)
+        assert det_by_interpolation(rows) == det_by_cofactor(rows)
 
 
 def test_det_matches_cofactor_on_random_polynomial_matrices():
@@ -99,21 +120,20 @@ def test_det_matches_cofactor_on_random_polynomial_matrices():
             ]
             for _ in range(n)
         ]
-        assert det_fraction_free(ExactMatrix.from_rows(rows)) == det_by_cofactor(rows)
+        assert det_by_interpolation(rows) == det_by_cofactor(rows)
 
 
 def test_det_singular_and_pivoting():
     # zero leading entry forces a row swap
-    m = ExactMatrix.from_rows(
-        [
-            [BivariatePolynomial.zero(), BivariatePolynomial.constant(1)],
-            [BivariatePolynomial.constant(1), BivariatePolynomial.zero()],
-        ]
-    )
-    assert det_fraction_free(m) == BivariatePolynomial.constant(-1)
-    sing = ExactMatrix.from_rows([[D, D], [D, D]])
-    assert det_fraction_free(sing) == 0
-    assert det_fraction_free(ExactMatrix.from_rows([[0, 0], [0, 0]])) == 0
+    assert det_by_interpolation([[0, 1], [1, 0]]) == BivariatePolynomial.constant(-1)
+    assert det_by_interpolation([[D, D], [D, D]]) == 0
+    assert det_by_interpolation([[D, A], [A * D, A * A]]) == 0
+    # a zero matrix has the coefficient bound 0, which needs no prime at
+    # all; with a bound it is eliminated at every grid point
+    zero = [[0, 0], [0, 0]]
+    assert det_by_interpolation(zero) == 0
+    assert det_by_interpolation(zero, bound=1) == 0
+    assert det_by_interpolation([[0 * D, 0 * A], [A, D]], bound=1) == 0
 
 
 def random_symmetric(rng, n, zero_share):
@@ -139,9 +159,8 @@ def test_det_matches_cofactor_on_random_symmetric_polynomial_matrices():
     for zero_share in (0.0, 0.6):
         for _ in range(12):
             rows = random_symmetric(rng, rng.randint(1, 5), zero_share)
-            matrix = ExactMatrix.from_rows(rows)
-            assert matrix.is_symmetric()
-            assert det_fraction_free(matrix) == det_by_cofactor(rows)
+            assert ExactMatrix.from_rows(rows).is_symmetric()
+            assert det_by_interpolation(rows) == det_by_cofactor(rows)
 
 
 def test_det_of_symmetric_matrices_with_row_swaps():
@@ -149,32 +168,33 @@ def test_det_of_symmetric_matrices_with_row_swaps():
     # swap at step 0: [[0, 1], [1, 0]] padded with a block [[d, a], [a, d]]
     swap_first = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, D, A], [0, 0, A, D]]
     swap_first = [[zero + e for e in row] for row in swap_first]
-    assert det_fraction_free(ExactMatrix.from_rows(swap_first)) == A * A - D * D
+    assert det_by_interpolation(swap_first) == A * A - D * D
     # swap at step 1: the 2x2 leading minor vanishes
     swap_later = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]
-    assert det_fraction_free(ExactMatrix.from_rows(swap_later)) == -1
+    assert det_by_interpolation(swap_later) == -1
     scaled = [[D * e for e in row] for row in swap_later]
-    assert det_fraction_free(ExactMatrix.from_rows(scaled)) == -(D**3)
-    # swap at step 2, whose full-range step reads the mirrored m[3][2]
+    assert det_by_interpolation(scaled) == -(D**3)
+    # swap at step 2: the 3x3 leading minor vanishes
     four = [[2, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 2]]
-    assert det_fraction_free(ExactMatrix.from_rows(four)) == 4
+    assert det_by_interpolation(four) == 4
     for rows in (swap_first, swap_later, scaled, four):
         assert ExactMatrix.from_rows(rows).is_symmetric()
         polys = [[zero + e for e in row] for row in rows]
-        assert det_fraction_free(ExactMatrix.from_rows(rows)) == det_by_cofactor(polys)
+        assert det_by_interpolation(rows) == det_by_cofactor(polys)
 
 
-def test_crossing_ordered_gram_matrix_has_the_canonical_determinant():
-    for n in (1, 2):
-        g = gram_matrix(n)
-        # stable sort by crossings: at n = 2 the basis reads 0, 1, 1, 0, 1, 2
-        order = sorted(range(g.size()), key=lambda i: g.basis[i].cut_crossings())
-        ordered = g.crossing_ordered()
-        assert ordered.entries == tuple(
-            tuple(g.entries[i, j] for j in order) for i in order
-        )
-        assert det_fraction_free(ordered) == det_fraction_free(g.entries)
-    assert order == [0, 3, 1, 2, 4, 5]
+def test_det_lifts_over_several_primes():
+    # Coefficient bounds of about 2^185 and 2^245 need four and five
+    # 53-bit primes, so the Chinese remainder lift runs past the fixed
+    # list into the primes that _rank_primes finds below it.
+    rng = random.Random(214)
+    for bits in (60, 80):
+        rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(3)] for _ in range(3)]
+        polys = [[BivariatePolynomial.constant(e) for e in row] for row in rows]
+        assert det_by_interpolation(rows) == det_by_cofactor(polys)
+    big = 2**70
+    rows = [[D * big + 1, A - big], [A * big, D * D * 3 + A * big]]
+    assert det_by_interpolation(rows) == det_by_cofactor(rows)
 
 
 def test_det_alternating_multilinearity_spot_check():
@@ -182,9 +202,7 @@ def test_det_alternating_multilinearity_spot_check():
     for _ in range(10):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         swapped = [rows[1], rows[0], rows[2]]
-        m = ExactMatrix.from_rows(rows)
-        s = ExactMatrix.from_rows(swapped)
-        assert det_fraction_free(m) == -det_fraction_free(s)
+        assert det_by_interpolation(rows) == -det_by_interpolation(swapped)
 
 
 def test_rank_frozen_examples():
@@ -301,15 +319,14 @@ def test_det_modular_rejects_composite():
 
 
 def test_det_modular_matches_fraction_free():
+    # the exact integer determinant, interpolated over enough primes
     rng = random.Random(206)
     p = MODULAR_PRIMES[1]
     for _ in range(15):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        m = ExactMatrix.from_rows(rows)
-        exact = det_fraction_free(m)
-        value = exact.terms.get((0, 0), 0)
-        assert det_modular(m, p) == value % p
+        value = det_by_interpolation(rows).terms.get((0, 0), 0)
+        assert det_modular(ExactMatrix.from_rows(rows), p) == value % p
 
 
 def test_prime_test_against_sieve():
@@ -328,6 +345,22 @@ def test_prime_test_larger_values():
     assert not is_prime(2**32 + 1)  # 641 * 6700417
     assert not is_prime(341550071728321)  # strong pseudoprime to low bases
     assert is_prime(2**61 - 1)
+
+
+def test_prime_test_rejects_the_twelve_base_pseudoprime():
+    # psi_12 passes the witnesses 2..37 and has no factor below 41
+    psi_12 = 399165290221 * 798330580441
+    assert psi_12 == 318665857834031151167461
+    assert not is_prime(psi_12)
+
+
+def test_prime_test_refuses_its_first_unproven_value():
+    # the first 13 prime witnesses all pass this composite
+    assert PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+    assert not is_prime(PRIME_TEST_LIMIT - 1)
+    for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_modular_primes_are_prime_and_sized():
@@ -439,7 +472,7 @@ from tlbgram.disk import (
     tilde_count_formula,
 )
 from tlbgram.gram import determinant_product_value_mod
-from tlbgram.linalg import ExactMatrix, det_fraction_free, det_modular
+from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, det_modular, is_prime
 from tlbgram.polynomials import (
     BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
     chebyshev_in_bracket,
@@ -451,8 +484,8 @@ from tlbgram.tl import (
 wide = ExactMatrix.from_rows([[1, 2]])
 bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
-    lambda: det_fraction_free(wide),
     lambda: det_modular(wide, 7),
+    lambda: is_prime(PRIME_TEST_LIMIT),
     lambda: enumerate_disk(0, 1),
     lambda: tilde_count_formula(2, -1),
     lambda: telescoping_sides(0),

@@ -110,47 +110,6 @@ def test_evaluate_mod_matches_exact_evaluation():
         assert p.evaluate_mod(av, dv, 10007) == p.evaluate(av, dv) % 10007
 
 
-def test_exact_div_inverts_multiplication():
-    rng = random.Random(106)
-    checked = 0
-    while checked < 30:
-        p = random_bivariate(rng)
-        q = random_bivariate(rng)
-        if q.is_zero():
-            continue
-        assert (p * q).exact_div(q) == p
-        checked += 1
-
-
-def test_exact_div_inverts_products_with_many_terms():
-    # Dense factors with coefficients in -2..2: the coefficient at a
-    # remainder exponent often cancels to 0, and now and then turns
-    # nonzero again before that exponent is popped.
-    rng = random.Random(107)
-    checked = 0
-    while checked < 30:
-        p = random_bivariate(rng, max_terms=10, max_exp=4, max_coeff=2)
-        q = random_bivariate(rng, max_terms=10, max_exp=4, max_coeff=2)
-        product = p * q
-        if q.is_zero() or len(product.terms) < 20:
-            continue
-        assert product.exact_div(q) == p
-        assert product.exact_div(p) == q
-        # an extra constant term is left over below the divisor's lead
-        with pytest.raises(ValueError):
-            (product * D + 1).exact_div(q * D)
-        checked += 1
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ValueError):
-        D.exact_div(A)
-    with pytest.raises(ValueError):
-        (D + 1).exact_div(BivariatePolynomial.constant(2))
-    with pytest.raises(ZeroDivisionError):
-        D.exact_div(BivariatePolynomial.zero())
-
-
 def test_negated_a_substitution():
     p = A**2 * D - A * D**2 + 3
     assert p.substitute_negated_a() == A**2 * D + A * D**2 + 3
