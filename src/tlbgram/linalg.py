@@ -2,8 +2,9 @@
 
 Every determinant and rank runs on one forward elimination over F_p.
 A determinant over Z[x, y] is interpolated from its values mod enough
-primes, and a rank found mod p is returned only with an exact
-certificate over Z.  No floating point enters at any stage.
+primes at the points (u^2, v^2) of a lower set, such as the grid cut by
+a total-degree bound.  A rank found mod p is returned only with an
+exact certificate over Z.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
@@ -313,54 +314,81 @@ def det_modular(matrix: ExactMatrix, p: int) -> int:
     return _det_mod([[int(e) % p for e in row] for row in matrix.entries], p)
 
 
-def _interpolate_mod(values: list, p: int) -> list:
-    """Coefficients mod p, lowest first, of the polynomial taking values[k] at k.
+def _newton_mod(values: list, nodes, p: int) -> list:
+    """Newton coefficients mod p of the polynomial taking values[k] at nodes[k].
 
-    Newton's divided differences on the nodes 0, 1, ..., then the Newton
-    form expanded by Horner's rule.
+    The k-th is the divided difference on nodes[:k + 1], so a prefix of
+    the values gives the same prefix of the coefficients, whatever the
+    degree of the polynomial the values come from.
     """
     c = list(values)
     for k in range(1, len(c)):
-        inv = pow(k, -1, p)  # nodes i and i - k differ by k
         for i in range(len(c) - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv % p
-    poly = [c[-1]]
-    for i in range(len(c) - 2, -1, -1):
-        # poly * (x - i) + c[i]
-        poly = [(lo - i * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
-        poly[0] = (poly[0] + c[i]) % p
+            c[i] = (c[i] - c[i - 1]) * pow(nodes[i] - nodes[i - k], -1, p) % p
+    return c
+
+
+def _expand_mod(newton: list, nodes, p: int) -> list:
+    """Coefficients mod p, lowest first, of a Newton form, by Horner's rule.
+
+    The form is the sum of newton[i] * (x - nodes[0]) ... (x - nodes[i - 1]).
+    """
+    poly = [newton[-1]]
+    for i in range(len(newton) - 2, -1, -1):
+        # poly * (x - nodes[i]) + newton[i]
+        poly = [(lo - nodes[i] * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + newton[i]) % p
     return poly
 
 
-def det_interpolated(
-    evaluate, deg_x: int, deg_y: int, bound: int
-) -> BivariatePolynomial:
-    """Determinant of a square matrix over Z[x, y], by evaluation mod p.
+def det_interpolated(evaluate, staircase, bound: int) -> BivariatePolynomial:
+    """A determinant f(x, y) over Z[x, y], by evaluation mod p on a lower set.
 
-    evaluate(x, y, p) returns the rows of the matrix at (x, y), reduced
-    mod p.  The determinant must have degree at most deg_x in x and deg_y
-    in y, and no coefficient above bound in absolute value.  Mod each
-    prime it is eliminated at every point of the grid x, y = 0, 1, ...,
-    interpolated in y at each x and then in x.  Primes from _rank_primes
-    are taken until their product exceeds 2 * bound; the coefficients are
+    evaluate(u, v, p) returns the rows mod p of a square matrix with
+    determinant f(u^2, v^2).  Every term x^i y^j of f must have
+    j <= staircase[i], a non-increasing list, and a coefficient at most
+    bound in absolute value.  Mod each prime the matrix is eliminated at
+    the sum of staircase[i] + 1 points (x, y) = (u^2, v^2) of that lower
+    set.  At the v-th y-node the divided differences in x run over the
+    x-nodes u <= tops[v], the last i with staircase[i] >= v: on a prefix
+    of the nodes they are the exact Newton coefficients c_i(y) of f,
+    whatever its degree in x.  Each c_i(y) has degree at most
+    staircase[i] and is interpolated from that many values plus one;
+    then the Newton form in x is expanded.  Primes from _rank_primes are
+    taken until their product exceeds 2 * bound; the coefficients are
     combined by the Chinese remainder theorem and lifted to the symmetric
     range (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
     The result carries x as its a variable and y as its d variable.
     """
-    coeffs = [[0] * (deg_y + 1) for _ in range(deg_x + 1)]
+    require(
+        len(staircase) > 0
+        and staircase[-1] >= 0
+        and all(s >= t for s, t in zip(staircase, staircase[1:])),
+        f"staircase must be non-empty, non-increasing and >= 0, got {staircase}",
+    )
+    tops = [sum(s >= j for s in staircase) - 1 for j in range(staircase[0] + 1)]
+    x_nodes = [u * u for u in range(len(staircase))]
+    y_nodes = [v * v for v in range(len(tops))]
+    coeffs = [[0] * (s + 1) for s in staircase]
     modulus = 1
     primes = _rank_primes()
     while modulus <= 2 * bound:
         p = next(primes)
-        in_y = [
-            _interpolate_mod(
-                [_det_mod(evaluate(x, y, p), p) for y in range(deg_y + 1)], p
+        in_x = [
+            _newton_mod(
+                [_det_mod(evaluate(u, v, p), p) for u in range(top + 1)], x_nodes, p
             )
-            for x in range(deg_x + 1)
+            for v, top in enumerate(tops)
+        ]
+        in_y = [
+            _expand_mod(
+                _newton_mod([c[i] for c in in_x[: s + 1]], y_nodes, p), y_nodes, p
+            )
+            for i, s in enumerate(staircase)
         ]
         step = pow(modulus, -1, p)
-        for j in range(deg_y + 1):
-            column = _interpolate_mod([row[j] for row in in_y], p)
+        for j, top in enumerate(tops):
+            column = _expand_mod([c[j] for c in in_y[: top + 1]], x_nodes, p)
             for row, c in zip(coeffs, column):
                 row[j] += modulus * ((c - row[j]) * step % p)
         modulus *= p

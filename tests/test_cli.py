@@ -345,6 +345,11 @@ def test_prime_past_the_proven_primality_range_exits_2(capsys):
     )
 
 
+def test_symbolic_det_verify_refuses_a_prime(capsys):
+    # symbolic mode never reduces mod a prime, so one given is an error
+    assert_one_line_error(capsys, "det-verify", "2", "--prime", "7")
+
+
 def test_counts_below_domain_exits_2(capsys):
     assert_one_line_error(capsys, "counts", "0", "1")
 

@@ -20,6 +20,7 @@ from tlbgram.gram import (
     _nullity_at,
     _tabulate,
     crossing_signs,
+    d_parity_check,
     degree_bound,
     determinant_product_form,
     determinant_product_value_mod,
@@ -30,8 +31,10 @@ from tlbgram.gram import (
     specialized_nullity,
     verify_determinant,
 )
-from tlbgram.linalg import MODULAR_PRIMES, _integer_rank, det_interpolated
+from tlbgram.linalg import MODULAR_PRIMES, _integer_rank
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
+from test_cli import assert_one_line_error
+from test_linalg import det_by_cofactor
 
 A = BivariatePolynomial.var_a()
 D = BivariatePolynomial.var_d()
@@ -241,29 +244,59 @@ def test_determinant_is_monic_in_loop_variable():
         assert {e: c for e, c in det.terms.items() if e[1] == top} == {(0, top): 1}
 
 
-def test_conjugated_determinant_matches_the_direct_one():
-    # Interpolating the entries a^m d^t themselves, over the full degree
-    # in a, needs no Lemma 2 and gives the same polynomial.
+def test_interpolated_determinant_matches_the_cofactor_expansion():
+    # The cofactor oracle needs neither parity fact.
     for n in (1, 2):
         g = gram_matrix(n)
-        direct = det_interpolated(
-            g.evaluate_mod,
-            sum(max(v.nontrivial for v in row) for row in g.pairings),
-            sum(max(v.trivial for v in row) for row in g.pairings),
-            g.size() ** (g.size() // 2),
-        )
-        assert direct == _determinant(n) == determinant_product_form(n)
+        assert _determinant(n) == det_by_cofactor(g.entries.entries)
+
+
+def test_symbolic_determinant_eliminates_once_per_staircase_point(monkeypatch):
+    import tlbgram.linalg as linalg
+
+    calls = []
+    real = linalg._det_mod
+    monkeypatch.setattr(linalg, "_det_mod", lambda m, p: calls.append(p) or real(m, p))
+    assert _determinant(3) == determinant_product_form(3)
+    # one prime; x^i y^j with i <= 22, j <= 30 and i + j <= 30
+    assert calls == [MODULAR_PRIMES[0]] * 460
+
+
+def perturbed(n, i, j, dm, dt):
+    """gram_matrix(n) with the pairings (i, j) and (j, i) moved by a^dm d^dt."""
+    g = gram_matrix(n)
+    rows = [list(row) for row in g.pairings]
+    v = rows[i][j]
+    rows[i][j] = rows[j][i] = PairingValue(v.nontrivial + dm, v.trivial + dt)
+    return GramMatrix(n, g.basis, tuple(tuple(row) for row in rows))
 
 
 def test_symbolic_determinant_refuses_a_wrong_parity(monkeypatch):
-    g = gram_matrix(2)
-    rows = [list(row) for row in g.pairings]
-    v = rows[0][1]
-    rows[0][1] = rows[1][0] = PairingValue(v.nontrivial + 1, v.trivial)
-    broken = GramMatrix(2, g.basis, tuple(tuple(row) for row in rows))
+    broken = perturbed(2, 0, 1, 1, 0)
     monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
     with pytest.raises(RuntimeError):
         verify_determinant(2, mode="symbolic")
+
+
+def test_d_parity_holds_entrywise():
+    # G(a, -d) = (-1)^n S G S, with S read off row 0 of the all-pairs table
+    for n in range(1, 6):
+        assert d_parity_check(n)
+        rows = dense_pairings(n)
+        signs = [(-1) ** (n + v.trivial) for v in rows[0]]
+        for s_i, row in zip(signs, rows):
+            for v, s_j in zip(row, signs):
+                assert (-1) ** v.trivial == (-1) ** n * s_i * s_j
+
+
+def test_symbolic_determinant_refuses_a_wrong_d_parity(monkeypatch, capsys):
+    broken = perturbed(2, 0, 1, 0, 1)
+    monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
+    assert sign_conjugation_check(2)
+    assert not d_parity_check(2)
+    with pytest.raises(RuntimeError, match="not even in d"):
+        verify_determinant(2, mode="symbolic")
+    assert_one_line_error(capsys, "det-verify", "2")
 
 
 def test_verify_symbolic_report():
@@ -303,6 +336,8 @@ def test_verify_rejects_bad_parameters():
         verify_determinant(2, mode="modular", prime=3)  # below degree bound
     with pytest.raises(ValueError):
         verify_determinant(4, mode="symbolic")
+    with pytest.raises(ValueError):
+        verify_determinant(2, mode="symbolic", prime=7)  # modular mode only
 
 
 def test_degree_bound_value():

@@ -47,25 +47,41 @@ def det_by_cofactor(rows):
     return total
 
 
-def det_by_interpolation(rows, bound=None):
+def staircase_of(polys):
+    """The staircase that det_interpolated needs for a matrix over Z[x, y].
+
+    The row sums of the largest entry degrees bound the determinant's
+    degree in x, in y and in total.
+    """
+    def row_sum(degree):
+        return sum(
+            max((degree(*e) for poly in row for e in poly.terms), default=0)
+            for row in polys
+        )
+
+    deg_x = row_sum(lambda i, j: i)
+    deg_y = row_sum(lambda i, j: j)
+    total = row_sum(lambda i, j: i + j)
+    return [min(deg_y, total - i) for i in range(deg_x + 1)]
+
+
+def det_by_interpolation(rows, bound=None, evaluate=None):
     """det_interpolated on rows of int or BivariatePolynomial entries.
 
-    Degrees are bounded by the row sums of the largest entry degrees, and
-    coefficients by the product of the rows' coefficient 1-norms.
+    The nodes are squares, so the matrix is evaluated at x = u^2, y = v^2.
+    Coefficients are bounded by the product of the rows' coefficient
+    1-norms unless bound is given.
     """
     polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
-    deg_x = sum(max(max(e.degree_a(), 0) for e in row) for row in polys)
-    deg_y = sum(max(max(e.degree_d(), 0) for e in row) for row in polys)
     if bound is None:
         bound = prod(
             sum(abs(c) for e in row for c in e.terms.values()) for row in polys
         )
-    return det_interpolated(
-        lambda x, y, p: [[e.evaluate_mod(x, y, p) for e in row] for row in polys],
-        deg_x,
-        deg_y,
-        bound,
-    )
+    if evaluate is None:
+        def evaluate(u, v, p):
+            return [[e.evaluate_mod(u * u, v * v, p) for e in row] for row in polys]
+
+    return det_interpolated(evaluate, staircase_of(polys), bound)
 
 
 def test_matrix_shape_validation():
@@ -195,6 +211,43 @@ def test_det_lifts_over_several_primes():
     big = 2**70
     rows = [[D * big + 1, A - big], [A * big, D * D * 3 + A * big]]
     assert det_by_interpolation(rows) == det_by_cofactor(rows)
+
+
+def test_det_fills_every_corner_of_a_non_rectangular_staircase():
+    rows = [[A * A * 2 - D * D * 3, A + 7], [A - 1, A + D * 5]]
+    polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
+    staircase = staircase_of(polys)
+    assert staircase == [3, 2, 1, 0]
+    det = det_by_interpolation(rows)
+    assert det == det_by_cofactor(polys)
+    # 2x^3 + 10x^2 y - 3x y^2 - 15y^3 - x^2 - 6x + 7
+    assert all(det.terms.get((i, s), 0) != 0 for i, s in enumerate(staircase))
+
+
+def test_det_evaluates_once_per_staircase_point_and_prime():
+    big = 2**70
+    rows = [[D * big + 1, A - big], [A * big, D * D * 3 + A * big]]
+    polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
+    points = sum(s + 1 for s in staircase_of(polys))
+    seen = []
+
+    def evaluate(u, v, p):
+        seen.append((u, v, p))
+        return [[e.evaluate_mod(u * u, v * v, p) for e in row] for row in polys]
+
+    assert det_by_interpolation(rows, evaluate=evaluate) == det_by_cofactor(rows)
+    primes = {p for _, _, p in seen}
+    assert len(primes) > 1
+    assert len(seen) == len(set(seen)) == points * len(primes)
+
+
+def test_det_refuses_a_staircase_that_is_not_a_lower_set():
+    def evaluate(u, v, p):
+        return [[1]]
+
+    for staircase in ([], [1, 2], [2, -1]):
+        with pytest.raises(ValueError):
+            det_interpolated(evaluate, staircase, 1)
 
 
 def test_det_alternating_multilinearity_spot_check():
@@ -471,7 +524,7 @@ from tlbgram.disk import (
     DiskDiagram, enumerate_disk, noncrossing_matchings, telescoping_sides,
     tilde_count_formula,
 )
-from tlbgram.gram import determinant_product_value_mod
+from tlbgram.gram import determinant_product_value_mod, verify_determinant
 from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, det_modular, is_prime
 from tlbgram.polynomials import (
     BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
@@ -497,6 +550,7 @@ bad = [
     lambda: chebyshev(-1),
     lambda: chebyshev_in_bracket(-1),
     lambda: determinant_product_value_mod(0, 1, 1, 7),
+    lambda: verify_determinant(1, prime=7),
     lambda: TLElement(2, {identity_matching(1): LaurentScalar.constant(1)}),
     lambda: TLElement.identity(1) * TLElement.identity(2),
     lambda: _poly_divexact([1, 0, 1], [1, 1]),
