@@ -15,16 +15,19 @@ interleaves, and since every lift spans less than one period it is
 enough to test translates t in {-2..2} of one chord against the other
 fixed at t=0.
 
-The pairing of two diagrams glues them along the outer boundary and
-counts the resulting loops: a loop whose total winding around the core
-is zero is trivial (variable d), otherwise it wraps the core exactly
-once (variable a).
+The pairing of two diagrams glues them along the outer boundary into
+one annulus.  Each glued loop is a simple closed curve there, so it
+winds around the core 0 or +-1 times: it is trivial (variable d) or
+wraps the core once (variable a) as it crosses the reference segment an
+even or an odd number of times.  In the double cover where a w=1 chord
+switches sheets, a wrapping loop lifts to one loop and a trivial loop to
+two, so the loop counts below and in the cover give both numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -105,26 +108,26 @@ class AnnularDiagram:
         """How many chords cross the reference segment."""
         return sum(w for _, _, w in self.chords)
 
-    def partner_map(self) -> dict[int, tuple[int, int]]:
-        """point -> (partner, flag) lookup."""
-        out = {}
+    @cached_property
+    def involutions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The chords as involutions of the points and of the double cover.
+
+        Point p is node p-1 of 0..2n-1.  In the cover, node p-1 + 2n*s
+        on sheet s goes to q-1 + 2n*(s xor w) for the chord (p, q, w).
+        """
+        per = 2 * self.n
+        points = [0] * per
+        cover = [0] * (2 * per)
         for i, j, w in self.chords:
-            out[i] = (j, w)
-            out[j] = (i, w)
-        return out
+            points[i - 1], points[j - 1] = j - 1, i - 1
+            for s in (0, 1):
+                u, v = i - 1 + per * s, j - 1 + per * (s ^ w)
+                cover[u], cover[v] = v, u
+        return tuple(points), tuple(cover)
 
     def canonical_key(self) -> tuple:
-        """Sort key: (partner, flag) read off at successive unmatched points."""
-        look = self.partner_map()
-        seen: set[int] = set()
-        key = []
-        for p in range(1, 2 * self.n + 1):
-            if p in seen:
-                continue
-            q, w = look[p]
-            key.append((q, w))
-            seen.update((p, q))
-        return tuple(key)
+        """Sort key: (partner, flag) of each chord's smaller endpoint in turn."""
+        return tuple((j, w) for _, j, w in self.chords)
 
     def to_text(self) -> str:
         body = ",".join(f"({i},{j},w={w})" for i, j, w in self.chords)
@@ -239,39 +242,51 @@ class PairingValue:
         return BivariatePolynomial.monomial(self.nontrivial, self.trivial)
 
 
+def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:
+    """Follow two involutions of the nodes 0..N-1 in turn.
+
+    ``total`` is defined on every node, ``partial`` on every node but the
+    ends 0..ends-1.  A path leaves an end along ``total`` and alternates
+    until it reaches another end; the nodes no path visits form closed
+    loops.  Returns the matching of the ends and the number of loops.
+    """
+    seen = [False] * len(total)
+    ends_match = [0] * ends
+    for start in range(ends):
+        if seen[start]:
+            continue
+        v = total[start]
+        while v >= ends:
+            w = partial[v]
+            seen[v] = seen[w] = True
+            v = total[w]
+        seen[start] = seen[v] = True
+        ends_match[start], ends_match[v] = v, start
+    loops = 0
+    for start in range(ends, len(total)):
+        if seen[start]:
+            continue
+        loops += 1
+        v = start
+        while not seen[v]:
+            w = partial[v]
+            seen[v] = seen[w] = True
+            v = total[w]
+    return tuple(ends_match), loops
+
+
 def pair(d1: AnnularDiagram, d2: AnnularDiagram) -> PairingValue:
     """Glue two diagrams along the outer boundary and sort the loops.
 
-    Winding is accumulated chord by chord: traversing a w=1 chord from
-    its larger endpoint to its smaller one passes the gap forward (+1),
-    the reverse passes it backward (-1).  The same rule applies in both
-    diagrams because regluing preserves each point's angular position.
+    A trivial loop lifts to two loops of the double cover and a wrapping
+    loop to one, so L loops below and L2 in the cover make L2 - L trivial
+    loops and 2L - L2 wrapping ones.  Both diagrams share the points and
+    the sheets, since regluing keeps each point's angular position.
     """
     if d1.n != d2.n:
         raise ValueError("diagrams live on different numbers of points")
-    look1 = d1.partner_map()
-    look2 = d2.partner_map()
-    visited: set[int] = set()
-    nontrivial = trivial = 0
-    for start in range(1, 2 * d1.n + 1):
-        if start in visited:
-            continue
-        winding = 0
-        p = start
-        look = look1
-        while True:
-            visited.add(p)
-            q, w = look[p]
-            visited.add(q)
-            if w:
-                winding += 1 if p > q else -1
-            look = look2 if look is look1 else look1
-            p = q
-            if p == start and look is look1:
-                break
-        assert winding in (-1, 0, 1)
-        if winding:
-            nontrivial += 1
-        else:
-            trivial += 1
-    return PairingValue(nontrivial, trivial)
+    points1, cover1 = d1.involutions
+    points2, cover2 = d2.involutions
+    loops = _trace(points1, points2, 0)[1]
+    lifted = _trace(cover1, cover2, 0)[1]
+    return PairingValue(2 * loops - lifted, lifted - loops)

@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="symbolic",
         help="exact expansion or random evaluation mod a prime",
     )
-    p.add_argument("--trials", type=int, default=32, help="modular mode only")
-    p.add_argument("--seed", type=int, default=0, help="modular mode only")
+    p.add_argument("--trials", type=int, default=None, help="modular mode only")
+    p.add_argument("--seed", type=int, default=None, help="modular mode only")
     p.add_argument("--prime", type=int, default=None, help="modular mode only")
     output_flags(p)
     p.set_defaults(func=_cmd_det_verify)

@@ -227,21 +227,23 @@ def _determinant(n: int) -> BivariatePolynomial:
 def verify_determinant(
     n: int,
     mode: str = "symbolic",
-    trials: int = 32,
-    seed: int = 0,
+    trials: int | None = None,
+    seed: int | None = None,
     prime: int | None = None,
 ) -> dict:
     """Compare det G_n against the Chebyshev product; returns a report dict.
 
     Symbolic mode expands both sides exactly; the determinant is
     interpolated from its values mod p on a lower set of grid points (see
-    _determinant), and it refuses a prime.  Modular mode samples random
-    points mod a fixed prime and compares
-    evaluations, reporting the Schwartz-Zippel style error bound
-    trials * D / p.
+    _determinant), and it refuses trials, a seed and a prime.  Modular
+    mode samples random points mod a fixed prime (32 trials from seed 0
+    unless given) and compares evaluations, reporting the
+    Schwartz-Zippel style error bound trials * D / p.
     """
     if mode == "symbolic":
         require(prime is None, "a prime is only taken in modular mode")
+        require(trials is None, "trials are only taken in modular mode")
+        require(seed is None, "a seed is only taken in modular mode")
         guard(n <= 3, f"symbolic verification tested for n <= 3, got n={n}")
         det = _determinant(n)
         product = determinant_product_form(n)
@@ -258,6 +260,8 @@ def verify_determinant(
         }
     if mode != "modular":
         raise ValueError(f"mode must be 'symbolic' or 'modular', got {mode!r}")
+    trials = 32 if trials is None else trials
+    seed = 0 if seed is None else seed
     if trials < 1:
         raise ValueError("need at least one trial")
     p = MODULAR_PRIMES[0] if prime is None else prime

@@ -21,6 +21,7 @@ from itertools import product
 import random
 
 from ._limits import guard, require
+from .annular import _trace
 from .gram import _nullity_at, _pairing_table, _resample_until_two_agree, _tabulate
 from .linalg import ExactMatrix
 from .polynomials import LOOP_VALUE_A, LaurentScalar
@@ -82,39 +83,6 @@ def all_matchings(k: int) -> tuple[PlanarMatching, ...]:
             match[a], match[b] = b, a
         out.append(PlanarMatching(k, tuple(match)))
     return tuple(out)
-
-
-def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:
-    """Follow two involutions of the nodes 0..N-1 in turn.
-
-    ``total`` is defined on every node, ``partial`` on every node but the
-    ends 0..ends-1.  A path leaves an end along ``total`` and alternates
-    until it reaches another end; the nodes no path visits form closed
-    loops.  Returns the matching of the ends and the number of loops.
-    """
-    seen = [False] * len(total)
-    ends_match = [0] * ends
-    for start in range(ends):
-        if seen[start]:
-            continue
-        v = total[start]
-        while v >= ends:
-            w = partial[v]
-            seen[v] = seen[w] = True
-            v = total[w]
-        seen[start] = seen[v] = True
-        ends_match[start], ends_match[v] = v, start
-    loops = 0
-    for start in range(ends, len(total)):
-        if seen[start]:
-            continue
-        loops += 1
-        v = start
-        while not seen[v]:
-            w = partial[v]
-            seen[v] = seen[w] = True
-            v = total[w]
-    return tuple(ends_match), loops
 
 
 _ONE = LaurentScalar.constant(1)

@@ -19,6 +19,7 @@ from tlbgram.annular import (
     enumerate_diagrams,
     is_noncrossing,
     pair,
+    rotation_permutation,
 )
 from tlbgram.polynomials import BivariatePolynomial
 
@@ -127,6 +128,12 @@ def test_pair_frozen_examples():
     assert pair(d0, d0) == PairingValue(0, 1)
     assert pair(d1, d1) == PairingValue(0, 1)
     assert pair(d0, d1) == PairingValue(1, 0)
+    # every loop wraps the core, so each lifts to one loop of the cover
+    for n in (2, 3):
+        nested = [(i, 2 * n + 1 - i) for i in range(1, n + 1)]
+        wrapped = AnnularDiagram(n, tuple((i, j, 1) for i, j in nested))
+        plain = AnnularDiagram(n, tuple((i, j, 0) for i, j in nested))
+        assert pair(wrapped, plain) == PairingValue(n, 0)
 
 
 def test_pair_rejects_size_mismatch():
@@ -256,6 +263,23 @@ def test_pair_matches_cover_component_oracle_sampled():
     for _ in range(150):
         d1, d2 = rng.choice(basis), rng.choice(basis)
         assert pair(d1, d2) == pairing_by_cover_components(d1, d2)
+
+
+def test_pair_matches_cover_component_oracle_on_rotation_orbit_rows():
+    # one row per rotation orbit; with the rotation invariance of pair
+    # (tests/test_gram.py) this covers every pair at n = 4
+    basis = enumerate_diagrams(4)
+    turn = rotation_permutation(4)
+    seen = set()
+    for start, d1 in enumerate(basis):
+        if start in seen:
+            continue
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = turn[i]
+        for d2 in basis:
+            assert pair(d1, d2) == pairing_by_cover_components(d1, d2), (d1, d2)
 
 
 def test_diagram_from_marks_worked_example():

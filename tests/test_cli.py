@@ -211,9 +211,16 @@ def test_det_verify_output_pinned(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_SHA256[n, fmt]
 
 
-# sha256 of json stdout, recorded from the implementation that paired
-# every two basis diagrams and rendered each entry as a polynomial.
+# sha256 of json stdout.  The gram, lemma2 and det-verify entries were
+# recorded from the implementation that paired every two basis diagrams
+# and rendered each entry as a polynomial; the enumerate entries, which
+# pin the basis order past n = 5, from the one that sorted by a key read
+# off a walk over the points.
 BASIS_JSON_SHA256 = {
+    ("enumerate", "6"):
+        "2126f2b40c00a7ba42f0c11222248ae44a4cb626a4466e511e1d64bc5918a4fd",
+    ("enumerate", "7"):
+        "08f4fef5553053ba700722141ca014c7bbece3c5e01aef19dd974a40cef87b38",
     ("gram", "4"):
         "e3438aca1009d225e777243466edc20d8433200d47263ebb1dd29502e7ff38f8",
     ("gram", "5"):
@@ -348,6 +355,16 @@ def test_prime_past_the_proven_primality_range_exits_2(capsys):
 def test_symbolic_det_verify_refuses_a_prime(capsys):
     # symbolic mode never reduces mod a prime, so one given is an error
     assert_one_line_error(capsys, "det-verify", "2", "--prime", "7")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--trials", "5"), ("--seed", "5"), ("--trials", "0", "--seed", "5")],
+    ids=" ".join,
+)
+def test_symbolic_det_verify_refuses_trials_and_seed(capsys, flags):
+    # symbolic mode draws no samples, so a trial count or seed is an error
+    assert_one_line_error(capsys, "det-verify", "1", *flags)
 
 
 def test_counts_below_domain_exits_2(capsys):

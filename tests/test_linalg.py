@@ -551,6 +551,8 @@ bad = [
     lambda: chebyshev_in_bracket(-1),
     lambda: determinant_product_value_mod(0, 1, 1, 7),
     lambda: verify_determinant(1, prime=7),
+    lambda: verify_determinant(1, trials=0),
+    lambda: verify_determinant(1, seed=5),
     lambda: TLElement(2, {identity_matching(1): LaurentScalar.constant(1)}),
     lambda: TLElement.identity(1) * TLElement.identity(2),
     lambda: _poly_divexact([1, 0, 1], [1, 1]),
