@@ -26,7 +26,6 @@ two, so the loop counts below and in the cover give both numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -90,19 +89,23 @@ def is_noncrossing(n: int, chords) -> bool:
     )
 
 
-@dataclass(frozen=True, order=True)
 class AnnularDiagram:
     """A planar flagged matching; chords normalized to i < j, sorted by i."""
 
-    n: int
-    chords: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        norm = tuple(_validate_matching(self.n, self.chords))
-        object.__setattr__(self, "chords", norm)
-        for c1, c2 in combinations(norm, 2):
-            if _chords_cross(c1, c2, self.n):
+    def __init__(self, n: int, chords: tuple[tuple[int, int, int], ...]):
+        self.n = n
+        self.chords = tuple(_validate_matching(n, chords))
+        for c1, c2 in combinations(self.chords, 2):
+            if _chords_cross(c1, c2, n):
                 raise ValueError(f"chords {c1} and {c2} cross")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AnnularDiagram):
+            return NotImplemented
+        return self.chords == other.chords
+
+    def __hash__(self) -> int:
+        return hash(self.chords)
 
     def cut_crossings(self) -> int:
         """How many chords cross the reference segment."""
@@ -231,12 +234,22 @@ def rotation_permutation(n: int) -> tuple[int, ...]:
     return tuple(index[chords] for chords in turned)
 
 
-@dataclass(frozen=True)
 class PairingValue:
     """Evaluation of the bilinear form on two diagrams: a^m * d^t."""
 
-    nontrivial: int
-    trivial: int
+    __slots__ = ("nontrivial", "trivial")
+
+    def __init__(self, nontrivial: int, trivial: int):
+        self.nontrivial = nontrivial
+        self.trivial = trivial
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairingValue):
+            return NotImplemented
+        return (self.nontrivial, self.trivial) == (other.nontrivial, other.trivial)
+
+    def __hash__(self) -> int:
+        return hash((self.nontrivial, self.trivial))
 
     def as_polynomial(self) -> BivariatePolynomial:
         return BivariatePolynomial.monomial(self.nontrivial, self.trivial)

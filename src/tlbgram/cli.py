@@ -4,6 +4,9 @@ Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical
 output.  Exit status: 0 when the requested check passes or the command
 only computes, 1 when a verification fails, 2 for usage errors.
+
+Each handler imports the layers it runs, so a cold process loads only
+what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,28 +17,9 @@ import io
 import json
 import sys
 from math import comb
-from random import Random
 
 from . import __version__
 from ._limits import require
-from .annular import enumerate_diagrams
-from .disk import (
-    count_atmost,
-    count_tilde,
-    diagram_to_subset,
-    subset_to_diagram,
-    telescoping_sides,
-    tilde_count_formula,
-)
-from .gram import (
-    _tabulate,
-    gram_matrix,
-    nullity_with_resample,
-    sign_conjugation_check,
-    verify_determinant,
-)
-from .polynomials import BivariatePolynomial, quotient_text
-from .tl import jones_wenzl, skein_nullity_with_resample
 
 
 def _render(
@@ -68,6 +52,8 @@ def _render(
 
 
 def _cmd_enumerate(args) -> tuple[int, str]:
+    from .annular import enumerate_diagrams
+
     basis = enumerate_diagrams(args.n)
     report = {
         "version": __version__,
@@ -83,6 +69,9 @@ def _cmd_enumerate(args) -> tuple[int, str]:
 
 
 def _cmd_gram(args) -> tuple[int, str]:
+    from .gram import _tabulate, gram_matrix
+    from .polynomials import BivariatePolynomial
+
     g = gram_matrix(args.n)
     texts = _tabulate(
         g.n, g.pairings, lambda m, t: BivariatePolynomial.monomial(m, t).to_text()
@@ -98,6 +87,8 @@ def _cmd_gram(args) -> tuple[int, str]:
 
 
 def _cmd_det_verify(args) -> tuple[int, str]:
+    from .gram import verify_determinant
+
     report = verify_determinant(
         args.n,
         mode=args.mode,
@@ -109,14 +100,22 @@ def _cmd_det_verify(args) -> tuple[int, str]:
 
 
 def _cmd_sign_check(args) -> tuple[int, str]:
+    from .gram import sign_conjugation_check
+
     ok = sign_conjugation_check(args.n)
     report = {"version": __version__, "n": args.n, "pass": ok}
     return (0 if ok else 1), _render(report, args.format)
 
 
 def _cmd_nullity(args) -> tuple[int, str]:
-    """Either nullity route; args.resample is the route's resample loop."""
-    value, samples = args.resample(args.n, args.k, Random(args.seed))
+    """Either nullity route, picked by the subcommand's name."""
+    from random import Random
+
+    if args.command == "nullity-gram":
+        from .gram import nullity_with_resample as resample
+    else:
+        from .tl import skein_nullity_with_resample as resample
+    value, samples = resample(args.n, args.k, Random(args.seed))
     bound = comb(2 * args.n, args.n - args.k)
     report = {
         "version": __version__,
@@ -134,6 +133,9 @@ def _cmd_nullity(args) -> tuple[int, str]:
 
 
 def _cmd_jones_wenzl(args) -> tuple[int, str]:
+    from .polynomials import quotient_text
+    from .tl import jones_wenzl
+
     f = jones_wenzl(args.k)
     terms = sorted(
         (m.to_paren(), quotient_text(c, f.den)) for m, c in f.terms.items()
@@ -150,6 +152,8 @@ def _cmd_jones_wenzl(args) -> tuple[int, str]:
 
 
 def _cmd_counts(args) -> tuple[int, str]:
+    from .disk import count_atmost, count_tilde, tilde_count_formula
+
     enumerated = count_tilde(args.n, args.k)
     formula = tilde_count_formula(args.n, args.k)
     annular = count_atmost(args.n, args.k)
@@ -171,6 +175,9 @@ def _cmd_counts(args) -> tuple[int, str]:
 
 
 def _cmd_bijection(args) -> tuple[int, str]:
+    from .annular import enumerate_diagrams
+    from .disk import diagram_to_subset, subset_to_diagram
+
     n, j = args.n, args.j
     stratum = [d for d in enumerate_diagrams(n) if d.cut_crossings() >= j]
     expected = comb(2 * n, n - j)
@@ -200,6 +207,8 @@ def _cmd_bijection(args) -> tuple[int, str]:
 
 
 def _cmd_telescoping(args) -> tuple[int, str]:
+    from .disk import telescoping_sides
+
     require(args.n >= 1, f"need n >= 1, got n={args.n}")
     results = []
     for n in range(1, args.n + 1):
@@ -274,18 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags(p)
     p.set_defaults(func=_cmd_sign_check)
 
-    for name, text, resample in (
-        ("nullity-gram", "nullity of the specialized Gram matrix",
-         nullity_with_resample),
-        ("nullity-skein", "nullity of the projector-evaluation matrix",
-         skein_nullity_with_resample),
+    for name, text in (
+        ("nullity-gram", "nullity of the specialized Gram matrix"),
+        ("nullity-skein", "nullity of the projector-evaluation matrix"),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("n", type=int, help="number of chords")
         p.add_argument("k", type=int, help="factor index, 1..n")
         p.add_argument("--seed", type=int, default=0)
         output_flags(p, default="json")
-        p.set_defaults(func=_cmd_nullity, resample=resample)
+        p.set_defaults(func=_cmd_nullity)
 
     p = sub.add_parser("jones-wenzl", help="print a Jones-Wenzl projector")
     p.add_argument("k", type=int, help="number of strands")

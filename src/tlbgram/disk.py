@@ -11,7 +11,6 @@ mark-set bijection behind them are implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from ._limits import guard, require
@@ -55,19 +54,18 @@ def noncrossing_matchings(num_points: int):
     return rec(tuple(range(num_points)))
 
 
-@dataclass(frozen=True)
 class DiskDiagram:
     """Non-crossing matching of the 2(n+k) disk boundary points."""
 
-    n: int
-    k: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "k", "pairs")
 
-    def __post_init__(self):
-        total = 2 * (self.n + self.k)
-        flat = [p for pair in self.pairs for p in pair]
-        require(sorted(flat) == list(range(total)), "not a perfect matching")
-        spans = [(min(a, b), max(a, b)) for a, b in self.pairs]
+    def __init__(self, n: int, k: int, pairs: tuple[tuple[int, int], ...]):
+        self.n = n
+        self.k = k
+        self.pairs = pairs
+        flat = [p for pair in pairs for p in pair]
+        require(sorted(flat) == list(range(2 * (n + k))), "not a perfect matching")
+        spans = [(min(a, b), max(a, b)) for a, b in pairs]
         crossed = any(
             (lo < c < hi) != (lo < d < hi)
             for (lo, hi), (c, d) in _pairs_of_pairs(spans)

@@ -14,7 +14,6 @@ prime at random points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -39,7 +38,6 @@ from .linalg import (
 from .polynomials import BivariatePolynomial, chebyshev
 
 
-@dataclass(frozen=True)
 class GramMatrix:
     """Basis diagrams plus the pairing of every two of them.
 
@@ -47,9 +45,15 @@ class GramMatrix:
     entries is first read.
     """
 
-    n: int
-    basis: tuple[AnnularDiagram, ...]
-    pairings: tuple[tuple[PairingValue, ...], ...]
+    def __init__(
+        self,
+        n: int,
+        basis: tuple[AnnularDiagram, ...],
+        pairings: tuple[tuple[PairingValue, ...], ...],
+    ):
+        self.n = n
+        self.basis = basis
+        self.pairings = pairings
 
     @cached_property
     def entries(self) -> ExactMatrix:

@@ -9,7 +9,6 @@ exact certificate over Z.  No floating point enters at any stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
@@ -67,19 +66,19 @@ def is_prime(n: int) -> bool:
 assert all(is_prime(p) for p in MODULAR_PRIMES)
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
     """Dense rectangular matrix with exact entries (any exact ring)."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple):
+        self.entries = entries
+        if not entries:
             raise ValueError("matrix must have at least one row")
-        width = len(self.entries[0])
+        width = len(entries[0])
         if width == 0:
             raise ValueError("matrix must have at least one column")
-        if any(len(row) != width for row in self.entries):
+        if any(len(row) != width for row in entries):
             raise ValueError("matrix rows must all have the same length")
 
     @classmethod
@@ -103,14 +102,6 @@ class ExactMatrix:
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        m = self.entries
-        return all(
-            m[i][j] == m[j][i] for i in range(self.nrows) for j in range(i)
-        )
 
 
 def _eliminate_mod(m: list, p: int):

@@ -10,11 +10,12 @@ On top of the diagram algebra this module builds Jones-Wenzl
 projectors, Markov closures, the state-sum expansion of a curve
 encircling all strands, and the matrices of skein evaluations that
 mirror the annular Gram matrix after its loop variables are specialized.
+Those matrices read the Gram stack's pairing table; they import `gram`
+and `linalg` where they use them, so the projectors load neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import product
@@ -22,25 +23,22 @@ import random
 
 from ._limits import guard, require
 from .annular import _trace
-from .gram import _nullity_at, _pairing_table, _resample_until_two_agree, _tabulate
-from .linalg import ExactMatrix
 from .polynomials import LOOP_VALUE_A, LaurentScalar
 
 
-@dataclass(frozen=True)
 class PlanarMatching:
     """Crossingless matching of the 2k circular boundary positions."""
 
-    k: int
-    match: tuple[int, ...]
+    __slots__ = ("k", "match")
 
-    def __post_init__(self):
-        m = self.match
-        if len(m) != 2 * self.k:
+    def __init__(self, k: int, match: tuple[int, ...]):
+        self.k = k
+        self.match = match
+        if len(match) != 2 * k:
             raise ValueError("matching length must be 2k")
         stack: list[int] = []
-        for p, q in enumerate(m):
-            if q == p or not 0 <= q < 2 * self.k or m[q] != p:
+        for p, q in enumerate(match):
+            if q == p or not 0 <= q < 2 * k or match[q] != p:
                 raise ValueError("not a fixed-point-free involution")
             if q > p:
                 stack.append(p)
@@ -48,6 +46,14 @@ class PlanarMatching:
                 raise ValueError("matching has crossing chords")
             else:
                 stack.pop()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PlanarMatching):
+            return NotImplemented
+        return self.match == other.match
+
+    def __hash__(self) -> int:
+        return hash(self.match)
 
     def to_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((p, q) for p, q in enumerate(self.match) if p < q)
@@ -337,7 +343,6 @@ def projector_pairing_value(strands: int, nontrivial: int, trivial: int) -> Laur
     )
 
 
-@dataclass(frozen=True)
 class SkeinValueMatrix:
     """Matrix of skein evaluations over the annular diagram basis.
 
@@ -348,13 +353,17 @@ class SkeinValueMatrix:
     per exponent pair (m, t).
     """
 
-    n: int
-    k: int
-    basis: tuple
-    pairings: tuple
+    def __init__(self, n: int, k: int, basis: tuple, pairings: tuple):
+        self.n = n
+        self.k = k
+        self.basis = basis
+        self.pairings = pairings
 
     @cached_property
     def entries(self) -> ExactMatrix:
+        from .gram import _tabulate
+        from .linalg import ExactMatrix
+
         value = partial(projector_pairing_value, self.k - 1)
         return ExactMatrix.from_rows(_tabulate(self.n, self.pairings, value))
 
@@ -370,6 +379,8 @@ def skein_matrix(n: int, k: int) -> SkeinValueMatrix:
     guard(n <= 5, f"skein_matrix tested for 1 <= n <= 5, got n={n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
+    from .gram import _pairing_table
+
     return SkeinValueMatrix(n, k, *_pairing_table(n))
 
 
@@ -387,6 +398,8 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
     a_sample = Fraction(a_sample)
     if a_sample in (0, 1, -1):
         raise ValueError("sample must avoid 0 and the roots of unity +-1")
+    from .gram import _nullity_at
+
     return _nullity_at(
         n,
         skein_matrix(n, k).pairings,
@@ -412,6 +425,8 @@ def skein_nullity_with_resample(
 
     Returns the agreed value together with every sample drawn.
     """
+    from .gram import _resample_until_two_agree
+
     return _resample_until_two_agree(
         lambda a: skein_nullity(n, k, a), random_bracket_sample, rng, max_attempts
     )

@@ -62,7 +62,8 @@ def test_criterion_02_gram_structure():
     ok = True
     for n in range(1, 6):
         g = gram_matrix(n)
-        ok = ok and g.entries.is_symmetric()
+        m = g.entries.entries
+        ok = ok and all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
         cuts = [d.cut_crossings() for d in g.basis]
         for i in range(g.size()):
             ok = ok and g.pairings[i][i] == PairingValue(0, n)

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -323,7 +326,7 @@ def test_domain_error_exits_2(capsys):
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("tlbgram.cli.telescoping_sides", lambda n: (1, 2))
+    monkeypatch.setattr("tlbgram.disk.telescoping_sides", lambda n: (1, 2))
     assert main(["telescoping", "1"]) == 1
     capsys.readouterr()
 
@@ -428,3 +431,52 @@ def test_cli_contract_holds_for_small_arguments(capsys):
         assert "Traceback" not in captured.err, argv
 
     contract()
+
+
+# Subcommand families, each run in one fresh process, and the modules
+# none of its commands may load.  No command may load dataclasses.
+IMPORT_FAMILIES = {
+    "combinatorics": (
+        [["enumerate", "2"], ["counts", "3", "1"], ["bijection", "2", "1"],
+         ["telescoping", "3"]],
+        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.tl"},
+    ),
+    "jones-wenzl": (
+        [["jones-wenzl", "3"]],
+        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.disk"},
+    ),
+    "gram": (
+        [["gram", "2"], ["det-verify", "1"], ["lemma2", "2"],
+         ["nullity-gram", "2", "1"]],
+        {"tlbgram.tl", "tlbgram.disk"},
+    ),
+    "skein": ([["nullity-skein", "2", "1"]], set()),
+}
+
+# The modules present before the package is imported are those of a bare
+# interpreter, with whatever site and .pth files loaded.
+FOOTPRINT_SCRIPT = """
+import sys
+bare = set(sys.modules)
+import json, os
+from tlbgram.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv + ["--out", os.devnull]) != 0:
+        raise SystemExit(f"{argv} failed")
+print(json.dumps(sorted(set(sys.modules) - bare)))
+"""
+
+
+@pytest.mark.parametrize("family", sorted(IMPORT_FAMILIES))
+def test_subcommands_import_only_their_layers(family):
+    commands, barred = IMPORT_FAMILIES[family]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert "tlbgram.cli" in added
+    assert not added & (barred | {"dataclasses"})

@@ -248,7 +248,8 @@ def test_skein_matrix_smallest_case():
 
 def test_skein_matrix_symmetric():
     for n, k in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        assert skein_matrix(n, k).entries.is_symmetric()
+        m = skein_matrix(n, k).entries.entries
+        assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
 
 
 def test_skein_matrix_guards():
