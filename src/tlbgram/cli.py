@@ -16,10 +16,48 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from . import __version__
 from ._limits import require
+
+
+# How json.dumps writes each scalar type of a report.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: json.dumps,
+    float: json.dumps,
+    type(None): json.dumps,
+}
+
+
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the report shapes.
+
+    Those are dicts with str keys, lists and tuples, and scalars of the
+    exact types in _SCALARS, each written by the stdlib's own function.
+    Only the layout is written here, because json.dumps with an indent
+    runs its pure-Python encoder.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()
+        ]
+    elif all(type(v) is str for v in value):
+        items = list(map(encode_basestring_ascii, value))
+    else:
+        items = [_json(v, inner) for v in value]
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def _render(
@@ -34,7 +72,7 @@ def _render(
     overrides it, the plain form as well.
     """
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from itertools import repeat
+from math import comb, gcd, lcm
+from operator import mul
 
 from . import __version__
 from ._limits import guard, require
@@ -35,7 +37,7 @@ from .linalg import (
     is_prime,
     rank_exact,
 )
-from .polynomials import BivariatePolynomial, chebyshev
+from .polynomials import BivariatePolynomial, _poly_divexact, chebyshev
 
 
 class GramMatrix:
@@ -98,17 +100,27 @@ def _pairing_table(n: int):
     # back[turn[j]] == j: column k of the turned row is column back[k]
     back = sorted(range(len(basis)), key=turn.__getitem__)
     rows: list[tuple[PairingValue, ...] | None] = [None] * len(basis)
-    for start, x in enumerate(basis):
-        if rows[start] is not None:
-            continue
-        row = tuple(pair(x, y) for y in basis)
-        i = start
-        while rows[i] is None:
+    for cycle in _rotation_cycles(turn):
+        row = tuple(pair(basis[cycle[0]], y) for y in basis)
+        for i in cycle:
             assert row[i] == PairingValue(0, n)
             rows[i] = row
-            i = turn[i]
             row = tuple(map(row.__getitem__, back))
     return basis, tuple(rows)
+
+
+def _rotation_cycles(turn) -> list[list[int]]:
+    """The cycles of the permutation turn, each from its smallest index."""
+    cycles = []
+    seen: set[int] = set()
+    for start in range(len(turn)):
+        if start not in seen:
+            cycle = [start]
+            while turn[cycle[-1]] != start:
+                cycle.append(turn[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
 
 
 @lru_cache(maxsize=None)
@@ -119,13 +131,126 @@ def gram_matrix(n: int) -> GramMatrix:
     return GramMatrix(n, *_pairing_table(n))
 
 
-def _nullity_at(n: int, pairings, a_value: Fraction, d_value: Fraction) -> int:
-    """Nullity over Q of the pairings at a = a_value, d = d_value.
+def _cyclotomic(e: int) -> list[int]:
+    """Coefficients of the cyclotomic polynomial Phi_e, lowest first.
 
-    rank_exact clears each row of its own denominators.
+    x^e - 1 divided by Phi_c for every proper divisor c of e.
     """
-    rows = _tabulate(n, pairings, lambda m, t: a_value**m * d_value**t)
-    return len(pairings) - rank_exact(ExactMatrix.from_rows(rows))
+    poly = [-1] + [0] * (e - 1) + [1]
+    for c in range(1, e):
+        if e % c == 0:
+            poly = _poly_divexact(poly, _cyclotomic(c))
+    return poly
+
+
+def _rotation_basis(n: int) -> dict:
+    """The columns of P, split by the rotation components Phi_e, e | 2n.
+
+    Turning the 2n points one step permutes the basis by R.  A cycle
+    o_0, ..., o_(s-1) of R spans the permutation module Q[x]/(x^s - 1)
+    with x acting as R, and its Phi_e component, for each e | s, is
+    spanned by the phi(e) coefficient vectors of x^i (x^s - 1)/Phi_e(x),
+    i < phi(e), laid over the cycle.  Entry e lists these as
+    (cycle, coefficients); over all e they form an invertible matrix P,
+    one square block per cycle.
+    """
+    cycles = _rotation_cycles(rotation_permutation(n))
+    columns: dict[int, list] = {}
+    for e in range(1, 2 * n + 1):
+        phi = _cyclotomic(e)
+        deg = len(phi) - 1
+        vectors: dict[int, list] = {}
+        for cycle in cycles:
+            s = len(cycle)
+            if s % e:
+                continue
+            if s not in vectors:
+                q = _poly_divexact([-1] + [0] * (s - 1) + [1], phi)
+                vectors[s] = [
+                    tuple([0] * i + q + [0] * (deg - 1 - i)) for i in range(deg)
+                ]
+            columns.setdefault(e, []).extend((cycle, u) for u in vectors[s])
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _rotation_blocks(n: int) -> tuple:
+    """The blocks B_e = P_e^T G P_e as integer combinations of a^m d^t.
+
+    G commutes with R, so the Phi_e components are G-orthogonal and
+    P^T G P is block diagonal: rank G is the sum of the ranks of the B_e
+    (Serre, Linear Representations of Finite Groups, sections 12-13).
+    Entry (u, v) of B_e, for u laid over the cycle o and v over the
+    cycle o' of size s, is sum_k W[k] G[o_0][o'_k] with
+    W[k] = sum of u[r] v[r'] over r' - r = k (mod s), since
+    G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the row of o_0 is read.
+    Each block is (support, rows): support lists the monomials
+    m (n+1) + t that occur, and row i holds the coefficient tuples over
+    them of entries i, i+1, ... of row i of B_e, which is symmetric.
+    """
+    _, pairings = _pairing_table(n)
+    span = n + 1
+    monomials: dict = {}  # the monomials of the row of a cycle's o_0
+    weights: dict = {}
+    blocks = []
+    for e, members in sorted(_rotation_basis(n).items()):
+        upper: list[list[dict[int, int]]] = []
+        for x, (cycle, u) in enumerate(members):
+            row = monomials.get(cycle[0])
+            if row is None:
+                row = monomials[cycle[0]] = [
+                    v.nontrivial * span + v.trivial for v in pairings[cycle[0]]
+                ]
+            line = []
+            for other, v in members[x:]:
+                w = weights.get((u, v))
+                if w is None:
+                    w = [0] * len(v)
+                    for r, c in enumerate(u):
+                        for r2, c2 in enumerate(v):
+                            w[(r2 - r) % len(v)] += c * c2
+                    weights[u, v] = w
+                entry: dict[int, int] = {}
+                for k, c in zip(other, w):
+                    if c:
+                        entry[row[k]] = entry.get(row[k], 0) + c
+                line.append(entry)
+            upper.append(line)
+        support = sorted(
+            {m for line in upper for entry in line for m, c in entry.items() if c}
+        )
+        rows = [
+            [tuple(map(entry.get, support, repeat(0))) for entry in line]
+            for line in upper
+        ]
+        blocks.append((tuple(support), rows))
+    return tuple(blocks)
+
+
+def _nullity_at(n: int, a_value: Fraction, d_value: Fraction) -> int:
+    """Nullity over Q of G_n at a = a_value, d = d_value, block by block.
+
+    Each block is evaluated over Z on and above its diagonal and
+    mirrored, after its monomials are scaled by the lcm of their
+    denominators.  Each row is divided by its content, and every block
+    rank is certified by rank_exact.
+    """
+    span = n + 1
+    values = [a_value**m * d_value**t for m in range(span) for t in range(span)]
+    rank = 0
+    for support, rows in _rotation_blocks(n):
+        picked = [values[m] for m in support]
+        scale = lcm(*(v.denominator for v in picked))
+        x = [v.numerator * (scale // v.denominator) for v in picked]
+        raw: list[list[int]] = []
+        for i, upper in enumerate(rows):
+            raw.append([r[i] for r in raw] + [sum(map(mul, c, x)) for c in upper])
+        block = []
+        for row in raw:
+            g = gcd(*row)
+            block.append([v // g for v in row] if g > 1 else row)
+        rank += rank_exact(ExactMatrix.from_rows(block))
+    return comb(2 * n, n) - rank
 
 
 def crossing_signs(basis) -> tuple[int, ...]:
@@ -306,9 +431,10 @@ def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     delta_value = Fraction(delta_value)
+    gram_matrix(n)  # the size checks
     t_k = chebyshev(k).evaluate(0, delta_value)
     a_value = t_k if k & 1 else -t_k
-    return _nullity_at(n, gram_matrix(n).pairings, a_value, delta_value)
+    return _nullity_at(n, a_value, delta_value)
 
 
 def random_delta(rng: random.Random) -> Fraction:

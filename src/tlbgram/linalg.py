@@ -267,10 +267,10 @@ def rank_exact(matrix: ExactMatrix) -> int:
 
     Each row is scaled to integers by the lcm of its own denominators
     (rank is unchanged by nonzero row scaling); a row of ints is scaled
-    by 1.  Both nullity routes hand their specialized rows here as
-    Fractions, so this is the one place where denominators are cleared.
-    The rank is found mod a prime and certified over Z by an exactly
-    verified kernel (see _integer_rank).
+    by 1.  Both nullity routes hand over one rotation block at a time,
+    already as integer rows (see gram._nullity_at).  The rank is found
+    mod a prime and certified over Z by an exactly verified kernel (see
+    _integer_rank).
     """
     scaled = []
     for row in matrix.entries:
@@ -305,17 +305,32 @@ def det_modular(matrix: ExactMatrix, p: int) -> int:
     return _det_mod([[int(e) % p for e in row] for row in matrix.entries], p)
 
 
-def _newton_mod(values: list, nodes, p: int) -> list:
+def _difference_inverses(nodes, p: int) -> list:
+    """inverses[k][i] = 1 / (nodes[i] - nodes[i - k]) mod p for 1 <= k <= i.
+
+    Every divided difference on the nodes divides by one of these; row 0
+    and the entries with i < k are 0 and unused.
+    """
+    span = range(len(nodes))
+    return [
+        [pow(nodes[i] - nodes[i - k], -1, p) if i >= k > 0 else 0 for i in span]
+        for k in span
+    ]
+
+
+def _newton_mod(values: list, inverses: list, p: int) -> list:
     """Newton coefficients mod p of the polynomial taking values[k] at nodes[k].
 
-    The k-th is the divided difference on nodes[:k + 1], so a prefix of
-    the values gives the same prefix of the coefficients, whatever the
-    degree of the polynomial the values come from.
+    inverses is _difference_inverses of the nodes.  The k-th coefficient
+    is the divided difference on nodes[:k + 1], so a prefix of the values
+    gives the same prefix of the coefficients, whatever the degree of the
+    polynomial the values come from.
     """
     c = list(values)
     for k in range(1, len(c)):
+        inv = inverses[k]
         for i in range(len(c) - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * pow(nodes[i] - nodes[i - k], -1, p) % p
+            c[i] = (c[i] - c[i - 1]) * inv[i] % p
     return c
 
 
@@ -365,15 +380,17 @@ def det_interpolated(evaluate, staircase, bound: int) -> BivariatePolynomial:
     primes = _rank_primes()
     while modulus <= 2 * bound:
         p = next(primes)
+        x_inverses = _difference_inverses(x_nodes, p)
+        y_inverses = _difference_inverses(y_nodes, p)
         in_x = [
             _newton_mod(
-                [_det_mod(evaluate(u, v, p), p) for u in range(top + 1)], x_nodes, p
+                [_det_mod(evaluate(u, v, p), p) for u in range(top + 1)], x_inverses, p
             )
             for v, top in enumerate(tops)
         ]
         in_y = [
             _expand_mod(
-                _newton_mod([c[i] for c in in_x[: s + 1]], y_nodes, p), y_nodes, p
+                _newton_mod([c[i] for c in in_x[: s + 1]], y_inverses, p), y_nodes, p
             )
             for i, s in enumerate(staircase)
         ]

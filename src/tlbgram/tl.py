@@ -400,9 +400,9 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
         raise ValueError("sample must avoid 0 and the roots of unity +-1")
     from .gram import _nullity_at
 
+    skein_matrix(n, k)  # the size checks
     return _nullity_at(
         n,
-        skein_matrix(n, k).pairings,
         encircle_eigenvalue(k - 1).evaluate(a_sample),
         LOOP_VALUE_A.evaluate(a_sample),
     )

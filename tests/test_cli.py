@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from tlbgram import __version__
-from tlbgram.cli import main
+from tlbgram.cli import _render, main
 
 
 def run(capsys, *argv):
@@ -240,6 +240,55 @@ def test_basis_json_output_pinned(capsys, argv):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_JSON_SHA256[argv]
+
+
+# One json command per report shape the CLI emits.
+JSON_COMMANDS = [
+    ["enumerate", "3"],
+    ["gram", "3"],
+    ["det-verify", "2"],
+    ["det-verify", "3", "--mode", "modular", "--trials", "3"],
+    ["lemma2", "3"],
+    ["nullity-gram", "3", "2"],
+    ["nullity-skein", "3", "2"],
+    ["jones-wenzl", "3"],
+    ["counts", "3", "1"],
+    ["bijection", "3", "2"],
+    ["telescoping", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_output_is_the_stdlib_rendering(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_renderer_matches_the_stdlib_on_sampled_reports():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    text = st.text(max_size=8)
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | text
+    values = st.deferred(
+        lambda: scalars
+        | st.lists(values, max_size=3)
+        | st.tuples(values, values)
+        | st.lists(text, max_size=4)
+        | st.dictionaries(text, values, max_size=3)
+    )
+
+    @hypothesis.settings(
+        max_examples=150, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(report=st.dictionaries(text, values, max_size=4))
+    @hypothesis.example(
+        report={"floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300]}
+    )
+    def same_bytes(report):
+        assert _render(report, "json") == json.dumps(report, indent=2) + "\n"
+
+    same_bytes()
 
 
 def test_nullity_skein_past_its_guard_exits_2(capsys):

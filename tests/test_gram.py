@@ -16,8 +16,11 @@ from tlbgram.annular import (
 )
 from tlbgram.gram import (
     GramMatrix,
+    _cyclotomic,
     _determinant,
     _nullity_at,
+    _rotation_basis,
+    _rotation_blocks,
     _tabulate,
     crossing_signs,
     d_parity_check,
@@ -31,8 +34,15 @@ from tlbgram.gram import (
     specialized_nullity,
     verify_determinant,
 )
-from tlbgram.linalg import MODULAR_PRIMES, _integer_rank
+from tlbgram.linalg import (
+    MODULAR_PRIMES,
+    ExactMatrix,
+    _integer_rank,
+    det_modular,
+    rank_exact,
+)
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
+from tlbgram.tl import projector_pairing_value, random_bracket_sample, skein_nullity
 from test_cli import assert_one_line_error
 from test_linalg import det_by_cofactor
 
@@ -386,33 +396,218 @@ def rank_inputs(monkeypatch):
     return seen
 
 
-def test_rank_rows_are_row_lcm_multiples_of_the_evaluated_rows(monkeypatch):
+def symmetric(rows):
+    """The full block from the upper-triangle rows that _rotation_blocks keeps."""
+    size = len(rows)
+    return [[rows[min(i, j)][abs(i - j)] for j in range(size)] for i in range(size)]
+
+
+def blocks_at(n, a_value, d_value):
+    """Each rotation block evaluated entry by entry over Fraction."""
+    span = n + 1
+    out = []
+    for support, rows in _rotation_blocks(n):
+        values = [a_value ** (m // span) * d_value ** (m % span) for m in support]
+        out.append(
+            [
+                [sum(c * x for c, x in zip(entry, values)) for entry in row]
+                for row in symmetric(rows)
+            ]
+        )
+    return out
+
+
+def width(row):
+    return max(abs(x).bit_length() for x in row)
+
+
+def test_rank_rows_are_positive_multiples_of_the_evaluated_block_rows(monkeypatch):
     seen = rank_inputs(monkeypatch)
-    pairings = gram_matrix(2).pairings
-    for a_value, d_value in (
-        (Fraction(-7, 3), Fraction(5, 4)),
-        (Fraction(2), Fraction(-9, 10)),
-        (Fraction(3, 5), Fraction(1, 6)),
-        (Fraction(-7, 9), Fraction(5, 3)),  # denominators share a factor
-    ):
-        seen.clear()
-        _nullity_at(2, pairings, a_value, d_value)
-        (rows,) = seen
-        for row, pairing_row in zip(rows, pairings):
-            evaluated = [a_value**v.nontrivial * d_value**v.trivial for v in pairing_row]
-            # the smallest positive integer that clears the row
-            scale = lcm(*(x.denominator for x in evaluated))
-            assert all(isinstance(x, int) for x in row)
-            assert row == [scale * x for x in evaluated]
+    for n in (2, 3):
+        for a_value, d_value in (
+            (Fraction(-7, 3), Fraction(5, 4)),
+            (Fraction(2), Fraction(-9, 10)),
+            (Fraction(3, 5), Fraction(1, 6)),
+            (Fraction(-7, 9), Fraction(5, 3)),  # denominators share a factor
+        ):
+            seen.clear()
+            _nullity_at(n, a_value, d_value)
+            blocks = blocks_at(n, a_value, d_value)
+            assert len(seen) == len(blocks)
+            for rows, block in zip(seen, blocks):
+                assert len(rows) == len(block)
+                for row, evaluated in zip(rows, block):
+                    assert all(isinstance(x, int) for x in row)
+                    pivot = next(j for j, x in enumerate(evaluated) if x)
+                    ratio = row[pivot] / evaluated[pivot]
+                    assert ratio > 0
+                    assert row == [ratio * x for x in evaluated]
+                    # no wider than the row cleared by the lcm of its denominators
+                    scale = lcm(*(x.denominator for x in evaluated))
+                    assert width(row) <= width([int(scale * x) for x in evaluated])
 
 
 def test_rank_rows_are_as_narrow_as_the_row_lcm(monkeypatch):
     # On the Gram route a = T_k(d0) has denominator yd^k, so one common
-    # factor xd^M yd^T would carry yd^(k M + T) on every row.
+    # factor xd^M yd^T would carry yd^(k M + T) on every row.  The dense
+    # 70 x 70 rows cleared by their lcm read 160 bits here; a block entry
+    # is a weighted sum of up to 8 entries of G, and each block row is
+    # divided by its content.
     seen = rank_inputs(monkeypatch)
     specialized_nullity(4, 4, Fraction(-997, 991))
-    (rows,) = seen
-    assert max(abs(x).bit_length() for row in rows for x in row) == 160
+    assert [max(map(width, rows)) for rows in seen] == [162, 144, 142, 112]
+
+
+def test_cyclotomic_polynomials():
+    assert _cyclotomic(1) == [-1, 1]
+    assert _cyclotomic(4) == [1, 0, 1]
+    assert _cyclotomic(6) == [1, -1, 1]
+    assert _cyclotomic(12) == [1, 0, -1, 0, 1]
+    for e in range(1, 15):
+        product = [1]
+        for c in range(1, e + 1):
+            if e % c == 0:
+                phi = _cyclotomic(c)
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, x in enumerate(product):
+                    for j, y in enumerate(phi):
+                        out[i + j] += x * y
+                product = out
+        assert product == [-1] + [0] * (e - 1) + [1]
+
+
+def test_rotation_block_sizes():
+    sizes = {n: [len(rows) for _, rows in _rotation_blocks(n)] for n in range(1, 6)}
+    assert sizes[3] == [4, 4, 6, 6]
+    assert sizes[4] == [10, 10, 18, 32]
+    assert sizes[5] == [26, 26, 100, 100]
+    for n, block_sizes in sizes.items():
+        assert sum(block_sizes) == comb(2 * n, n)
+
+
+def rotation_matrix(n):
+    """P as integer rows, its columns in block order."""
+    size = comb(2 * n, n)
+    columns = []
+    for _, members in sorted(_rotation_basis(n).items()):
+        for cycle, u in members:
+            column = [0] * size
+            for i, c in zip(cycle, u):
+                column[i] = c
+            columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+def det_over_q(rows):
+    """Determinant by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            if factor:
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+@pytest.mark.parametrize("n, det_p", [(1, 2), (2, -16), (3, 746496)])
+def test_blocks_factor_the_determinant_mod_p(n, det_p):
+    # det(P^T G P) = det(P)^2 det G, and P^T G P is block diagonal.
+    assert det_over_q(rotation_matrix(n)) == det_p
+    det_p_squared = det_p**2
+    p = MODULAR_PRIMES[1]
+    span = n + 1
+    rng = random.Random(610 + n)
+    for _ in range(3):
+        a, d = rng.randrange(p), rng.randrange(p)
+        g = gram_matrix(n).evaluate_mod(a, d, p)
+        det_g = det_modular(ExactMatrix.from_rows(g), p)
+        product = 1
+        for support, rows in _rotation_blocks(n):
+            values = [pow(a, m // span, p) * pow(d, m % span, p) for m in support]
+            block = [
+                [sum(map(int.__mul__, entry, values)) % p for entry in row]
+                for row in symmetric(rows)
+            ]
+            product = product * det_modular(ExactMatrix.from_rows(block), p) % p
+        assert det_g * det_p_squared % p == product
+
+
+def symbolic_block(n, left, right):
+    """P_e^T G P_f as a matrix of {(m, t): coefficient} dicts, zeros dropped."""
+    pairings = gram_matrix(n).pairings
+    out = []
+    for cycle1, u in left:
+        row = []
+        for cycle2, v in right:
+            entry = {}
+            for i, c in zip(cycle1, u):
+                for j, c2 in zip(cycle2, v):
+                    pv = pairings[i][j]
+                    key = (pv.nontrivial, pv.trivial)
+                    entry[key] = entry.get(key, 0) + c * c2
+            row.append({key: c for key, c in entry.items() if c})
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rotation_components_are_orthogonal_and_blocks_match(n):
+    span = n + 1
+    components = sorted(_rotation_basis(n).items())
+    blocks = _rotation_blocks(n)
+    for x, (e, left) in enumerate(components):
+        for f, right in components:
+            product = symbolic_block(n, left, right)
+            if f != e:
+                assert all(entry == {} for row in product for entry in row), (e, f)
+        support, rows = blocks[x]
+        expected = [
+            [
+                {divmod(m, span): c for m, c in zip(support, entry) if c}
+                for entry in row
+            ]
+            for row in symmetric(rows)
+        ]
+        assert symbolic_block(n, left, left) == expected
+
+
+def dense_nullity(n, value):
+    """N minus the rank of the dense matrix of value(m, t), the oracle."""
+    rows = _tabulate(n, gram_matrix(n).pairings, value)
+    return comb(2 * n, n) - rank_exact(ExactMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_nullity_matches_the_dense_rank_on_the_gram_route(n):
+    rng = random.Random(620 + n)
+    for k in range(1, n + 1):
+        for sign in (1, -1):
+            for _ in range(3):
+                d0 = random_delta(rng)
+                a_value = sign * chebyshev(k).evaluate(0, d0)
+                expected = dense_nullity(n, lambda m, t: a_value**m * d0**t)
+                assert _nullity_at(n, a_value, d0) == expected, (n, k, sign, d0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_nullity_matches_the_dense_rank_on_the_skein_route(n):
+    rng = random.Random(630 + n)
+    for k in range(1, n + 1):
+        for sign in (1, -1):
+            for _ in range(3):
+                a0 = sign * abs(random_bracket_sample(rng))
+                expected = dense_nullity(
+                    n, lambda m, t: projector_pairing_value(k - 1, m, t).evaluate(a0)
+                )
+                assert skein_nullity(n, k, a0) == expected, (n, k, a0)
 
 
 def test_tabulate_computes_each_exponent_pair_once():

@@ -506,7 +506,6 @@ def test_skein_nullity_matches_gauss_on_evaluated_skein_matrix():
             assert skein_nullity(n, k, a0) == expected, (n, k, a0)
 
 
-@pytest.mark.slow
 def test_gram_nullity_at_n5_matches_binomial():
     rng = random.Random(209)
     for k in (4, 5):
