@@ -366,8 +366,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", newline="") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return code

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -143,6 +142,7 @@ def _cyclotomic(e: int) -> list[int]:
     return poly
 
 
+@lru_cache(maxsize=None)
 def _rotation_basis(n: int) -> dict:
     """The columns of P, split by the rotation components Phi_e, e | 2n.
 
@@ -151,8 +151,9 @@ def _rotation_basis(n: int) -> dict:
     with x acting as R, and its Phi_e component, for each e | s, is
     spanned by the phi(e) coefficient vectors of x^i (x^s - 1)/Phi_e(x),
     i < phi(e), laid over the cycle.  Entry e lists these as
-    (cycle, coefficients); over all e they form an invertible matrix P,
-    one square block per cycle.
+    (cycle, coefficients), in increasing e; over all e they form an
+    invertible matrix P, one square block per cycle.  Every cycle has
+    one vector in entry 1.
     """
     cycles = _rotation_cycles(rotation_permutation(n))
     columns: dict[int, list] = {}
@@ -174,77 +175,49 @@ def _rotation_basis(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _rotation_blocks(n: int) -> tuple:
-    """The blocks B_e = P_e^T G P_e as integer combinations of a^m d^t.
-
-    G commutes with R, so the Phi_e components are G-orthogonal and
-    P^T G P is block diagonal: rank G is the sum of the ranks of the B_e
-    (Serre, Linear Representations of Finite Groups, sections 12-13).
-    Entry (u, v) of B_e, for u laid over the cycle o and v over the
-    cycle o' of size s, is sum_k W[k] G[o_0][o'_k] with
-    W[k] = sum of u[r] v[r'] over r' - r = k (mod s), since
-    G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the row of o_0 is read.
-    Each block is (support, rows): support lists the monomials
-    m (n+1) + t that occur, and row i holds the coefficient tuples over
-    them of entries i, i+1, ... of row i of B_e, which is symmetric.
-    """
-    _, pairings = _pairing_table(n)
-    span = n + 1
-    monomials: dict = {}  # the monomials of the row of a cycle's o_0
-    weights: dict = {}
-    blocks = []
-    for e, members in sorted(_rotation_basis(n).items()):
-        upper: list[list[dict[int, int]]] = []
-        for x, (cycle, u) in enumerate(members):
-            row = monomials.get(cycle[0])
-            if row is None:
-                row = monomials[cycle[0]] = [
-                    v.nontrivial * span + v.trivial for v in pairings[cycle[0]]
-                ]
-            line = []
-            for other, v in members[x:]:
-                w = weights.get((u, v))
-                if w is None:
-                    w = [0] * len(v)
-                    for r, c in enumerate(u):
-                        for r2, c2 in enumerate(v):
-                            w[(r2 - r) % len(v)] += c * c2
-                    weights[u, v] = w
-                entry: dict[int, int] = {}
-                for k, c in zip(other, w):
-                    if c:
-                        entry[row[k]] = entry.get(row[k], 0) + c
-                line.append(entry)
-            upper.append(line)
-        support = sorted(
-            {m for line in upper for entry in line for m, c in entry.items() if c}
-        )
-        rows = [
-            [tuple(map(entry.get, support, repeat(0))) for entry in line]
-            for line in upper
-        ]
-        blocks.append((tuple(support), rows))
-    return tuple(blocks)
+def _weights(u: tuple, v: tuple) -> tuple:
+    """W[k] = sum of u[r] v[r'] over r' - r = k (mod len(v))."""
+    w = [0] * len(v)
+    for r, c in enumerate(u):
+        for r2, c2 in enumerate(v):
+            w[(r2 - r) % len(v)] += c * c2
+    return tuple(w)
 
 
 def _nullity_at(n: int, a_value: Fraction, d_value: Fraction) -> int:
     """Nullity over Q of G_n at a = a_value, d = d_value, block by block.
 
-    Each block is evaluated over Z on and above its diagonal and
-    mirrored, after its monomials are scaled by the lcm of their
-    denominators.  Each row is divided by its content, and every block
+    G commutes with R, so the Phi_e components are G-orthogonal and
+    P^T G P is block diagonal: rank G is the sum of the ranks of the
+    blocks B_e = P_e^T G P_e (Serre, Linear Representations of Finite
+    Groups, sections 12-13).  Entry (u, v) of B_e, for u laid over the
+    cycle o and v over the cycle o', is sum_k W[k] G[o_0][o'_k] with W
+    from _weights, since G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the
+    row of each o_0 is read.  The values a^m d^t are scaled to integers
+    by one common lcm; each block is evaluated on and above its diagonal
+    and mirrored, each row is divided by its content, and every block
     rank is certified by rank_exact.
     """
     span = n + 1
     values = [a_value**m * d_value**t for m in range(span) for t in range(span)]
+    scale = lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
+    _, pairings = _pairing_table(n)
+    components = _rotation_basis(n)
+    rows = {  # the row of each cycle's o_0, as the scaled integers
+        o[0]: [values[v.nontrivial * span + v.trivial] for v in pairings[o[0]]]
+        for o, _ in components[1]
+    }
     rank = 0
-    for support, rows in _rotation_blocks(n):
-        picked = [values[m] for m in support]
-        scale = lcm(*(v.denominator for v in picked))
-        x = [v.numerator * (scale // v.denominator) for v in picked]
+    for members in components.values():
         raw: list[list[int]] = []
-        for i, upper in enumerate(rows):
-            raw.append([r[i] for r in raw] + [sum(map(mul, c, x)) for c in upper])
+        for i, (cycle, u) in enumerate(members):
+            at = rows[cycle[0]].__getitem__
+            upper = [
+                sum(map(mul, _weights(u, v), map(at, other)))
+                for other, v in members[i:]
+            ]
+            raw.append([r[i] for r in raw] + upper)
         block = []
         for row in raw:
             g = gcd(*row)

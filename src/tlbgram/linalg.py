@@ -1,4 +1,4 @@
-"""Exact linear algebra over polynomial, rational and modular coefficients.
+"""Exact linear algebra over integer, polynomial and modular coefficients.
 
 Every determinant and rank runs on one forward elimination over F_p.
 A determinant over Z[x, y] is interpolated from its values mod enough
@@ -9,7 +9,7 @@ exact certificate over Z.  No floating point enters at any stage.
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from ._limits import require
@@ -92,9 +92,6 @@ class ExactMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def __getitem__(self, pos):
         i, j = pos
@@ -263,20 +260,20 @@ def _integer_rank(rows: list) -> int:
 
 
 def rank_exact(matrix: ExactMatrix) -> int:
-    """Exact rank of a matrix with Fraction (or int) entries.
+    """Exact rank over Q of a matrix with int entries; others are refused.
 
-    Each row is scaled to integers by the lcm of its own denominators
-    (rank is unchanged by nonzero row scaling); a row of ints is scaled
-    by 1.  Both nullity routes hand over one rotation block at a time,
-    already as integer rows (see gram._nullity_at).  The rank is found
-    mod a prime and certified over Z by an exactly verified kernel (see
+    A matrix over Q takes integer rows once each row is scaled by the lcm
+    of its denominators, which leaves the rank alone.  Both nullity
+    routes hand over one rotation block at a time, each row divided by
+    its content (see gram._nullity_at).  The rank is found mod a prime
+    and certified over Z by an exactly verified kernel (see
     _integer_rank).
     """
-    scaled = []
-    for row in matrix.entries:
-        mult = lcm(*(e.denominator for e in row))
-        scaled.append([e.numerator * (mult // e.denominator) for e in row])
-    return _integer_rank(scaled)
+    require(
+        all(isinstance(x, int) for row in matrix.entries for x in row),
+        "rank_exact takes int entries; scale each row of a matrix over Q first",
+    )
+    return _integer_rank(matrix.entries)
 
 
 def _det_mod(m: list, p: int) -> int:

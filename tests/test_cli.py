@@ -346,6 +346,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == direct
 
 
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    assert_one_line_error(capsys, "gram", "2", "--out", str(tmp_path / "no" / "x"))
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    assert_one_line_error(capsys, "gram", "2", "--out", str(tmp_path))
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -20,7 +20,6 @@ from tlbgram.gram import (
     _determinant,
     _nullity_at,
     _rotation_basis,
-    _rotation_blocks,
     _tabulate,
     crossing_signs,
     d_parity_check,
@@ -44,7 +43,7 @@ from tlbgram.linalg import (
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
 from tlbgram.tl import projector_pairing_value, random_bracket_sample, skein_nullity
 from test_cli import assert_one_line_error
-from test_linalg import det_by_cofactor
+from test_linalg import det_by_cofactor, scaled_rows
 
 A = BivariatePolynomial.var_a()
 D = BivariatePolynomial.var_d()
@@ -373,14 +372,14 @@ def test_specialized_nullity_validation():
 def test_nullity_agrees_across_specialization_sign():
     # the two sign choices for the a-image give conjugate matrices
     rng = random.Random(402)
-    from tlbgram.linalg import rank_exact
     from test_linalg import gram_at
 
     for n, k in ((1, 1), (2, 1), (2, 2), (3, 2)):
         d0 = random_delta(rng)
         t_k = chebyshev(k).evaluate(0, d0)
-        r_plus = rank_exact(gram_at(n, t_k, d0))
-        r_minus = rank_exact(gram_at(n, -t_k, d0))
+        plus, minus = (scaled_rows(gram_at(n, a, d0).entries) for a in (t_k, -t_k))
+        r_plus = rank_exact(ExactMatrix.from_rows(plus))
+        r_minus = rank_exact(ExactMatrix.from_rows(minus))
         assert r_plus == r_minus
 
 
@@ -396,25 +395,26 @@ def rank_inputs(monkeypatch):
     return seen
 
 
-def symmetric(rows):
-    """The full block from the upper-triangle rows that _rotation_blocks keeps."""
-    size = len(rows)
-    return [[rows[min(i, j)][abs(i - j)] for j in range(size)] for i in range(size)]
+def rotation_blocks(n):
+    """Each block P_e^T G P_e from the symbolic_block oracle, in increasing e."""
+    return [
+        symbolic_block(n, members, members)
+        for _, members in sorted(_rotation_basis(n).items())
+    ]
 
 
 def blocks_at(n, a_value, d_value):
     """Each rotation block evaluated entry by entry over Fraction."""
-    span = n + 1
-    out = []
-    for support, rows in _rotation_blocks(n):
-        values = [a_value ** (m // span) * d_value ** (m % span) for m in support]
-        out.append(
+    return [
+        [
             [
-                [sum(c * x for c, x in zip(entry, values)) for entry in row]
-                for row in symmetric(rows)
+                sum(c * a_value**m * d_value**t for (m, t), c in entry.items())
+                for entry in row
             ]
-        )
-    return out
+            for row in block
+        ]
+        for block in rotation_blocks(n)
+    ]
 
 
 def width(row):
@@ -441,7 +441,7 @@ def test_rank_rows_are_positive_multiples_of_the_evaluated_block_rows(monkeypatc
                     pivot = next(j for j, x in enumerate(evaluated) if x)
                     ratio = row[pivot] / evaluated[pivot]
                     assert ratio > 0
-                    assert row == [ratio * x for x in evaluated]
+                    assert list(row) == [ratio * x for x in evaluated]
                     # no wider than the row cleared by the lcm of its denominators
                     scale = lcm(*(x.denominator for x in evaluated))
                     assert width(row) <= width([int(scale * x) for x in evaluated])
@@ -477,7 +477,10 @@ def test_cyclotomic_polynomials():
 
 
 def test_rotation_block_sizes():
-    sizes = {n: [len(rows) for _, rows in _rotation_blocks(n)] for n in range(1, 6)}
+    sizes = {
+        n: [len(members) for _, members in sorted(_rotation_basis(n).items())]
+        for n in range(1, 6)
+    }
     assert sizes[3] == [4, 4, 6, 6]
     assert sizes[4] == [10, 10, 18, 32]
     assert sizes[5] == [26, 26, 100, 100]
@@ -523,20 +526,23 @@ def test_blocks_factor_the_determinant_mod_p(n, det_p):
     assert det_over_q(rotation_matrix(n)) == det_p
     det_p_squared = det_p**2
     p = MODULAR_PRIMES[1]
-    span = n + 1
+    blocks = rotation_blocks(n)
     rng = random.Random(610 + n)
     for _ in range(3):
         a, d = rng.randrange(p), rng.randrange(p)
         g = gram_matrix(n).evaluate_mod(a, d, p)
         det_g = det_modular(ExactMatrix.from_rows(g), p)
         product = 1
-        for support, rows in _rotation_blocks(n):
-            values = [pow(a, m // span, p) * pow(d, m % span, p) for m in support]
-            block = [
-                [sum(map(int.__mul__, entry, values)) % p for entry in row]
-                for row in symmetric(rows)
+        for block in blocks:
+            rows = [
+                [
+                    sum(c * pow(a, m, p) * pow(d, t, p) for (m, t), c in entry.items())
+                    % p
+                    for entry in row
+                ]
+                for row in block
             ]
-            product = product * det_modular(ExactMatrix.from_rows(block), p) % p
+            product = product * det_modular(ExactMatrix.from_rows(rows), p) % p
         assert det_g * det_p_squared % p == product
 
 
@@ -560,28 +566,21 @@ def symbolic_block(n, left, right):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rotation_components_are_orthogonal_and_blocks_match(n):
-    span = n + 1
+    # P^T G P is block diagonal, and each block matches its transpose,
+    # which lets _nullity_at mirror the entries on and above the diagonal.
     components = sorted(_rotation_basis(n).items())
-    blocks = _rotation_blocks(n)
-    for x, (e, left) in enumerate(components):
+    for e, left in components:
         for f, right in components:
             product = symbolic_block(n, left, right)
             if f != e:
                 assert all(entry == {} for row in product for entry in row), (e, f)
-        support, rows = blocks[x]
-        expected = [
-            [
-                {divmod(m, span): c for m, c in zip(support, entry) if c}
-                for entry in row
-            ]
-            for row in symmetric(rows)
-        ]
-        assert symbolic_block(n, left, left) == expected
+            else:
+                assert product == [list(col) for col in zip(*product)], e
 
 
 def dense_nullity(n, value):
     """N minus the rank of the dense matrix of value(m, t), the oracle."""
-    rows = _tabulate(n, gram_matrix(n).pairings, value)
+    rows = scaled_rows(_tabulate(n, gram_matrix(n).pairings, value))
     return comb(2 * n, n) - rank_exact(ExactMatrix.from_rows(rows))
 
 

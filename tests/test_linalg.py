@@ -268,10 +268,15 @@ def test_rank_of_constructed_rank_two_matrix():
         r2 = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
         # two independent rows, each duplicated with a scalar
         rows = [r1, r2, [3 * x for x in r1], [Fraction(-1, 2) * x for x in r2]]
-        m = ExactMatrix.from_rows(rows)
-        expected = rank_exact(ExactMatrix.from_rows([r1, r2]))
-        if expected == 2:  # regenerate-free: almost always independent
+        m = ExactMatrix.from_rows(scaled_rows(rows))
+        pair = ExactMatrix.from_rows(scaled_rows([r1, r2]))
+        if rank_exact(pair) == 2:  # regenerate-free: almost always independent
             assert rank_exact(m) == 2
+
+
+def test_rank_refuses_entries_that_are_not_ints():
+    with pytest.raises(ValueError):
+        rank_exact(ExactMatrix.from_rows([[1, Fraction(1, 2)]]))
 
 
 def rank_by_gauss(rows):
@@ -327,10 +332,10 @@ def rank_by_bareiss(rows):
     return rank
 
 
-def scaled_rows(matrix):
-    """Each row of a Fraction matrix times the lcm of its denominators."""
+def scaled_rows(rows):
+    """Each row of Fractions times the lcm of its denominators."""
     out = []
-    for row in matrix.entries:
+    for row in rows:
         fracs = [Fraction(e) for e in row]
         mult = lcm(*(f.denominator for f in fracs))
         out.append([int(f * mult) for f in fracs])
@@ -346,7 +351,8 @@ def test_rank_matches_gauss_oracle():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        assert rank_exact(ExactMatrix.from_rows(rows)) == rank_by_gauss(rows)
+        scaled = ExactMatrix.from_rows(scaled_rows(rows))
+        assert rank_exact(scaled) == rank_by_gauss(rows)
 
 
 def test_det_modular_frozen_examples():
@@ -474,8 +480,8 @@ def test_rank_of_gram_and_skein_matrices_matches_bareiss():
     n, k = 4, 2
     delta = random_delta(rng)
     t_k = chebyshev(k).evaluate(0, delta)
-    gram_rows = scaled_rows(gram_at(n, -t_k, delta))
-    skein_rows = scaled_rows(skein_at(n, k, random_bracket_sample(rng)))
+    gram_rows = scaled_rows(gram_at(n, -t_k, delta).entries)
+    skein_rows = scaled_rows(skein_at(n, k, random_bracket_sample(rng)).entries)
     for rows in (gram_rows, skein_rows):
         assert _integer_rank(rows) == rank_by_bareiss(rows) == 70 - comb(8, 2)
 
@@ -514,13 +520,16 @@ def test_gram_nullity_at_n5_matches_binomial():
 
 def test_input_checks_survive_python_O():
     script = """
+from fractions import Fraction
 from tlbgram.annular import diagram_from_marks
 from tlbgram.disk import (
     DiskDiagram, enumerate_disk, noncrossing_matchings, telescoping_sides,
     tilde_count_formula,
 )
 from tlbgram.gram import determinant_product_value_mod, verify_determinant
-from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, det_modular, is_prime
+from tlbgram.linalg import (
+    PRIME_TEST_LIMIT, ExactMatrix, det_modular, is_prime, rank_exact,
+)
 from tlbgram.polynomials import (
     BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
     chebyshev_in_bracket,
@@ -534,6 +543,7 @@ bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
     lambda: det_modular(wide, 7),
     lambda: is_prime(PRIME_TEST_LIMIT),
+    lambda: rank_exact(ExactMatrix.from_rows([[Fraction(1, 2)]])),
     lambda: enumerate_disk(0, 1),
     lambda: tilde_count_formula(2, -1),
     lambda: telescoping_sides(0),
