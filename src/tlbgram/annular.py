@@ -31,7 +31,6 @@ from itertools import combinations
 from math import comb
 
 from ._limits import guard, require
-from .polynomials import BivariatePolynomial
 
 _LIFT_RANGE = range(-2, 3)
 
@@ -250,9 +249,6 @@ class PairingValue:
 
     def __hash__(self) -> int:
         return hash((self.nontrivial, self.trivial))
-
-    def as_polynomial(self) -> BivariatePolynomial:
-        return BivariatePolynomial.monomial(self.nontrivial, self.trivial)
 
 
 def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:

@@ -217,6 +217,7 @@ def _cmd_bijection(args) -> tuple[int, str]:
     from .disk import diagram_to_subset, subset_to_diagram
 
     n, j = args.n, args.j
+    require(1 <= j <= n, f"need 1 <= j <= n, got n={n}, j={j}")
     stratum = [d for d in enumerate_diagrams(n) if d.cut_crossings() >= j]
     expected = comb(2 * n, n - j)
     pairs = []

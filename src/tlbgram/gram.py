@@ -59,7 +59,7 @@ class GramMatrix:
     @cached_property
     def entries(self) -> ExactMatrix:
         return ExactMatrix.from_rows(
-            [[v.as_polynomial() for v in row] for row in self.pairings]
+            _tabulate(self.n, self.pairings, BivariatePolynomial.monomial)
         )
 
     def size(self) -> int:
@@ -342,6 +342,7 @@ def verify_determinant(
     unless given) and compares evaluations, reporting the
     Schwartz-Zippel style error bound trials * D / p.
     """
+    require(n >= 1, f"need n >= 1, got n={n}")
     if mode == "symbolic":
         require(prime is None, "a prime is only taken in modular mode")
         require(trials is None, "trials are only taken in modular mode")

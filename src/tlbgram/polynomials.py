@@ -1,35 +1,116 @@
 """Sparse exact polynomial arithmetic.
 
-Two coefficient domains cover everything computed here:
+One sparse ring carries both coefficient domains computed here:
 
 * ``BivariatePolynomial``: integer polynomials in the two loop variables
-  ``a`` (non-trivial loop) and ``d`` (trivial loop), stored as a dict
-  mapping ``(a_exp, d_exp)`` to a nonzero integer coefficient.
+  ``a`` (non-trivial loop) and ``d`` (trivial loop), keyed by
+  ``(a_exp, d_exp)``.
 * ``LaurentScalar``: integer Laurent polynomials in the bracket variable
-  ``A``, stored as a dict mapping an integer exponent to a nonzero
-  integer coefficient.
+  ``A``, keyed by an integer exponent.
 
-Both keep a canonical zero-free representation, so structural equality
-coincides with mathematical equality.  Instances are treated as
-immutable; arithmetic always builds new objects.  Quotients of Laurent
-polynomials, such as Jones-Wenzl coefficients, are carried as separate
-numerators and denominators; ``lowest_terms`` reduces one to canonical
-form for printing.
+Both store a dict from exponents to nonzero integer coefficients and
+share every operation that never combines two exponents; each keeps its
+own constructor, product and evaluation.  The representation is
+canonical and zero-free, so structural equality coincides with
+mathematical equality.  Instances are treated as immutable; arithmetic
+always builds new objects.  Quotients of Laurent polynomials, such as
+Jones-Wenzl coefficients, are carried as separate numerators and
+denominators; ``lowest_terms`` reduces one to canonical form for
+printing, through dense coefficient lists kept for exact division and
+gcd.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
 
 from ._limits import require
 
 
-class BivariatePolynomial:
-    """Integer polynomial in the loop variables ``a`` and ``d``."""
+class _SparseRing:
+    """A dict from exponents to nonzero integer coefficients.
+
+    Holds the operations that never combine two exponents; a subclass
+    supplies ``constant``, the product and evaluation.  Values of
+    different subclasses are never equal.
+    """
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        # terms already zero-free and valid: skip the constructor's checks
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self.constant(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._wrap({e: -c for e, c in self.terms.items()})
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.constant(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return self._wrap(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, factor: int):
+        if factor == 0:
+            return self.zero()
+        return self._wrap({e: c * factor for e, c in self.terms.items()})
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError(f"need exponent >= 0, got {exponent}")
+        result = self.constant(1)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()!r})"
+
+
+class BivariatePolynomial(_SparseRing):
+    """Integer polynomial in the loop variables ``a`` and ``d``."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
@@ -41,10 +122,6 @@ class BivariatePolynomial:
                         raise ValueError(f"negative exponent in {exps}")
                     clean[exps] = coeff
         self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls()
 
     @classmethod
     def constant(cls, c: int) -> "BivariatePolynomial":
@@ -62,9 +139,6 @@ class BivariatePolynomial:
     def var_d(cls) -> "BivariatePolynomial":
         return cls({(0, 1): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree_a(self) -> int:
         """Largest ``a`` exponent, -1 for the zero polynomial."""
         return max((e[0] for e in self.terms), default=-1)
@@ -72,50 +146,9 @@ class BivariatePolynomial:
     def degree_d(self) -> int:
         return max((e[1] for e in self.terms), default=-1)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = BivariatePolynomial.constant(other)
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, int):
-            other = BivariatePolynomial.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = BivariatePolynomial.__new__(BivariatePolynomial)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, int):
-            other = BivariatePolynomial.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
-            if other == 0:
-                return BivariatePolynomial.zero()
-            res = BivariatePolynomial.__new__(BivariatePolynomial)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return self._scale(other)
         out: dict = {}
         for (ea1, ed1), c1 in self.terms.items():
             for (ea2, ed2), c2 in other.terms.items():
@@ -125,28 +158,13 @@ class BivariatePolynomial:
                     out[key] = s
                 else:
                     del out[key]
-        res = BivariatePolynomial.__new__(BivariatePolynomial)
-        res.terms = out
-        return res
+        return self._wrap(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "BivariatePolynomial":
-        if exponent < 0:
-            raise ValueError(f"need exponent >= 0, got {exponent}")
-        result = BivariatePolynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def substitute_negated_a(self) -> "BivariatePolynomial":
         """The image under a -> -a."""
-        return BivariatePolynomial(
+        return self._wrap(
             {e: (-c if e[0] & 1 else c) for e, c in self.terms.items()}
         )
 
@@ -172,40 +190,14 @@ class BivariatePolynomial:
             parts.append(f"{self.terms[(ea, ed)]}*a^{ea}*d^{ed}")
         return " + ".join(parts)
 
-    _TERM_RE = re.compile(r"^(-?\d+)\*a\^(\d+)\*d\^(\d+)$")
 
-    @classmethod
-    def from_text(cls, text: str) -> "BivariatePolynomial":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms: dict = {}
-        for part in text.split(" + "):
-            m = cls._TERM_RE.match(part.strip())
-            if not m:
-                raise ValueError(f"bad polynomial term: {part!r}")
-            coeff, ea, ed = int(m.group(1)), int(m.group(2)), int(m.group(3))
-            key = (ea, ed)
-            if key in terms:
-                raise ValueError(f"repeated exponent pair {key}")
-            terms[key] = coeff
-        return cls(terms)
-
-    def __repr__(self):
-        return f"BivariatePolynomial({self.to_text()!r})"
-
-
-class LaurentScalar:
+class LaurentScalar(_SparseRing):
     """Integer Laurent polynomial in the bracket variable ``A``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "LaurentScalar":
-        return cls()
 
     @classmethod
     def constant(cls, c: int) -> "LaurentScalar":
@@ -215,9 +207,6 @@ class LaurentScalar:
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentScalar":
         return cls({exp: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def min_exp(self) -> int:
         assert self.terms
         return min(self.terms)
@@ -226,50 +215,9 @@ class LaurentScalar:
         assert self.terms
         return max(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentScalar.constant(other)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other) -> "LaurentScalar":
-        if isinstance(other, int):
-            other = LaurentScalar.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = LaurentScalar.__new__(LaurentScalar)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentScalar":
-        if isinstance(other, int):
-            other = LaurentScalar.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentScalar":
         if isinstance(other, int):
-            if other == 0:
-                return LaurentScalar.zero()
-            res = LaurentScalar.__new__(LaurentScalar)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return self._scale(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -279,24 +227,9 @@ class LaurentScalar:
                     out[key] = s
                 else:
                     del out[key]
-        res = LaurentScalar.__new__(LaurentScalar)
-        res.terms = out
-        return res
+        return self._wrap(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "LaurentScalar":
-        if exponent < 0:
-            raise ValueError(f"need exponent >= 0, got {exponent}")
-        result = LaurentScalar.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def evaluate(self, a_value: Fraction) -> Fraction:
         """Evaluate at a nonzero exact scalar."""
@@ -323,27 +256,6 @@ class LaurentScalar:
             f"{self.terms[e]}*A^{e}" for e in sorted(self.terms, reverse=True)
         )
 
-    _TERM_RE = re.compile(r"^(-?\d+)\*A\^(-?\d+)$")
-
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentScalar":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms: dict = {}
-        for part in text.split(" + "):
-            m = cls._TERM_RE.match(part.strip())
-            if not m:
-                raise ValueError(f"bad Laurent term: {part!r}")
-            exp = int(m.group(2))
-            if exp in terms:
-                raise ValueError(f"repeated exponent {exp}")
-            terms[exp] = int(m.group(1))
-        return cls(terms)
-
-    def __repr__(self):
-        return f"LaurentScalar({self.to_text()!r})"
-
 
 # The loop value of a trivial circle in bracket variables: -A^2 - A^-2.
 LOOP_VALUE_A = LaurentScalar({2: -1, -2: -1})
@@ -358,37 +270,13 @@ def _poly_trim(p: list) -> list:
     return p
 
 
-def _poly_content(p: list) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g
-
-
 def _poly_primitive(p: list) -> list:
-    g = _poly_content(p)
+    g = gcd(*p)
     if g == 0:
         return []
     if p[-1] < 0:
         g = -g
     return [c // g for c in p]
-
-
-def _poly_mul_scalar(p: list, s: int) -> list:
-    return [c * s for c in p]
-
-def _poly_sub(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] = c
-    for i, c in enumerate(q):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_shift_mul(p: list, k: int) -> list:
-    return [0] * k + p
 
 
 def _poly_pseudo_rem(u: list, v: list) -> list:
@@ -397,11 +285,13 @@ def _poly_pseudo_rem(u: list, v: list) -> list:
     u = list(u)
     lv = v[-1]
     while len(u) >= len(v):
-        du = len(u) - len(v)
+        d = len(u) - len(v)
         lead = u[-1]
-        u = _poly_sub(_poly_mul_scalar(u, lv), _poly_shift_mul(_poly_mul_scalar(v, lead), du))
-        if not u:
-            break
+        for i in range(len(u)):
+            u[i] *= lv
+        for i, c in enumerate(v, d):
+            u[i] -= lead * c
+        _poly_trim(u)
     return u
 
 
@@ -425,7 +315,9 @@ def _poly_divexact(p: list, q: list) -> list:
         require(lead % q[-1] == 0, "inexact polynomial division")
         c = lead // q[-1]
         out[d] = c
-        p = _poly_sub(p, _poly_shift_mul(_poly_mul_scalar(q, c), d))
+        for i, qc in enumerate(q, d):
+            p[i] -= c * qc
+        _poly_trim(p)
     require(not p, "inexact polynomial division")
     return _poly_trim(out)
 
@@ -452,7 +344,7 @@ def lowest_terms(
     if len(g) > 1:
         np = _poly_divexact(np, g)
         dp = _poly_divexact(dp, g)
-    cg = gcd(_poly_content(np), _poly_content(dp))
+    cg = gcd(*np, *dp)
     if dp[-1] < 0:
         cg = -cg
     return (

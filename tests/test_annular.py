@@ -21,7 +21,6 @@ from tlbgram.annular import (
     pair,
     rotation_permutation,
 )
-from tlbgram.polynomials import BivariatePolynomial
 
 
 def all_perfect_matchings(points):
@@ -139,11 +138,6 @@ def test_pair_frozen_examples():
 def test_pair_rejects_size_mismatch():
     with pytest.raises(ValueError):
         pair(AnnularDiagram(1, ((1, 2, 0),)), enumerate_diagrams(2)[0])
-
-
-def test_pairing_value_polynomial():
-    assert PairingValue(2, 1).as_polynomial() == BivariatePolynomial.monomial(2, 1)
-    assert PairingValue(0, 0).as_polynomial() == 1
 
 
 def test_pair_symmetry_and_loop_budget():

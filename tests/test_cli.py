@@ -394,6 +394,7 @@ def assert_one_line_error(capsys, *argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_twelve_base_pseudoprime_is_rejected_as_a_prime(capsys):
@@ -437,6 +438,15 @@ def test_counts_negative_bound_exits_2(capsys):
 
 def test_telescoping_below_domain_exits_2(capsys):
     assert_one_line_error(capsys, "telescoping", "-3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bijection", "1", "2"),
+    ("det-verify", "-2", "--mode", "modular"),
+])
+def test_out_of_range_sizes_are_refused_by_the_package(capsys, argv):
+    # checked before math.comb, whose own message would name its k or n
+    assert assert_one_line_error(capsys, *argv).startswith("error: need ")
 
 
 def test_domain_checks_ignore_size_override(capsys, monkeypatch):
@@ -496,7 +506,8 @@ IMPORT_FAMILIES = {
     "combinatorics": (
         [["enumerate", "2"], ["counts", "3", "1"], ["bijection", "2", "1"],
          ["telescoping", "3"]],
-        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.tl"},
+        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.tl", "tlbgram.polynomials",
+         "fractions"},
     ),
     "jones-wenzl": (
         [["jones-wenzl", "3"]],

@@ -66,6 +66,9 @@ def test_gram_structure():
             assert g.pairings[i][i] == PairingValue(0, n)
             for j in range(g.size()):
                 v = g.pairings[i][j]
+                assert g.entries[i, j] == BivariatePolynomial.monomial(
+                    v.nontrivial, v.trivial
+                )
                 # single monomial with total loop budget n
                 assert v.nontrivial + v.trivial <= n
                 if i != j:

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: ring axioms, frozen values, round-trips."""
+"""Exact polynomial arithmetic: ring axioms, frozen values, dense helpers."""
 
 import random
 from fractions import Fraction
@@ -13,6 +13,9 @@ from tlbgram.polynomials import (
     chebyshev_in_bracket,
     lowest_terms,
     quotient_text,
+    _poly_divexact,
+    _poly_gcd,
+    _poly_primitive,
     substitute_loop_values,
 )
 
@@ -183,31 +186,66 @@ def test_bivariate_text_round_trip():
     frozen = "-1*a^2*d^0 + 1*a^0*d^2"
     p = D * D - A * A
     assert p.to_text() == frozen
-    assert BivariatePolynomial.from_text(frozen) == p
-    assert BivariatePolynomial.from_text("0") == 0
     assert BivariatePolynomial.zero().to_text() == "0"
-    rng = random.Random(110)
-    for _ in range(40):
-        q = random_bivariate(rng)
-        assert BivariatePolynomial.from_text(q.to_text()) == q
-
-
-def test_bivariate_text_rejects_garbage():
-    for bad in ("d^2", "1*a^2", "1*a^2*d^2 + 1*a^2*d^2", "x", ""):
-        with pytest.raises(ValueError):
-            BivariatePolynomial.from_text(bad)
 
 
 def test_laurent_text_round_trip():
     frozen = "1*A^4 + 1*A^-4"
     s = LaurentScalar({4: 1, -4: 1})
     assert s.to_text() == frozen
-    assert LaurentScalar.from_text(frozen) == s
     assert LaurentScalar.zero().to_text() == "0"
-    rng = random.Random(111)
-    for _ in range(40):
-        q = random_laurent(rng)
-        assert LaurentScalar.from_text(q.to_text()) == q
+
+
+def test_the_two_rings_never_compare_equal():
+    for p, s in [
+        (BivariatePolynomial.zero(), LaurentScalar.zero()),
+        (BivariatePolynomial.constant(1), LaurentScalar.constant(1)),
+    ]:
+        assert not p == s and not s == p
+        assert p != s and s != p
+
+
+def test_equal_values_hash_equally():
+    rng = random.Random(117)
+    for _ in range(30):
+        p = random_bivariate(rng)
+        q = random_bivariate(rng)
+        assert hash((p + q) - q) == hash(p)
+        assert hash(p * q) == hash(q * p)
+        s = random_laurent(rng)
+        t = random_laurent(rng)
+        assert hash((s + t) - t) == hash(s)
+        assert hash(s * t) == hash(t * s)
+    assert len({A + D, D + A, A * 1, 1 * A}) == 2
+
+
+def random_dense(rng, max_degree=6, max_coeff=20):
+    """A dense integer polynomial with nonzero leading coefficient."""
+    p = [rng.randint(-max_coeff, max_coeff) for _ in range(rng.randint(0, max_degree))]
+    return p + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def dense_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_dense_division_and_gcd():
+    rng = random.Random(118)
+    for _ in range(60):
+        f, g, h = random_dense(rng), random_dense(rng), random_dense(rng)
+        fg = dense_mul(f, g)
+        assert _poly_divexact(fg, g) == f
+        # fg + 1 leaves remainder 1 over g unless g is a unit
+        if len(g) > 1 or abs(g[0]) > 1:
+            with pytest.raises(ValueError):
+                _poly_divexact([fg[0] + 1] + fg[1:], g)
+        common = _poly_gcd(fg, dense_mul(f, h))
+        # f divides the gcd over Q, so its primitive part divides it over Z
+        _poly_divexact(common, _poly_primitive(f))  # ValueError unless exact
 
 
 def test_laurent_evaluate():
