@@ -76,18 +76,6 @@ def _validate_matching(n: int, chords) -> list[tuple[int, int, int]]:
     return norm
 
 
-def is_noncrossing(n: int, chords) -> bool:
-    """Whether a flagged matching is planar in the annulus.
-
-    ``chords`` is any iterable of (i, j, w) triples forming a perfect
-    matching of 1..2n; malformed input raises ValueError.
-    """
-    norm = _validate_matching(n, chords)
-    return not any(
-        _chords_cross(c1, c2, n) for c1, c2 in combinations(norm, 2)
-    )
-
-
 class AnnularDiagram:
     """A planar flagged matching; chords normalized to i < j, sorted by i."""
 
@@ -134,22 +122,6 @@ class AnnularDiagram:
     def to_text(self) -> str:
         body = ",".join(f"({i},{j},w={w})" for i, j, w in self.chords)
         return f"n={self.n};{body}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "AnnularDiagram":
-        head, _, body = text.strip().partition(";")
-        if not head.startswith("n="):
-            raise ValueError(f"bad diagram header: {head!r}")
-        n = int(head[2:])
-        chords = []
-        if body:
-            for piece in body.split("),("):
-                piece = piece.strip().lstrip("(").rstrip(")")
-                i_s, j_s, w_s = piece.split(",")
-                if not w_s.startswith("w="):
-                    raise ValueError(f"bad chord: {piece!r}")
-                chords.append((int(i_s), int(j_s), int(w_s[2:])))
-        return cls(n, tuple(chords))
 
     def to_json_obj(self) -> list[dict]:
         return [{"i": i, "j": j, "w": w} for i, j, w in self.chords]

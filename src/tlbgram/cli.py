@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb
 
 from . import __version__
-from ._limits import require
+from ._limits import guard, require
 
 
 # How json.dumps writes each scalar type of a report.
@@ -249,6 +249,7 @@ def _cmd_telescoping(args) -> tuple[int, str]:
     from .disk import telescoping_sides
 
     require(args.n >= 1, f"need n >= 1, got n={args.n}")
+    guard(args.n <= 100, f"telescoping tested for n <= 100, got n={args.n}")
     results = []
     for n in range(1, args.n + 1):
         lhs, rhs = telescoping_sides(n)

@@ -72,14 +72,6 @@ class DiskDiagram:
         )
         require(not crossed, "chords cross")
 
-    def label(self, position: int) -> str:
-        """Boundary labels: a_1..a_{2n}, l_1..l_k, then u_k down to u_1."""
-        if position < 2 * self.n:
-            return f"a{position + 1}"
-        if position < 2 * self.n + self.k:
-            return f"l{position - 2 * self.n + 1}"
-        return f"u{2 * (self.n + self.k) - position}"
-
     def is_admissible(self) -> bool:
         """No chord inside the l-block and none inside the u-block."""
         lo_l = 2 * self.n

@@ -370,10 +370,10 @@ def verify_determinant(
     p = MODULAR_PRIMES[0] if prime is None else prime
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    g = gram_matrix(n)  # the size checks, before the degree bound's binomial
     bound_degree = degree_bound(n)
     if p <= bound_degree:
         raise ValueError("prime too small for the degree bound")
-    g = gram_matrix(n)
     rng = random.Random(seed)
     trial_results = []
     for _ in range(trials):

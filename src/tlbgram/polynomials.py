@@ -32,8 +32,8 @@ class _SparseRing:
     """A dict from exponents to nonzero integer coefficients.
 
     Holds the operations that never combine two exponents; a subclass
-    supplies ``constant``, the product and evaluation.  Values of
-    different subclasses are never equal.
+    supplies the exponent ``_ONE_KEY`` of 1, the product and evaluation.
+    Values of different subclasses are never equal and never combine.
     """
 
     __slots__ = ("terms",)
@@ -41,6 +41,10 @@ class _SparseRing:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def constant(cls, c: int):
+        return cls({cls._ONE_KEY: c})
 
     @classmethod
     def _wrap(cls, terms: dict):
@@ -60,13 +64,19 @@ class _SparseRing:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its int, so it hashes as that int
+        terms = self.terms
+        if terms.keys() <= {self._ONE_KEY}:
+            return hash(terms.get(self._ONE_KEY, 0))
+        return hash(frozenset(terms.items()))
 
     def __neg__(self):
         return self._wrap({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is not type(self):
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.constant(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -111,6 +121,7 @@ class BivariatePolynomial(_SparseRing):
     """Integer polynomial in the loop variables ``a`` and ``d``."""
 
     __slots__ = ()
+    _ONE_KEY = (0, 0)
 
     def __init__(self, terms=None):
         clean = {}
@@ -124,27 +135,12 @@ class BivariatePolynomial(_SparseRing):
         self.terms = clean
 
     @classmethod
-    def constant(cls, c: int) -> "BivariatePolynomial":
-        return cls({(0, 0): c})
-
-    @classmethod
     def monomial(cls, a_exp: int, d_exp: int, coeff: int = 1) -> "BivariatePolynomial":
         return cls({(a_exp, d_exp): coeff})
 
     @classmethod
-    def var_a(cls) -> "BivariatePolynomial":
-        return cls({(1, 0): 1})
-
-    @classmethod
     def var_d(cls) -> "BivariatePolynomial":
         return cls({(0, 1): 1})
-
-    def degree_a(self) -> int:
-        """Largest ``a`` exponent, -1 for the zero polynomial."""
-        return max((e[0] for e in self.terms), default=-1)
-
-    def degree_d(self) -> int:
-        return max((e[1] for e in self.terms), default=-1)
 
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
@@ -162,24 +158,12 @@ class BivariatePolynomial(_SparseRing):
 
     __rmul__ = __mul__
 
-    def substitute_negated_a(self) -> "BivariatePolynomial":
-        """The image under a -> -a."""
-        return self._wrap(
-            {e: (-c if e[0] & 1 else c) for e, c in self.terms.items()}
-        )
-
     def evaluate(self, a_value, d_value):
         """Evaluate at exact scalars (int or Fraction)."""
         total = 0
         for (ea, ed), c in self.terms.items():
             total += c * a_value**ea * d_value**ed
         return total
-
-    def evaluate_mod(self, a_value: int, d_value: int, p: int) -> int:
-        total = 0
-        for (ea, ed), c in self.terms.items():
-            total += c * pow(a_value, ea, p) * pow(d_value, ed, p)
-        return total % p
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``-1*a^2*d^0 + 1*a^0*d^2``."""
@@ -195,13 +179,10 @@ class LaurentScalar(_SparseRing):
     """Integer Laurent polynomial in the bracket variable ``A``."""
 
     __slots__ = ()
+    _ONE_KEY = 0
 
     def __init__(self, terms=None):
         self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentScalar":
-        return cls({0: c})
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentScalar":

@@ -78,19 +78,6 @@ def cup_cap_matching(i: int, k: int) -> PlanarMatching:
     return PlanarMatching(k, tuple(match))
 
 
-def all_matchings(k: int) -> tuple[PlanarMatching, ...]:
-    """The Catalan-many diagram basis of the k-strand algebra."""
-    from .disk import noncrossing_matchings
-
-    out = []
-    for pairs in noncrossing_matchings(2 * k):
-        match = [0] * (2 * k)
-        for a, b in pairs:
-            match[a], match[b] = b, a
-        out.append(PlanarMatching(k, tuple(match)))
-    return tuple(out)
-
-
 _ONE = LaurentScalar.constant(1)
 
 
@@ -137,18 +124,6 @@ class TLElement:
                 for m, c in self.terms.items()
             )
         )
-
-    def __add__(self, other: "TLElement") -> "TLElement":
-        require(self.k == other.k, f"strand counts {self.k} and {other.k} differ")
-        out = {m: c * other.den for m, c in self.terms.items()}
-        for m, c in other.terms.items():
-            c = c * self.den
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return TLElement(self.k, out, self.den * other.den)
-
-    def __sub__(self, other: "TLElement") -> "TLElement":
-        return self + other.scale(-1)
 
     def scale(self, factor) -> "TLElement":
         """Multiply by a Laurent polynomial or integer."""

@@ -449,6 +449,46 @@ def test_out_of_range_sizes_are_refused_by_the_package(capsys, argv):
     assert assert_one_line_error(capsys, *argv).startswith("error: need ")
 
 
+# One size of 10**6 in every subcommand, in a fresh process with the
+# guards on.  Each must refuse it at once, before any work that grows
+# with the size.
+HUGE = str(10**6)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", HUGE),
+    ("gram", HUGE),
+    ("det-verify", HUGE),
+    ("det-verify", HUGE, "--mode", "modular"),
+    ("lemma2", HUGE),
+    ("nullity-gram", HUGE, "1"),
+    ("nullity-skein", HUGE, "1"),
+    ("jones-wenzl", HUGE),
+    ("counts", HUGE, "1"),
+    ("bijection", HUGE, "1"),
+    ("telescoping", HUGE),
+], ids=" ".join)
+def test_huge_sizes_exit_2_at_once(argv):
+    env = {k: v for k, v in os.environ.items() if k != "TLBGRAM_ALLOW_LARGE"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "tlbgram.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_telescoping_past_its_guard_runs_with_the_override(capsys, monkeypatch):
+    assert_one_line_error(capsys, "telescoping", "101")
+    monkeypatch.setenv("TLBGRAM_ALLOW_LARGE", "1")
+    code, out = run(capsys, "telescoping", "101")
+    assert code == 0
+    assert out.count("PASS") == 101
+
+
 def test_domain_checks_ignore_size_override(capsys, monkeypatch):
     monkeypatch.setenv("TLBGRAM_ALLOW_LARGE", "1")
     assert_one_line_error(capsys, "jones-wenzl", "0")

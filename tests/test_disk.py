@@ -43,13 +43,6 @@ def test_disk_diagram_validation():
         DiskDiagram(1, 1, ((0, 2), (1, 3)))  # crossing
 
 
-def test_disk_labels():
-    d = DiskDiagram(2, 2, ((0, 1), (2, 3), (4, 5), (6, 7)))
-    assert [d.label(p) for p in range(8)] == [
-        "a1", "a2", "a3", "a4", "l1", "l2", "u2", "u1",
-    ]
-
-
 def test_enumerate_disk_frozen_counts():
     assert len(enumerate_disk(1, 0)) == 1
     assert len(enumerate_disk(2, 0)) == 2

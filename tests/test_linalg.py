@@ -23,8 +23,9 @@ from tlbgram.linalg import (
 )
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
 from tlbgram.tl import random_bracket_sample, skein_matrix, skein_nullity
+from test_polynomials import poly_mod
 
-A = BivariatePolynomial.var_a()
+A = BivariatePolynomial.monomial(1, 0)
 D = BivariatePolynomial.var_d()
 
 
@@ -79,7 +80,7 @@ def det_by_interpolation(rows, bound=None, evaluate=None):
         )
     if evaluate is None:
         def evaluate(u, v, p):
-            return [[e.evaluate_mod(u * u, v * v, p) for e in row] for row in polys]
+            return [[poly_mod(e, u * u, v * v, p) for e in row] for row in polys]
 
     return det_interpolated(evaluate, staircase_of(polys), bound)
 
@@ -229,7 +230,7 @@ def test_det_evaluates_once_per_staircase_point_and_prime():
 
     def evaluate(u, v, p):
         seen.append((u, v, p))
-        return [[e.evaluate_mod(u * u, v * v, p) for e in row] for row in polys]
+        return [[poly_mod(e, u * u, v * v, p) for e in row] for row in polys]
 
     assert det_by_interpolation(rows, evaluate=evaluate) == det_by_cofactor(rows)
     primes = {p for _, _, p in seen}
