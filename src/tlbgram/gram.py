@@ -6,9 +6,9 @@ a^m d^t.  The determinant of the full matrix factors as
     prod_{i=1..n} (T_i(d)^2 - a^2)^C(2n, n-i)
 
 with T_i the normalized Chebyshev polynomials.  This module builds the
-matrix, expands the product, and compares the two either symbolically
-(the determinant interpolated from its values mod p) or modulo a large
-prime at random points.
+matrix, expands the product, and compares the two at points mod p:
+at random points under one large prime, or at every node of a lower
+set under enough primes to prove them equal.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .annular import (
 from .linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
-    det_interpolated,
-    det_modular,
+    _det_mod,
+    _rank_primes,
     is_prime,
     rank_exact,
 )
@@ -299,8 +299,15 @@ def degree_bound(n: int) -> int:
     return 2 * n * comb(2 * n, n)
 
 
-def _determinant(n: int) -> BivariatePolynomial:
-    """det G_n over Z[a, d], interpolated mod p from the pairing exponents.
+def _agrees_at(g: GramMatrix, a_value: int, d_value: int, p: int) -> bool:
+    """Whether det g and the product form agree at a = a_value, d = d_value mod p."""
+    return _det_mod(g.evaluate_mod(a_value, d_value, p), p) == (
+        determinant_product_value_mod(g.n, a_value, d_value, p)
+    )
+
+
+def _product_is_determinant(n: int, product: BivariatePolynomial) -> bool:
+    """Whether det G_n equals product over Z[a, d], proven at nodes mod p.
 
     Lemma 2 (sign_conjugation_check) makes det G even in a and
     d_parity_check makes it even in d, so det G = f(a^2, d^2), and G at
@@ -310,7 +317,13 @@ def _determinant(n: int) -> BivariatePolynomial:
     n = 3.  Halved, they bound f to the 460 terms x^i y^j with i <= 22,
     j <= 30 and i + j <= 30.  Every entry has modulus 1 where
     |a| = |d| = 1, so Hadamard's bound N^(N/2) caps every coefficient
-    (N = C(2n, n) is even).
+    (N = C(2n, n) is even).  If product is even in a and d and inside
+    the same lower set, so is the difference h = f - product(x, y), with
+    coefficients below N^(N/2) plus product's largest.  A polynomial on
+    a lower set that vanishes at its nodes (u^2, v^2) is zero, as long
+    as the squares of the nodes stay distinct mod p (divided differences
+    in x, then in y), so h = 0 mod every prime taken from _rank_primes.
+    Once their product exceeds twice the coefficient bound, h = 0.
     """
     if not sign_conjugation_check(n):
         raise RuntimeError(f"Lemma 2 parity fails at n={n}: det G_n is not even in a")
@@ -321,9 +334,27 @@ def _determinant(n: int) -> BivariatePolynomial:
     deg_d = sum(max(v.trivial for v in row) for row in g.pairings)
     total = sum(max(v.nontrivial + v.trivial for v in row) for row in g.pairings)
     staircase = [min(deg_d // 2, total // 2 - i) for i in range(deg_a // 2 + 1)]
+    if not all(
+        ea % 2 == ed % 2 == 0
+        and ea // 2 < len(staircase)
+        and ed // 2 <= staircase[ea // 2]
+        for ea, ed in product.terms
+    ):
+        return False
     size = g.size()
-    det = det_interpolated(g.evaluate_mod, staircase, size ** (size // 2))
-    return BivariatePolynomial({(2 * i, 2 * j): c for (i, j), c in det.terms.items()})
+    bound = size ** (size // 2) + max(map(abs, product.terms.values()))
+    modulus = 1
+    primes = _rank_primes()
+    while modulus <= 2 * bound:
+        p = next(primes)
+        if not all(
+            _agrees_at(g, u, v, p)
+            for u, top in enumerate(staircase)
+            for v in range(top + 1)
+        ):
+            return False
+        modulus *= p
+    return True
 
 
 def verify_determinant(
@@ -335,11 +366,12 @@ def verify_determinant(
 ) -> dict:
     """Compare det G_n against the Chebyshev product; returns a report dict.
 
-    Symbolic mode expands both sides exactly; the determinant is
-    interpolated from its values mod p on a lower set of grid points (see
-    _determinant), and it refuses trials, a seed and a prime.  Modular
-    mode samples random points mod a fixed prime (32 trials from seed 0
-    unless given) and compares evaluations, reporting the
+    Both modes compare the two mod p at points (see _agrees_at).
+    Symbolic mode proves them equal over Z[a, d] from the nodes of a
+    lower set (see _product_is_determinant), reports the expanded
+    product as the determinant, or null if they differ, and refuses
+    trials, a seed and a prime.  Modular mode samples random points mod
+    a fixed prime (32 trials from seed 0 unless given), reporting the
     Schwartz-Zippel style error bound trials * D / p.
     """
     require(n >= 1, f"need n >= 1, got n={n}")
@@ -348,8 +380,8 @@ def verify_determinant(
         require(trials is None, "trials are only taken in modular mode")
         require(seed is None, "a seed is only taken in modular mode")
         guard(n <= 3, f"symbolic verification tested for n <= 3, got n={n}")
-        det = _determinant(n)
         product = determinant_product_form(n)
+        proven = _product_is_determinant(n, product)
         return {
             "version": __version__,
             "n": n,
@@ -357,9 +389,9 @@ def verify_determinant(
             "trials": None,
             "prime": None,
             "seed": None,
-            "pass": det == product,
+            "pass": proven,
             "bound": 0.0,
-            "determinant": det.to_text(),
+            "determinant": product.to_text() if proven else None,
         }
     if mode != "modular":
         raise ValueError(f"mode must be 'symbolic' or 'modular', got {mode!r}")
@@ -379,10 +411,7 @@ def verify_determinant(
     for _ in range(trials):
         a_value = rng.randrange(p)
         d_value = rng.randrange(p)
-        det = det_modular(
-            ExactMatrix.from_rows(g.evaluate_mod(a_value, d_value, p)), p
-        )
-        trial_results.append(det == determinant_product_value_mod(n, a_value, d_value, p))
+        trial_results.append(_agrees_at(g, a_value, d_value, p))
     return {
         "version": __version__,
         "n": n,

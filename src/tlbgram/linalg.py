@@ -1,10 +1,10 @@
-"""Exact linear algebra over integer, polynomial and modular coefficients.
+"""Exact linear algebra over integer and modular coefficients.
 
 Every determinant and rank runs on one forward elimination over F_p.
-A determinant over Z[x, y] is interpolated from its values mod enough
-primes at the points (u^2, v^2) of a lower set, such as the grid cut by
-a total-degree bound.  A rank found mod p is returned only with an
-exact certificate over Z.  No floating point enters at any stage.
+A determinant is only taken mod p: gram proves det G_n equal to its
+product form from such values at the nodes of a lower set, so no
+polynomial type enters here.  A rank found mod p is returned only with
+an exact certificate over Z.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from math import isqrt
 from operator import mul
 
 from ._limits import require
-from .polynomials import BivariatePolynomial
 
 # The four largest primes below 2^53; large enough that a single random
 # evaluation of a degree-D identity with D ~ 10^4 has error probability
@@ -85,20 +84,9 @@ class ExactMatrix:
     def from_rows(cls, rows) -> "ExactMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
     def __getitem__(self, pos):
         i, j = pos
         return self.entries[i][j]
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
 
 
 def _eliminate_mod(m: list, p: int):
@@ -288,118 +276,3 @@ def _det_mod(m: list, p: int) -> int:
         det = det * m[col][col] % p
         pivots += 1
     return det if pivots == len(m) else 0
-
-
-def det_modular(matrix: ExactMatrix, p: int) -> int:
-    """Determinant of an integer matrix mod p by Gaussian elimination.
-
-    Requires p prime (checked); returns a value in [0, p).
-    """
-    if not matrix.is_square():
-        raise ValueError("determinant needs a square matrix")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _det_mod([[int(e) % p for e in row] for row in matrix.entries], p)
-
-
-def _difference_inverses(nodes, p: int) -> list:
-    """inverses[k][i] = 1 / (nodes[i] - nodes[i - k]) mod p for 1 <= k <= i.
-
-    Every divided difference on the nodes divides by one of these; row 0
-    and the entries with i < k are 0 and unused.
-    """
-    span = range(len(nodes))
-    return [
-        [pow(nodes[i] - nodes[i - k], -1, p) if i >= k > 0 else 0 for i in span]
-        for k in span
-    ]
-
-
-def _newton_mod(values: list, inverses: list, p: int) -> list:
-    """Newton coefficients mod p of the polynomial taking values[k] at nodes[k].
-
-    inverses is _difference_inverses of the nodes.  The k-th coefficient
-    is the divided difference on nodes[:k + 1], so a prefix of the values
-    gives the same prefix of the coefficients, whatever the degree of the
-    polynomial the values come from.
-    """
-    c = list(values)
-    for k in range(1, len(c)):
-        inv = inverses[k]
-        for i in range(len(c) - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv[i] % p
-    return c
-
-
-def _expand_mod(newton: list, nodes, p: int) -> list:
-    """Coefficients mod p, lowest first, of a Newton form, by Horner's rule.
-
-    The form is the sum of newton[i] * (x - nodes[0]) ... (x - nodes[i - 1]).
-    """
-    poly = [newton[-1]]
-    for i in range(len(newton) - 2, -1, -1):
-        # poly * (x - nodes[i]) + newton[i]
-        poly = [(lo - nodes[i] * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
-        poly[0] = (poly[0] + newton[i]) % p
-    return poly
-
-
-def det_interpolated(evaluate, staircase, bound: int) -> BivariatePolynomial:
-    """A determinant f(x, y) over Z[x, y], by evaluation mod p on a lower set.
-
-    evaluate(u, v, p) returns the rows mod p of a square matrix with
-    determinant f(u^2, v^2).  Every term x^i y^j of f must have
-    j <= staircase[i], a non-increasing list, and a coefficient at most
-    bound in absolute value.  Mod each prime the matrix is eliminated at
-    the sum of staircase[i] + 1 points (x, y) = (u^2, v^2) of that lower
-    set.  At the v-th y-node the divided differences in x run over the
-    x-nodes u <= tops[v], the last i with staircase[i] >= v: on a prefix
-    of the nodes they are the exact Newton coefficients c_i(y) of f,
-    whatever its degree in x.  Each c_i(y) has degree at most
-    staircase[i] and is interpolated from that many values plus one;
-    then the Newton form in x is expanded.  Primes from _rank_primes are
-    taken until their product exceeds 2 * bound; the coefficients are
-    combined by the Chinese remainder theorem and lifted to the symmetric
-    range (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
-    The result carries x as its a variable and y as its d variable.
-    """
-    require(
-        len(staircase) > 0
-        and staircase[-1] >= 0
-        and all(s >= t for s, t in zip(staircase, staircase[1:])),
-        f"staircase must be non-empty, non-increasing and >= 0, got {staircase}",
-    )
-    tops = [sum(s >= j for s in staircase) - 1 for j in range(staircase[0] + 1)]
-    x_nodes = [u * u for u in range(len(staircase))]
-    y_nodes = [v * v for v in range(len(tops))]
-    coeffs = [[0] * (s + 1) for s in staircase]
-    modulus = 1
-    primes = _rank_primes()
-    while modulus <= 2 * bound:
-        p = next(primes)
-        x_inverses = _difference_inverses(x_nodes, p)
-        y_inverses = _difference_inverses(y_nodes, p)
-        in_x = [
-            _newton_mod(
-                [_det_mod(evaluate(u, v, p), p) for u in range(top + 1)], x_inverses, p
-            )
-            for v, top in enumerate(tops)
-        ]
-        in_y = [
-            _expand_mod(
-                _newton_mod([c[i] for c in in_x[: s + 1]], y_inverses, p), y_nodes, p
-            )
-            for i, s in enumerate(staircase)
-        ]
-        step = pow(modulus, -1, p)
-        for j, top in enumerate(tops):
-            column = _expand_mod([c[j] for c in in_y[: top + 1]], x_nodes, p)
-            for row, c in zip(coeffs, column):
-                row[j] += modulus * ((c - row[j]) * step % p)
-        modulus *= p
-    half = modulus // 2
-    return BivariatePolynomial({
-        (i, j): c - modulus if c > half else c
-        for i, row in enumerate(coeffs)
-        for j, c in enumerate(row)
-    })

@@ -143,8 +143,8 @@ class BivariatePolynomial(_SparseRing):
         return cls({(0, 1): 1})
 
     def __mul__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, int):
-            return self._scale(other)
+        if type(other) is not type(self):
+            return self._scale(other) if isinstance(other, int) else NotImplemented
         out: dict = {}
         for (ea1, ed1), c1 in self.terms.items():
             for (ea2, ed2), c2 in other.terms.items():
@@ -197,8 +197,8 @@ class LaurentScalar(_SparseRing):
         return max(self.terms)
 
     def __mul__(self, other) -> "LaurentScalar":
-        if isinstance(other, int):
-            return self._scale(other)
+        if type(other) is not type(self):
+            return self._scale(other) if isinstance(other, int) else NotImplemented
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

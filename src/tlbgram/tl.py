@@ -80,6 +80,16 @@ def cup_cap_matching(i: int, k: int) -> PlanarMatching:
 
 _ONE = LaurentScalar.constant(1)
 
+# LOOP_VALUE_A**i at index i, grown by _loop_powers.
+_LOOP_POWERS = [_ONE]
+
+
+def _loop_powers(count: int) -> list[LaurentScalar]:
+    """The cached powers of the loop value, at least count of them."""
+    while len(_LOOP_POWERS) < count:
+        _LOOP_POWERS.append(_LOOP_POWERS[-1] * LOOP_VALUE_A)
+    return _LOOP_POWERS
+
 
 class TLElement:
     """Combination of planar matchings with Laurent weights over one denominator.
@@ -145,6 +155,8 @@ class TLElement:
         for m2, c2 in other.terms.items():
             upper = [q if q >= k else q + 3 * k for q in m2.match]
             uppers.append((upper[k:], upper[:k], c2))
+        # each closed loop runs through one of the k glued slots at least
+        powers = _loop_powers(k + 1)
         out: dict = {}
         for m1, c1 in self.terms.items():
             lower = [q if q < k else q + k for q in m1.match]
@@ -153,7 +165,7 @@ class TLElement:
                 match, loops = _trace(
                     bottom + upper_top + top + upper_bottom, seam, 2 * k
                 )
-                coeff = c1 * c2 * LOOP_VALUE_A**loops
+                coeff = c1 * c2 * powers[loops]
                 key = PlanarMatching(k, match)
                 s = out.get(key)
                 out[key] = coeff if s is None else s + coeff

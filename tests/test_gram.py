@@ -1,9 +1,10 @@
 """Gram matrix construction, determinant identity, specializations."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 
@@ -14,11 +15,12 @@ from tlbgram.annular import (
     pair,
     rotation_permutation,
 )
+from tlbgram.cli import main
 from tlbgram.gram import (
     GramMatrix,
     _cyclotomic,
-    _determinant,
     _nullity_at,
+    _product_is_determinant,
     _rotation_basis,
     _tabulate,
     crossing_signs,
@@ -36,8 +38,9 @@ from tlbgram.gram import (
 from tlbgram.linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
+    _det_mod,
     _integer_rank,
-    det_modular,
+    is_prime,
     rank_exact,
 )
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
@@ -252,28 +255,55 @@ def test_product_value_mod_matches_expansion():
 
 def test_determinant_is_monic_in_loop_variable():
     for n in (1, 2, 3):
-        det = _determinant(n)
+        det = determinant_product_form(n)
         top = n * comb(2 * n, n)
         assert max(ed for _, ed in det.terms) == top
         assert {e: c for e, c in det.terms.items() if e[1] == top} == {(0, top): 1}
 
 
-def test_interpolated_determinant_matches_the_cofactor_expansion():
-    # The cofactor oracle needs neither parity fact.
+def test_product_form_matches_the_cofactor_expansion():
+    # The cofactor oracle needs neither parity fact nor the node proof.
     for n in (1, 2):
         g = gram_matrix(n)
-        assert _determinant(n) == det_by_cofactor(g.entries.entries)
+        assert determinant_product_form(n) == det_by_cofactor(g.entries.entries)
+
+
+def count_det_mod_calls(monkeypatch):
+    """Record the prime of every _det_mod call that gram makes."""
+    calls = []
+    monkeypatch.setattr(
+        "tlbgram.gram._det_mod", lambda m, p: calls.append(p) or _det_mod(m, p)
+    )
+    return calls
 
 
 def test_symbolic_determinant_eliminates_once_per_staircase_point(monkeypatch):
-    import tlbgram.linalg as linalg
-
-    calls = []
-    real = linalg._det_mod
-    monkeypatch.setattr(linalg, "_det_mod", lambda m, p: calls.append(p) or real(m, p))
-    assert _determinant(3) == determinant_product_form(3)
+    calls = count_det_mod_calls(monkeypatch)
+    assert verify_determinant(3, mode="symbolic")["pass"] is True
     # one prime; x^i y^j with i <= 22, j <= 30 and i + j <= 30
     assert calls == [MODULAR_PRIMES[0]] * 460
+
+
+def small_primes():
+    """The primes below 2^20 in decreasing order."""
+    q = 2**20 - 1
+    while q > 2:
+        if is_prime(q):
+            yield q
+        q -= 2
+
+
+def test_symbolic_determinant_takes_primes_until_the_bound(monkeypatch):
+    # At n = 3 twice the coefficient bound is about 2^45: three 20-bit
+    # primes, each at all 460 nodes.
+    monkeypatch.setattr("tlbgram.gram._rank_primes", small_primes)
+    calls = count_det_mod_calls(monkeypatch)
+    assert verify_determinant(3, mode="symbolic")["pass"] is True
+    primes = list(dict.fromkeys(calls))
+    bound = 20**10 + max(map(abs, determinant_product_form(3).terms.values()))
+    assert prod(primes[:-1]) <= 2 * bound < prod(primes)
+    assert len(primes) == 3
+    assert calls == [p for p in primes for _ in range(460)]
 
 
 def perturbed(n, i, j, dm, dt):
@@ -311,6 +341,31 @@ def test_symbolic_determinant_refuses_a_wrong_d_parity(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="not even in d"):
         verify_determinant(2, mode="symbolic")
     assert_one_line_error(capsys, "det-verify", "2")
+
+
+def test_symbolic_mode_fails_when_a_node_disagrees(monkeypatch, capsys):
+    # d^2 on a^1 d^0 keeps both parities and the table range, not det G
+    broken = perturbed(2, 0, 4, 0, 2)
+    monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
+    assert sign_conjugation_check(2)
+    assert d_parity_check(2)
+    rep = verify_determinant(2, mode="symbolic")
+    assert rep["pass"] is False
+    assert rep["determinant"] is None
+    assert main(["det-verify", "2", "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["pass"], out["determinant"]) == (False, None)
+
+
+def test_symbolic_proof_refuses_a_product_outside_the_lower_set(monkeypatch):
+    calls = count_det_mod_calls(monkeypatch)
+    product = determinant_product_form(2)
+    assert _product_is_determinant(2, product)
+    calls.clear()
+    # odd in a, then past the degree bound in d: refused before any node
+    for wrong in (product * A, product * D * D):
+        assert not _product_is_determinant(2, wrong)
+    assert calls == []
 
 
 def test_verify_symbolic_report():
@@ -356,7 +411,7 @@ def test_verify_rejects_bad_parameters():
 
 def test_degree_bound_value():
     assert degree_bound(2) == 2 * 2 * comb(4, 2)
-    det = _determinant(2)
+    det = determinant_product_form(2)
     deg_a = max(ea for ea, _ in det.terms)
     deg_d = max(ed for _, ed in det.terms)
     assert deg_a + deg_d <= degree_bound(2)
@@ -537,7 +592,7 @@ def test_blocks_factor_the_determinant_mod_p(n, det_p):
     for _ in range(3):
         a, d = rng.randrange(p), rng.randrange(p)
         g = gram_matrix(n).evaluate_mod(a, d, p)
-        det_g = det_modular(ExactMatrix.from_rows(g), p)
+        det_g = _det_mod(g, p)
         product = 1
         for block in blocks:
             rows = [
@@ -548,7 +603,7 @@ def test_blocks_factor_the_determinant_mod_p(n, det_p):
                 ]
                 for row in block
             ]
-            product = product * det_modular(ExactMatrix.from_rows(rows), p) % p
+            product = product * _det_mod(rows, p) % p
         assert det_g * det_p_squared % p == product
 
 

@@ -6,18 +6,22 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm, prod
+from math import comb, lcm
 
 import pytest
 
-from tlbgram.gram import gram_matrix, random_delta, specialized_nullity
+from tlbgram.gram import (
+    gram_matrix,
+    random_delta,
+    specialized_nullity,
+    verify_determinant,
+)
 from tlbgram.linalg import (
     MODULAR_PRIMES,
     ExactMatrix,
     PRIME_TEST_LIMIT,
+    _det_mod,
     _integer_rank,
-    det_interpolated,
-    det_modular,
     is_prime,
     rank_exact,
 )
@@ -27,6 +31,7 @@ from test_polynomials import poly_mod
 
 A = BivariatePolynomial.monomial(1, 0)
 D = BivariatePolynomial.var_d()
+P = MODULAR_PRIMES[0]
 
 
 def det_by_cofactor(rows):
@@ -48,41 +53,27 @@ def det_by_cofactor(rows):
     return total
 
 
-def staircase_of(polys):
-    """The staircase that det_interpolated needs for a matrix over Z[x, y].
-
-    The row sums of the largest entry degrees bound the determinant's
-    degree in x, in y and in total.
-    """
-    def row_sum(degree):
-        return sum(
-            max((degree(*e) for poly in row for e in poly.terms), default=0)
-            for row in polys
-        )
-
-    deg_x = row_sum(lambda i, j: i)
-    deg_y = row_sum(lambda i, j: j)
-    total = row_sum(lambda i, j: i + j)
-    return [min(deg_y, total - i) for i in range(deg_x + 1)]
+def det_mod_of(rows, p=P):
+    """_det_mod of integer rows, each entry reduced into [0, p) first."""
+    return _det_mod([[x % p for x in row] for row in rows], p)
 
 
-def det_by_interpolation(rows, bound=None, evaluate=None):
-    """det_interpolated on rows of int or BivariatePolynomial entries.
+def det_mod_at(rows, a_value, d_value, p=P):
+    """_det_mod of rows of int or BivariatePolynomial entries at a point."""
+    zero = BivariatePolynomial.zero()
+    return _det_mod(
+        [[poly_mod(zero + e, a_value, d_value, p) for e in row] for row in rows], p
+    )
 
-    The nodes are squares, so the matrix is evaluated at x = u^2, y = v^2.
-    Coefficients are bounded by the product of the rows' coefficient
-    1-norms unless bound is given.
-    """
-    polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
-    if bound is None:
-        bound = prod(
-            sum(abs(c) for e in row for c in e.terms.values()) for row in polys
-        )
-    if evaluate is None:
-        def evaluate(u, v, p):
-            return [[poly_mod(e, u * u, v * v, p) for e in row] for row in polys]
 
-    return det_interpolated(evaluate, staircase_of(polys), bound)
+def matches_cofactor_at_points(rows, rng, points=3, p=P):
+    """Whether _det_mod agrees with the cofactor expansion at random points."""
+    det = BivariatePolynomial.zero() + det_by_cofactor(rows)
+    for _ in range(points):
+        a_value, d_value = rng.randrange(p), rng.randrange(p)
+        if det_mod_at(rows, a_value, d_value, p) != poly_mod(det, a_value, d_value, p):
+            return False
+    return True
 
 
 def test_matrix_shape_validation():
@@ -91,28 +82,28 @@ def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert (m.nrows, m.ncols) == (2, 3)
+    assert m.entries == ((1, 2, 3), (4, 5, 6))
     assert m[1, 2] == 6
-    assert not m.is_square()
 
 
 def test_det_frozen_examples():
-    assert det_by_interpolation([[D, A], [A, D]]) == D * D - A * A
+    rng = random.Random(200)
+    for _ in range(5):
+        a_value, d_value = rng.randrange(P), rng.randrange(P)
+        expected = (d_value * d_value - a_value * a_value) % P
+        assert det_mod_at([[D, A], [A, D]], a_value, d_value) == expected
     eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
-    assert det_by_interpolation(eye4) == 1
-    # x^2 y - 3 is negative at most grid points: the lift is symmetric
-    assert det_by_interpolation([[A * A * D - 3]]) == A * A * D - 3
+    assert det_mod_of(eye4) == 1
+    # a negative entry is taken to its residue
+    assert det_mod_of([[-3]]) == P - 3
 
 
 def test_det_matches_cofactor_on_random_integer_matrices():
     rng = random.Random(201)
     for _ in range(20):
         n = rng.randint(1, 4)
-        rows = [
-            [BivariatePolynomial.constant(rng.randint(-9, 9)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert det_by_interpolation(rows) == det_by_cofactor(rows)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert det_mod_of(rows) == det_by_cofactor(rows) % P
 
 
 def test_det_matches_cofactor_on_random_polynomial_matrices():
@@ -131,20 +122,22 @@ def test_det_matches_cofactor_on_random_polynomial_matrices():
             ]
             for _ in range(n)
         ]
-        assert det_by_interpolation(rows) == det_by_cofactor(rows)
+        assert matches_cofactor_at_points(rows, rng)
 
 
 def test_det_singular_and_pivoting():
     # zero leading entry forces a row swap
-    assert det_by_interpolation([[0, 1], [1, 0]]) == BivariatePolynomial.constant(-1)
-    assert det_by_interpolation([[D, D], [D, D]]) == 0
-    assert det_by_interpolation([[D, A], [A * D, A * A]]) == 0
-    # a zero matrix has the coefficient bound 0, which needs no prime at
-    # all; with a bound it is eliminated at every grid point
-    zero = [[0, 0], [0, 0]]
-    assert det_by_interpolation(zero) == 0
-    assert det_by_interpolation(zero, bound=1) == 0
-    assert det_by_interpolation([[0 * D, 0 * A], [A, D]], bound=1) == 0
+    assert det_mod_of([[0, 1], [1, 0]]) == P - 1
+    rng = random.Random(213)
+    for _ in range(3):
+        a_value, d_value = rng.randrange(P), rng.randrange(P)
+        for rows in (
+            [[D, D], [D, D]],
+            [[D, A], [A * D, A * A]],
+            [[0, 0], [0, 0]],
+            [[0, 0], [A, D]],
+        ):
+            assert det_mod_at(rows, a_value, d_value) == 0
 
 
 def random_symmetric(rng, n, zero_share):
@@ -172,79 +165,30 @@ def test_det_matches_cofactor_on_random_symmetric_polynomial_matrices():
             rows = random_symmetric(rng, rng.randint(1, 5), zero_share)
             size = len(rows)
             assert all(rows[i][j] == rows[j][i] for i in range(size) for j in range(i))
-            assert det_by_interpolation(rows) == det_by_cofactor(rows)
+            assert matches_cofactor_at_points(rows, rng)
 
 
 def test_det_of_symmetric_matrices_with_row_swaps():
-    zero = BivariatePolynomial.zero()
+    rng = random.Random(215)
     # swap at step 0: [[0, 1], [1, 0]] padded with a block [[d, a], [a, d]]
     swap_first = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, D, A], [0, 0, A, D]]
-    swap_first = [[zero + e for e in row] for row in swap_first]
-    assert det_by_interpolation(swap_first) == A * A - D * D
     # swap at step 1: the 2x2 leading minor vanishes
     swap_later = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]
-    assert det_by_interpolation(swap_later) == -1
     scaled = [[D * e for e in row] for row in swap_later]
-    assert det_by_interpolation(scaled) == -(D**3)
     # swap at step 2: the 3x3 leading minor vanishes
     four = [[2, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 2]]
-    assert det_by_interpolation(four) == 4
+    assert det_mod_of(swap_later) == P - 1
+    assert det_mod_of(four) == 4
+    for _ in range(3):
+        a_value, d_value = rng.randrange(P), rng.randrange(P)
+        assert det_mod_at(swap_first, a_value, d_value) == (
+            (a_value * a_value - d_value * d_value) % P
+        )
+        assert det_mod_at(scaled, a_value, d_value) == -pow(d_value, 3, P) % P
     for rows in (swap_first, swap_later, scaled, four):
         size = len(rows)
         assert all(rows[i][j] == rows[j][i] for i in range(size) for j in range(i))
-        polys = [[zero + e for e in row] for row in rows]
-        assert det_by_interpolation(rows) == det_by_cofactor(polys)
-
-
-def test_det_lifts_over_several_primes():
-    # Coefficient bounds of about 2^185 and 2^245 need four and five
-    # 53-bit primes, so the Chinese remainder lift runs past the fixed
-    # list into the primes that _rank_primes finds below it.
-    rng = random.Random(214)
-    for bits in (60, 80):
-        rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(3)] for _ in range(3)]
-        polys = [[BivariatePolynomial.constant(e) for e in row] for row in rows]
-        assert det_by_interpolation(rows) == det_by_cofactor(polys)
-    big = 2**70
-    rows = [[D * big + 1, A - big], [A * big, D * D * 3 + A * big]]
-    assert det_by_interpolation(rows) == det_by_cofactor(rows)
-
-
-def test_det_fills_every_corner_of_a_non_rectangular_staircase():
-    rows = [[A * A * 2 - D * D * 3, A + 7], [A - 1, A + D * 5]]
-    polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
-    staircase = staircase_of(polys)
-    assert staircase == [3, 2, 1, 0]
-    det = det_by_interpolation(rows)
-    assert det == det_by_cofactor(polys)
-    # 2x^3 + 10x^2 y - 3x y^2 - 15y^3 - x^2 - 6x + 7
-    assert all(det.terms.get((i, s), 0) != 0 for i, s in enumerate(staircase))
-
-
-def test_det_evaluates_once_per_staircase_point_and_prime():
-    big = 2**70
-    rows = [[D * big + 1, A - big], [A * big, D * D * 3 + A * big]]
-    polys = [[BivariatePolynomial.constant(0) + e for e in row] for row in rows]
-    points = sum(s + 1 for s in staircase_of(polys))
-    seen = []
-
-    def evaluate(u, v, p):
-        seen.append((u, v, p))
-        return [[poly_mod(e, u * u, v * v, p) for e in row] for row in polys]
-
-    assert det_by_interpolation(rows, evaluate=evaluate) == det_by_cofactor(rows)
-    primes = {p for _, _, p in seen}
-    assert len(primes) > 1
-    assert len(seen) == len(set(seen)) == points * len(primes)
-
-
-def test_det_refuses_a_staircase_that_is_not_a_lower_set():
-    def evaluate(u, v, p):
-        return [[1]]
-
-    for staircase in ([], [1, 2], [2, -1]):
-        with pytest.raises(ValueError):
-            det_interpolated(evaluate, staircase, 1)
+        assert matches_cofactor_at_points(rows, rng)
 
 
 def test_det_alternating_multilinearity_spot_check():
@@ -252,7 +196,7 @@ def test_det_alternating_multilinearity_spot_check():
     for _ in range(10):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         swapped = [rows[1], rows[0], rows[2]]
-        assert det_by_interpolation(rows) == -det_by_interpolation(swapped)
+        assert det_mod_of(rows) == -det_mod_of(swapped) % P
 
 
 def test_rank_frozen_examples():
@@ -357,32 +301,32 @@ def test_rank_matches_gauss_oracle():
 
 
 def test_det_modular_frozen_examples():
-    assert det_modular(ExactMatrix.from_rows([[2, 0], [0, 3]]), 7) == 6
-    eye = ExactMatrix.from_rows([[int(i == j) for j in range(5)] for i in range(5)])
-    for p in (7, MODULAR_PRIMES[0]):
-        assert det_modular(eye, p) == 1
-    assert det_modular(ExactMatrix.from_rows([[7, 0], [0, 1]]), 7) == 0
+    assert det_mod_of([[2, 0], [0, 3]], 7) == 6
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
+    for p in (7, P):
+        assert det_mod_of(eye, p) == 1
+    assert det_mod_of([[7, 0], [0, 1]], 7) == 0
     # a zero leading entry forces a row swap, which flips the sign
-    assert det_modular(ExactMatrix.from_rows([[0, 1], [1, 0]]), 7) == 6
+    assert det_mod_of([[0, 1], [1, 0]], 7) == 6
     # no pivot in a middle column, then in the last column
-    assert det_modular(ExactMatrix.from_rows([[1, 1, 1], [2, 2, 3], [0, 0, 1]]), 7) == 0
-    assert det_modular(ExactMatrix.from_rows([[1, 2], [2, 4]]), 7) == 0
+    assert det_mod_of([[1, 1, 1], [2, 2, 3], [0, 0, 1]], 7) == 0
+    assert det_mod_of([[1, 2], [2, 4]], 7) == 0
 
 
 def test_det_modular_rejects_composite():
-    with pytest.raises(ValueError):
-        det_modular(ExactMatrix.from_rows([[1]]), 10)
+    # P + 2 lies between P and 2^53, so it is composite
+    for composite in (10, P + 2):
+        with pytest.raises(ValueError, match="not prime"):
+            verify_determinant(1, mode="modular", prime=composite)
 
 
 def test_det_modular_matches_fraction_free():
-    # the exact integer determinant, interpolated over enough primes
     rng = random.Random(206)
     p = MODULAR_PRIMES[1]
     for _ in range(15):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        value = det_by_interpolation(rows).terms.get((0, 0), 0)
-        assert det_modular(ExactMatrix.from_rows(rows), p) == value % p
+        assert det_mod_of(rows, p) == det_by_cofactor(rows) % p
 
 
 def test_prime_test_against_sieve():
@@ -528,9 +472,7 @@ from tlbgram.disk import (
     tilde_count_formula,
 )
 from tlbgram.gram import determinant_product_value_mod, verify_determinant
-from tlbgram.linalg import (
-    PRIME_TEST_LIMIT, ExactMatrix, det_modular, is_prime, rank_exact,
-)
+from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, is_prime, rank_exact
 from tlbgram.polynomials import (
     BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
     chebyshev_in_bracket,
@@ -539,10 +481,9 @@ from tlbgram.tl import (
     TLElement, cup_cap_matching, identity_matching, projector_pairing_value,
     quantum_dimension,
 )
-wide = ExactMatrix.from_rows([[1, 2]])
 bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
-    lambda: det_modular(wide, 7),
+    lambda: verify_determinant(1, mode="modular", prime=10),
     lambda: is_prime(PRIME_TEST_LIMIT),
     lambda: rank_exact(ExactMatrix.from_rows([[Fraction(1, 2)]])),
     lambda: enumerate_disk(0, 1),

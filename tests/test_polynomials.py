@@ -241,6 +241,18 @@ def test_the_two_rings_never_add():
             combine()
 
 
+def test_the_rings_multiply_only_by_ints_and_their_own_type():
+    p, s = A, LaurentScalar.monomial(1)
+    for x, other in ((p, s), (s, p)):
+        for y in (2.5, Fraction(1, 2), other, type(other).zero()):
+            for product in (lambda: x * y, lambda: y * x):
+                with pytest.raises(TypeError):
+                    product()
+        assert x * 3 == 3 * x == x + x + x
+        assert x * True == x
+        assert (x * type(x).constant(2)).terms == (x + x).terms
+
+
 def random_dense(rng, max_degree=6, max_coeff=20):
     """A dense integer polynomial with nonzero leading coefficient."""
     p = [rng.randint(-max_coeff, max_coeff) for _ in range(rng.randint(0, max_degree))]
