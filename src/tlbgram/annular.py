@@ -205,6 +205,43 @@ def rotation_permutation(n: int) -> tuple[int, ...]:
     return tuple(index[chords] for chords in turned)
 
 
+class PlanarMatching:
+    """Crossingless matching of 2k points on a circle: match[p] is p's partner.
+
+    It indexes both TL_k (see tl) and the disk diagrams of disk.
+    """
+
+    __slots__ = ("k", "match")
+
+    def __init__(self, k: int, match: tuple[int, ...]):
+        self.k = k
+        self.match = match
+        if len(match) != 2 * k:
+            raise ValueError("matching length must be 2k")
+        stack: list[int] = []
+        for p, q in enumerate(match):
+            if q == p or not 0 <= q < 2 * k or match[q] != p:
+                raise ValueError("not a fixed-point-free involution")
+            if q > p:
+                stack.append(p)
+            elif not stack or stack[-1] != q:
+                raise ValueError("matching has crossing chords")
+            else:
+                stack.pop()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PlanarMatching):
+            return NotImplemented
+        return self.match == other.match
+
+    def __hash__(self) -> int:
+        return hash(self.match)
+
+    def to_paren(self) -> str:
+        """Balanced-parenthesis notation: '(' opens a chord, ')' closes it."""
+        return "".join("(" if q > p else ")" for p, q in enumerate(self.match))
+
+
 class PairingValue:
     """Evaluation of the bilinear form on two diagrams: a^m * d^t."""
 

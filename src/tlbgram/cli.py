@@ -107,13 +107,10 @@ def _cmd_enumerate(args) -> tuple[int, str]:
 
 
 def _cmd_gram(args) -> tuple[int, str]:
-    from .gram import _tabulate, gram_matrix
-    from .polynomials import BivariatePolynomial
+    from .gram import gram_matrix
 
     g = gram_matrix(args.n)
-    texts = _tabulate(
-        g.n, g.pairings, lambda m, t: BivariatePolynomial.monomial(m, t).to_text()
-    )
+    texts = g.tabulate(lambda m, t: g.value(m, t).to_text())
     report = {
         "version": __version__,
         "n": args.n,

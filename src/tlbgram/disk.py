@@ -2,11 +2,13 @@
 
 A disk diagram on parameters (n, k) is a non-crossing perfect matching
 of 2(n+k) boundary points read counter-clockwise: first the 2n outer
-points a_1..a_{2n}, then l_1..l_k, then u_k..u_1.  The admissible ones
-(no chord joining two l-points, none joining two u-points) are counted
-by C(2n, n) - C(2n, n-k-1), which also counts annular diagrams whose
-reference-segment crossing number is at most k; both counts and the
-mark-set bijection behind them are implemented here.
+points a_1..a_{2n}, then l_1..l_k, then u_k..u_1.  It is kept as an
+`annular.PlanarMatching` on n + k strands, the type that also indexes
+TL_(n+k).  The admissible ones (no chord joining two l-points, none
+joining two u-points) are counted by C(2n, n) - C(2n, n-k-1), which also
+counts annular diagrams whose reference-segment crossing number is at
+most k; both counts and the mark-set bijection behind them are
+implemented here.
 """
 
 from __future__ import annotations
@@ -14,25 +16,16 @@ from __future__ import annotations
 from math import comb
 
 from ._limits import guard, require
-from .annular import AnnularDiagram, diagram_from_marks
-
-__all__ = [
-    "DiskDiagram",
-    "noncrossing_matchings",
-    "enumerate_disk",
-    "count_tilde",
-    "tilde_count_formula",
-    "count_atmost",
-    "count_atleast",
-    "subset_to_diagram",
-    "diagram_to_subset",
-    "telescoping_sides",
-    "telescoping_identity",
-]
+from .annular import (
+    AnnularDiagram,
+    PlanarMatching,
+    diagram_from_marks,
+    enumerate_diagrams,
+)
 
 
 def noncrossing_matchings(num_points: int):
-    """Iterate every non-crossing matching of 0..num_points-1 as sorted pairs.
+    """Iterate every non-crossing matching of 0..num_points-1 as an involution.
 
     The argument is checked at the call, before the first matching.
     """
@@ -40,69 +33,42 @@ def noncrossing_matchings(num_points: int):
         num_points >= 0 and num_points % 2 == 0,
         f"need an even number of points >= 0, got {num_points}",
     )
+    match = [0] * num_points
 
-    def rec(points):
-        if not points:
-            yield ()
+    def rec(lo: int, hi: int):
+        # every matching of lo..hi-1, written into match before each yield
+        if lo == hi:
+            yield
             return
-        first = points[0]
-        for idx in range(1, len(points), 2):
-            for inside in rec(points[1:idx]):
-                for outside in rec(points[idx + 1 :]):
-                    yield ((first, points[idx]),) + inside + outside
+        for q in range(lo + 1, hi, 2):
+            match[lo], match[q] = q, lo
+            for _ in rec(lo + 1, q):
+                yield from rec(q + 1, hi)
 
-    return rec(tuple(range(num_points)))
-
-
-class DiskDiagram:
-    """Non-crossing matching of the 2(n+k) disk boundary points."""
-
-    __slots__ = ("n", "k", "pairs")
-
-    def __init__(self, n: int, k: int, pairs: tuple[tuple[int, int], ...]):
-        self.n = n
-        self.k = k
-        self.pairs = pairs
-        flat = [p for pair in pairs for p in pair]
-        require(sorted(flat) == list(range(2 * (n + k))), "not a perfect matching")
-        spans = [(min(a, b), max(a, b)) for a, b in pairs]
-        crossed = any(
-            (lo < c < hi) != (lo < d < hi)
-            for (lo, hi), (c, d) in _pairs_of_pairs(spans)
-        )
-        require(not crossed, "chords cross")
-
-    def is_admissible(self) -> bool:
-        """No chord inside the l-block and none inside the u-block."""
-        lo_l = 2 * self.n
-        lo_u = 2 * self.n + self.k
-        for a, b in self.pairs:
-            if lo_l <= a < lo_u and lo_l <= b < lo_u:
-                return False
-            if a >= lo_u and b >= lo_u:
-                return False
-        return True
+    return (tuple(match) for _ in rec(0, num_points))
 
 
-def _pairs_of_pairs(pairs):
-    for idx, p in enumerate(pairs):
-        for q in pairs[idx + 1 :]:
-            yield p, q
-
-
-def enumerate_disk(n: int, k: int) -> tuple[DiskDiagram, ...]:
+def enumerate_disk(n: int, k: int) -> tuple[PlanarMatching, ...]:
     """All disk diagrams for (n, k); there are Catalan(n + k) of them."""
     require(n >= 1 and k >= 0, f"need n >= 1 and k >= 0, got n={n}, k={k}")
     guard(n + k <= 8, f"enumerate_disk tested for n + k <= 8, got n+k={n + k}")
     return tuple(
-        DiskDiagram(n, k, pairs)
-        for pairs in noncrossing_matchings(2 * (n + k))
+        PlanarMatching(n + k, match)
+        for match in noncrossing_matchings(2 * (n + k))
+    )
+
+
+def is_admissible(n: int, m: PlanarMatching) -> bool:
+    """No chord inside the l-block and none inside the u-block of m on (n, m.k - n)."""
+    lo_l, lo_u = 2 * n, n + m.k
+    return not any(
+        lo_l <= p < q < lo_u or lo_u <= p < q for p, q in enumerate(m.match)
     )
 
 
 def count_tilde(n: int, k: int) -> int:
     """Number of admissible disk diagrams, by direct enumeration."""
-    return sum(1 for d in enumerate_disk(n, k) if d.is_admissible())
+    return sum(1 for m in enumerate_disk(n, k) if is_admissible(n, m))
 
 
 def tilde_count_formula(n: int, k: int) -> int:
@@ -114,16 +80,12 @@ def tilde_count_formula(n: int, k: int) -> int:
 
 def count_atmost(n: int, k: int) -> int:
     """Annular diagrams whose crossing number with the segment is <= k."""
-    from .annular import enumerate_diagrams
-
     guard(n <= 6, f"count_atmost tested for n <= 6, got n={n}")
     return sum(1 for d in enumerate_diagrams(n) if d.cut_crossings() <= k)
 
 
 def count_atleast(n: int, j: int) -> int:
     """Annular diagrams whose crossing number is >= j; equals C(2n, n-j)."""
-    from .annular import enumerate_diagrams
-
     guard(n <= 6, f"count_atleast tested for n <= 6, got n={n}")
     return sum(1 for d in enumerate_diagrams(n) if d.cut_crossings() >= j)
 

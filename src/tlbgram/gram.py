@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from . import __version__
 from ._limits import guard, require
@@ -40,10 +40,11 @@ from .polynomials import BivariatePolynomial, _poly_divexact, chebyshev
 
 
 class GramMatrix:
-    """Basis diagrams plus the pairing of every two of them.
+    """Basis diagrams, the pairing of every two of them, and an entry function.
 
-    Entry (i, j) is the monomial a^m d^t of pairings[i][j], built when
-    entries is first read.
+    Entry (i, j) is value(m, t) for the exponents a^m d^t of
+    pairings[i][j], built when entries is first read: the monomial
+    itself by default, a skein value for tl.skein_matrix.
     """
 
     def __init__(
@@ -51,38 +52,34 @@ class GramMatrix:
         n: int,
         basis: tuple[AnnularDiagram, ...],
         pairings: tuple[tuple[PairingValue, ...], ...],
+        value=None,
     ):
         self.n = n
         self.basis = basis
         self.pairings = pairings
+        # looked up here, not bound at definition, so a patched monomial is seen
+        self.value = value or BivariatePolynomial.monomial
 
     @cached_property
     def entries(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            _tabulate(self.n, self.pairings, BivariatePolynomial.monomial)
-        )
+        return ExactMatrix.from_rows(self.tabulate(self.value))
 
     def size(self) -> int:
         return len(self.basis)
 
+    def tabulate(self, value) -> list[list]:
+        """value(m, t) for every pairing a^m d^t, computed once per (m, t).
+
+        A loop of a pairing passes through at least two of the 2n points,
+        so m + t <= n and an (n+1) x (n+1) table covers every entry.
+        """
+        span = range(self.n + 1)
+        table = [[value(m, t) for t in span] for m in span]
+        return [[table[v.nontrivial][v.trivial] for v in row] for row in self.pairings]
+
     def evaluate_mod(self, a_value: int, d_value: int, p: int) -> list[list[int]]:
-        """The entries at a = a_value, d = d_value, reduced mod p."""
-        return _tabulate(
-            self.n,
-            self.pairings,
-            lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p,
-        )
-
-
-def _tabulate(n: int, pairings, value) -> list[list]:
-    """value(m, t) for every pairing a^m d^t, computed once per (m, t).
-
-    A loop of a pairing passes through at least two of the 2n points,
-    so m + t <= n and an (n+1) x (n+1) table covers every entry.
-    """
-    span = range(n + 1)
-    table = [[value(m, t) for t in span] for m in span]
-    return [[table[v.nontrivial][v.trivial] for v in row] for row in pairings]
+        """The monomials at a = a_value, d = d_value, reduced mod p."""
+        return self.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p)
 
 
 @lru_cache(maxsize=None)
@@ -184,28 +181,29 @@ def _weights(u: tuple, v: tuple) -> tuple:
     return tuple(w)
 
 
-def _nullity_at(n: int, a_value: Fraction, d_value: Fraction) -> int:
-    """Nullity over Q of G_n at a = a_value, d = d_value, block by block.
+def _nullity_at(g: GramMatrix, a_value: Fraction, d_value: Fraction) -> int:
+    """Nullity over Q of the pairings of g at a = a_value, d = d_value.
 
-    G commutes with R, so the Phi_e components are G-orthogonal and
-    P^T G P is block diagonal: rank G is the sum of the ranks of the
-    blocks B_e = P_e^T G P_e (Serre, Linear Representations of Finite
-    Groups, sections 12-13).  Entry (u, v) of B_e, for u laid over the
-    cycle o and v over the cycle o', is sum_k W[k] G[o_0][o'_k] with W
-    from _weights, since G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the
-    row of each o_0 is read.  The values a^m d^t are scaled to integers
-    by one common lcm; each block is evaluated on and above its diagonal
-    and mirrored, each row is divided by its content, and every block
-    rank is certified by rank_exact.
+    The monomials a^m d^t are ranked, not g's entry function: the skein
+    route passes its own a and d (see tl.skein_nullity).  G commutes
+    with R, so the Phi_e components are G-orthogonal and P^T G P is
+    block diagonal: rank G is the sum of the ranks of the blocks
+    B_e = P_e^T G P_e (Serre, Linear Representations of Finite Groups,
+    sections 12-13).  Entry (u, v) of B_e, for u laid over the cycle o
+    and v over the cycle o', is sum_k W[k] G[o_0][o'_k] with W from
+    _weights, since G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the row of
+    each o_0 is read.  The values a^m d^t are scaled to integers by one
+    common lcm; each block is evaluated on and above its diagonal and
+    mirrored, each row is divided by its content, and every block rank
+    is certified by rank_exact.
     """
-    span = n + 1
+    span = g.n + 1
     values = [a_value**m * d_value**t for m in range(span) for t in range(span)]
     scale = lcm(*(v.denominator for v in values))
     values = [v.numerator * (scale // v.denominator) for v in values]
-    _, pairings = _pairing_table(n)
-    components = _rotation_basis(n)
+    components = _rotation_basis(g.n)
     rows = {  # the row of each cycle's o_0, as the scaled integers
-        o[0]: [values[v.nontrivial * span + v.trivial] for v in pairings[o[0]]]
+        o[0]: [values[v.nontrivial * span + v.trivial] for v in g.pairings[o[0]]]
         for o, _ in components[1]
     }
     rank = 0
@@ -220,15 +218,27 @@ def _nullity_at(n: int, a_value: Fraction, d_value: Fraction) -> int:
             raw.append([r[i] for r in raw] + upper)
         block = []
         for row in raw:
-            g = gcd(*row)
-            block.append([v // g for v in row] if g > 1 else row)
-        rank += rank_exact(ExactMatrix.from_rows(block))
-    return comb(2 * n, n) - rank
+            c = gcd(*row)
+            block.append([v // c for v in row] if c > 1 else row)
+        rank += rank_exact(block)
+    return g.size() - rank
 
 
 def crossing_signs(basis) -> tuple[int, ...]:
     """(-1)^(crossing number) for each basis diagram."""
     return tuple(-1 if d.cut_crossings() & 1 else 1 for d in basis)
+
+
+def _parities_hold(g: GramMatrix, exponent, e) -> bool:
+    """Whether every pairing v of i and j has exponent(v) = e[i] + e[j] (mod 2).
+
+    Each e[i] is 0 or 1, so row i holds when exponent(v) + e[j] has the
+    parity e[i] all along it.
+    """
+    return all(
+        {(x + e_j) & 1 for x, e_j in zip(map(exponent, row), e)} == {e_i}
+        for e_i, row in zip(e, g.pairings)
+    )
 
 
 def sign_conjugation_check(n: int) -> bool:
@@ -240,12 +250,8 @@ def sign_conjugation_check(n: int) -> bool:
     numbers c, checked on the exponents.
     """
     g = gram_matrix(n)
-    signs = crossing_signs(g.basis)
-    return all(
-        (v.nontrivial & 1 == 0) == (s_i == s_j)
-        for s_i, row in zip(signs, g.pairings)
-        for v, s_j in zip(row, signs)
-    )
+    odd = [int(s < 0) for s in crossing_signs(g.basis)]
+    return _parities_hold(g, attrgetter("nontrivial"), odd)
 
 
 def d_parity_check(n: int) -> bool:
@@ -258,11 +264,7 @@ def d_parity_check(n: int) -> bool:
     """
     g = gram_matrix(n)
     e = [(v.trivial - n) & 1 for v in g.pairings[0]]
-    return all(
-        (v.trivial - n - e_i - e_j) & 1 == 0
-        for e_i, row in zip(e, g.pairings)
-        for v, e_j in zip(row, e)
-    )
+    return _parities_hold(g, lambda v: v.trivial - n, e)
 
 
 def determinant_product_form(n: int) -> BivariatePolynomial:
@@ -434,10 +436,9 @@ def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     delta_value = Fraction(delta_value)
-    gram_matrix(n)  # the size checks
     t_k = chebyshev(k).evaluate(0, delta_value)
     a_value = t_k if k & 1 else -t_k
-    return _nullity_at(n, a_value, delta_value)
+    return _nullity_at(gram_matrix(n), a_value, delta_value)
 
 
 def random_delta(rng: random.Random) -> Fraction:

@@ -247,8 +247,8 @@ def _integer_rank(rows: list) -> int:
             return rank
 
 
-def rank_exact(matrix: ExactMatrix) -> int:
-    """Exact rank over Q of a matrix with int entries; others are refused.
+def rank_exact(rows: list) -> int:
+    """Exact rank over Q of a rectangular matrix of ints; others are refused.
 
     A matrix over Q takes integer rows once each row is scaled by the lcm
     of its denominators, which leaves the rank alone.  Both nullity
@@ -258,10 +258,14 @@ def rank_exact(matrix: ExactMatrix) -> int:
     _integer_rank).
     """
     require(
-        all(isinstance(x, int) for row in matrix.entries for x in row),
+        len(rows) > 0 and all(len(row) == len(rows[0]) > 0 for row in rows),
+        "rank_exact takes a non-empty matrix whose rows all have the same length",
+    )
+    require(
+        all(isinstance(x, int) for row in rows for x in row),
         "rank_exact takes int entries; scale each row of a matrix over Q first",
     )
-    return _integer_rank(matrix.entries)
+    return _integer_rank(rows)
 
 
 def _det_mod(m: list, p: int) -> int:

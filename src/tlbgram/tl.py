@@ -10,57 +10,21 @@ On top of the diagram algebra this module builds Jones-Wenzl
 projectors, Markov closures, the state-sum expansion of a curve
 encircling all strands, and the matrices of skein evaluations that
 mirror the annular Gram matrix after its loop variables are specialized.
-Those matrices read the Gram stack's pairing table; they import `gram`
-and `linalg` where they use them, so the projectors load neither.
+Each such matrix is a `gram.GramMatrix` on the Gram stack's pairing
+table with a skein value for its entry function.  `gram` is imported
+where it is used, so the projectors load neither `gram` nor `linalg`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product
 import random
 
 from ._limits import guard, require
-from .annular import _trace
+from .annular import PlanarMatching, _trace
 from .polynomials import LOOP_VALUE_A, LaurentScalar
-
-
-class PlanarMatching:
-    """Crossingless matching of the 2k circular boundary positions."""
-
-    __slots__ = ("k", "match")
-
-    def __init__(self, k: int, match: tuple[int, ...]):
-        self.k = k
-        self.match = match
-        if len(match) != 2 * k:
-            raise ValueError("matching length must be 2k")
-        stack: list[int] = []
-        for p, q in enumerate(match):
-            if q == p or not 0 <= q < 2 * k or match[q] != p:
-                raise ValueError("not a fixed-point-free involution")
-            if q > p:
-                stack.append(p)
-            elif not stack or stack[-1] != q:
-                raise ValueError("matching has crossing chords")
-            else:
-                stack.pop()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlanarMatching):
-            return NotImplemented
-        return self.match == other.match
-
-    def __hash__(self) -> int:
-        return hash(self.match)
-
-    def to_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p, q) for p, q in enumerate(self.match) if p < q)
-
-    def to_paren(self) -> str:
-        """Balanced-parenthesis notation: '(' opens a chord, ')' closes it."""
-        return "".join("(" if q > p else ")" for p, q in enumerate(self.match))
 
 
 def identity_matching(k: int) -> PlanarMatching:
@@ -185,7 +149,7 @@ class TLElement:
 
     def __repr__(self):
         body = ", ".join(
-            f"{m.to_pairs()}: {c.to_text()}" for m, c in self.terms.items()
+            f"{m.to_paren()}: {c.to_text()}" for m, c in self.terms.items()
         )
         return f"TLElement(k={self.k}, {{{body}}}, den={self.den.to_text()})"
 
@@ -330,45 +294,21 @@ def projector_pairing_value(strands: int, nontrivial: int, trivial: int) -> Laur
     )
 
 
-class SkeinValueMatrix:
-    """Matrix of skein evaluations over the annular diagram basis.
-
-    It is kept as the pairing exponents of every two basis diagrams, the
-    same table the Gram matrix reads; entry (i, j) is
-    projector_pairing_value(k - 1, m, t) for the exponents (m, t) of
-    pairings[i][j].  entries is built when first read, with one value
-    per exponent pair (m, t).
-    """
-
-    def __init__(self, n: int, k: int, basis: tuple, pairings: tuple):
-        self.n = n
-        self.k = k
-        self.basis = basis
-        self.pairings = pairings
-
-    @cached_property
-    def entries(self) -> ExactMatrix:
-        from .gram import _tabulate
-        from .linalg import ExactMatrix
-
-        value = partial(projector_pairing_value, self.k - 1)
-        return ExactMatrix.from_rows(_tabulate(self.n, self.pairings, value))
-
-
 @lru_cache(maxsize=None)
-def skein_matrix(n: int, k: int) -> SkeinValueMatrix:
+def skein_matrix(n: int, k: int) -> GramMatrix:
     """Evaluations with the (k-1)-strand projector filling the core.
 
-    The basis and the pairings are those of gram_matrix(n): one table,
-    assembled from rotation orbits, serves both routes.
+    Entry (i, j) is projector_pairing_value(k - 1, m, t) for the pairing
+    a^m d^t of i and j, read from the one table, assembled from rotation
+    orbits, that gram_matrix(n) reads too.
     """
     require(n >= 1, f"need n >= 1, got n={n}")
     guard(n <= 5, f"skein_matrix tested for 1 <= n <= 5, got n={n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    from .gram import _pairing_table
+    from .gram import GramMatrix, _pairing_table
 
-    return SkeinValueMatrix(n, k, *_pairing_table(n))
+    return GramMatrix(n, *_pairing_table(n), partial(projector_pairing_value, k - 1))
 
 
 def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
@@ -387,9 +327,8 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
         raise ValueError("sample must avoid 0 and the roots of unity +-1")
     from .gram import _nullity_at
 
-    skein_matrix(n, k)  # the size checks
     return _nullity_at(
-        n,
+        skein_matrix(n, k),
         encircle_eigenvalue(k - 1).evaluate(a_sample),
         LOOP_VALUE_A.evaluate(a_sample),
     )

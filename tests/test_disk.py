@@ -5,14 +5,14 @@ from math import comb
 
 import pytest
 
-from tlbgram.annular import AnnularDiagram, enumerate_diagrams
+from tlbgram.annular import AnnularDiagram, PlanarMatching, enumerate_diagrams
 from tlbgram.disk import (
-    DiskDiagram,
     count_atleast,
     count_atmost,
     count_tilde,
     diagram_to_subset,
     enumerate_disk,
+    is_admissible,
     noncrossing_matchings,
     subset_to_diagram,
     telescoping_identity,
@@ -31,16 +31,23 @@ def test_noncrossing_matching_counts_are_catalan():
 
 
 def test_noncrossing_matchings_never_interleave():
-    for pairs in noncrossing_matchings(8):
+    seen = set()
+    for match in noncrossing_matchings(8):
+        assert all(q != p and match[q] == p for p, q in enumerate(match))
+        pairs = [(p, q) for p, q in enumerate(match) if p < q]
         for (a, b), (c, d) in combinations(pairs, 2):
             assert ((a < c < b) + (a < d < b)) % 2 == 0
+        seen.add(match)
+    assert len(seen) == catalan(4)
 
 
 def test_disk_diagram_validation():
+    # a disk diagram on (n, k) is a planar matching on n + k strands
     with pytest.raises(ValueError):
-        DiskDiagram(1, 0, ((0, 1), (1, 2)))
+        PlanarMatching(2, (1, 2, 1, 0))  # point 1 reused
     with pytest.raises(ValueError):
-        DiskDiagram(1, 1, ((0, 2), (1, 3)))  # crossing
+        PlanarMatching(2, (2, 3, 0, 1))  # crossing
+    assert all(m.k == 4 for m in enumerate_disk(1, 3))
 
 
 def test_enumerate_disk_frozen_counts():
@@ -62,11 +69,13 @@ def test_guard_override_env_var(monkeypatch):
 
 
 def test_admissibility_filter():
-    # an l-l chord is filtered out, an a-a chord is kept
-    bad = DiskDiagram(1, 2, ((0, 1), (2, 3), (4, 5)))  # (2,3) joins l1,l2
-    assert not bad.is_admissible()
-    good = DiskDiagram(1, 2, ((0, 1), (2, 5), (3, 4)))
-    assert good.is_admissible()
+    # an l-l or a u-u chord is filtered out, an a-a chord is kept
+    l_to_l = PlanarMatching(3, (1, 0, 3, 2, 5, 4))  # (2,3) joins l1,l2
+    assert not is_admissible(1, l_to_l)
+    u_to_u = PlanarMatching(3, (3, 2, 1, 0, 5, 4))  # (4,5) joins u2,u1
+    assert not is_admissible(1, u_to_u)
+    good = PlanarMatching(3, (1, 0, 5, 4, 3, 2))
+    assert is_admissible(1, good)
 
 
 def test_count_tilde_frozen_values():

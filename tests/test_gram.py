@@ -22,7 +22,6 @@ from tlbgram.gram import (
     _nullity_at,
     _product_is_determinant,
     _rotation_basis,
-    _tabulate,
     crossing_signs,
     d_parity_check,
     degree_bound,
@@ -37,7 +36,6 @@ from tlbgram.gram import (
 )
 from tlbgram.linalg import (
     MODULAR_PRIMES,
-    ExactMatrix,
     _det_mod,
     _integer_rank,
     is_prime,
@@ -439,8 +437,8 @@ def test_nullity_agrees_across_specialization_sign():
         d0 = random_delta(rng)
         t_k = chebyshev(k).evaluate(0, d0)
         plus, minus = (scaled_rows(gram_at(n, a, d0).entries) for a in (t_k, -t_k))
-        r_plus = rank_exact(ExactMatrix.from_rows(plus))
-        r_minus = rank_exact(ExactMatrix.from_rows(minus))
+        r_plus = rank_exact(plus)
+        r_minus = rank_exact(minus)
         assert r_plus == r_minus
 
 
@@ -492,7 +490,7 @@ def test_rank_rows_are_positive_multiples_of_the_evaluated_block_rows(monkeypatc
             (Fraction(-7, 9), Fraction(5, 3)),  # denominators share a factor
         ):
             seen.clear()
-            _nullity_at(n, a_value, d_value)
+            _nullity_at(gram_matrix(n), a_value, d_value)
             blocks = blocks_at(n, a_value, d_value)
             assert len(seen) == len(blocks)
             for rows, block in zip(seen, blocks):
@@ -641,20 +639,21 @@ def test_rotation_components_are_orthogonal_and_blocks_match(n):
 
 def dense_nullity(n, value):
     """N minus the rank of the dense matrix of value(m, t), the oracle."""
-    rows = scaled_rows(_tabulate(n, gram_matrix(n).pairings, value))
-    return comb(2 * n, n) - rank_exact(ExactMatrix.from_rows(rows))
+    rows = scaled_rows(gram_matrix(n).tabulate(value))
+    return comb(2 * n, n) - rank_exact(rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_block_nullity_matches_the_dense_rank_on_the_gram_route(n):
     rng = random.Random(620 + n)
+    g = gram_matrix(n)
     for k in range(1, n + 1):
         for sign in (1, -1):
             for _ in range(3):
                 d0 = random_delta(rng)
                 a_value = sign * chebyshev(k).evaluate(0, d0)
                 expected = dense_nullity(n, lambda m, t: a_value**m * d0**t)
-                assert _nullity_at(n, a_value, d0) == expected, (n, k, sign, d0)
+                assert _nullity_at(g, a_value, d0) == expected, (n, k, sign, d0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -679,7 +678,7 @@ def test_tabulate_computes_each_exponent_pair_once():
             return (m, t)
 
         pairings = gram_matrix(n).pairings
-        table = _tabulate(n, pairings, value)
+        table = gram_matrix(n).tabulate(value)
         assert sorted(calls) == sorted(set(calls))
         assert len(calls) == (n + 1) ** 2
         assert table == [[(v.nontrivial, v.trivial) for v in row] for row in pairings]

@@ -200,10 +200,9 @@ def test_det_alternating_multilinearity_spot_check():
 
 
 def test_rank_frozen_examples():
-    assert rank_exact(ExactMatrix.from_rows([[1, 1], [1, 1]])) == 1
-    assert rank_exact(ExactMatrix.from_rows([[0] * 3] * 3)) == 0
-    eye = ExactMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
-    assert rank_exact(eye) == 4
+    assert rank_exact([[1, 1], [1, 1]]) == 1
+    assert rank_exact([[0] * 3] * 3) == 0
+    assert rank_exact([[int(i == j) for j in range(4)] for i in range(4)]) == 4
 
 
 def test_rank_of_constructed_rank_two_matrix():
@@ -213,15 +212,20 @@ def test_rank_of_constructed_rank_two_matrix():
         r2 = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
         # two independent rows, each duplicated with a scalar
         rows = [r1, r2, [3 * x for x in r1], [Fraction(-1, 2) * x for x in r2]]
-        m = ExactMatrix.from_rows(scaled_rows(rows))
-        pair = ExactMatrix.from_rows(scaled_rows([r1, r2]))
-        if rank_exact(pair) == 2:  # regenerate-free: almost always independent
-            assert rank_exact(m) == 2
+        if rank_exact(scaled_rows([r1, r2])) == 2:  # almost always independent
+            assert rank_exact(scaled_rows(rows)) == 2
 
 
 def test_rank_refuses_entries_that_are_not_ints():
-    with pytest.raises(ValueError):
-        rank_exact(ExactMatrix.from_rows([[1, Fraction(1, 2)]]))
+    for rows in ([[1, Fraction(1, 2)]], [[1, 2], [3, 4.0]], [["1"]]):
+        with pytest.raises(ValueError, match="int entries"):
+            rank_exact(rows)
+
+
+def test_rank_refuses_a_matrix_that_is_empty_or_ragged():
+    for rows in ([], [[]], [[], []], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="same length"):
+            rank_exact(rows)
 
 
 def rank_by_gauss(rows):
@@ -296,8 +300,7 @@ def test_rank_matches_gauss_oracle():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        scaled = ExactMatrix.from_rows(scaled_rows(rows))
-        assert rank_exact(scaled) == rank_by_gauss(rows)
+        assert rank_exact(scaled_rows(rows)) == rank_by_gauss(rows)
 
 
 def test_det_modular_frozen_examples():
@@ -466,10 +469,9 @@ def test_gram_nullity_at_n5_matches_binomial():
 def test_input_checks_survive_python_O():
     script = """
 from fractions import Fraction
-from tlbgram.annular import diagram_from_marks
+from tlbgram.annular import PlanarMatching, diagram_from_marks
 from tlbgram.disk import (
-    DiskDiagram, enumerate_disk, noncrossing_matchings, telescoping_sides,
-    tilde_count_formula,
+    enumerate_disk, noncrossing_matchings, telescoping_sides, tilde_count_formula,
 )
 from tlbgram.gram import determinant_product_value_mod, verify_determinant
 from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, is_prime, rank_exact
@@ -485,11 +487,15 @@ bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
     lambda: verify_determinant(1, mode="modular", prime=10),
     lambda: is_prime(PRIME_TEST_LIMIT),
-    lambda: rank_exact(ExactMatrix.from_rows([[Fraction(1, 2)]])),
+    lambda: rank_exact([[Fraction(1, 2)]]),
+    lambda: rank_exact([[1, 2], [3]]),
+    lambda: rank_exact([]),
+    lambda: rank_exact([[]]),
     lambda: enumerate_disk(0, 1),
     lambda: tilde_count_formula(2, -1),
     lambda: telescoping_sides(0),
-    lambda: DiskDiagram(1, 0, ((0, 1), (1, 2))),
+    lambda: PlanarMatching(2, (1, 2, 1, 0)),
+    lambda: PlanarMatching(2, (2, 3, 0, 1)),
     lambda: noncrossing_matchings(3),
     lambda: cup_cap_matching(0, 2),
     lambda: quantum_dimension(-2),

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from tlbgram.annular import pair
+from tlbgram.annular import PlanarMatching, pair
 from tlbgram.gram import gram_matrix, specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
@@ -16,8 +16,6 @@ from tlbgram.polynomials import (
     substitute_loop_values,
 )
 from tlbgram.tl import (
-    PlanarMatching,
-    SkeinValueMatrix,
     TLElement,
     cup_cap_matching,
     encircle,
@@ -143,6 +141,26 @@ def test_projector_matches_fraction_recurrence():
             den = f.den.evaluate(a)
             values = {m: c.evaluate(a) / den for m, c in f.terms.items()}
             assert values == jones_wenzl_at(k, a)
+
+
+def quantum_integer(m, a):
+    """[m] = (q^m - q^-m) / (q - q^-1) at q = a^2."""
+    q = a * a
+    return (q**m - q**-m) / (q - 1 / q)
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 7), Fraction(-5, 2)])
+def test_projector_generator_coefficients_match_the_closed_form(a):
+    # A second oracle, independent of the recurrence (Kauffman-Lins 1994;
+    # Morrison, arXiv:1503.00384): f_k = 1 + sum_i [i][k-i]/[k] e_i + ...
+    for k in range(2, 8):
+        f = jones_wenzl(k)
+        den = f.den.evaluate(a)
+        assert f.terms[identity_matching(k)].evaluate(a) == den
+        for i in range(1, k):
+            coeff = f.terms[cup_cap_matching(i, k)].evaluate(a) / den
+            expected = quantum_integer(i, a) * quantum_integer(k - i, a)
+            assert coeff == expected / quantum_integer(k, a), (k, i)
 
 
 def test_projector_idempotent_and_cup_killed():
@@ -300,9 +318,13 @@ def test_skein_entries_evaluate_each_exponent_pair_once(monkeypatch):
         return projector_pairing_value(strands, nontrivial, trivial)
 
     monkeypatch.setattr("tlbgram.tl.projector_pairing_value", counted)
-    cached = skein_matrix(4, 2)
-    # a fresh matrix, so that entries is not already cached
-    SkeinValueMatrix(4, 2, cached.basis, cached.pairings).entries
+    # a fresh matrix that reads the patched name and has no entries yet;
+    # dropped again, so that no later test reads the counting wrapper
+    skein_matrix.cache_clear()
+    try:
+        skein_matrix(4, 2).entries
+    finally:
+        skein_matrix.cache_clear()
     assert len(calls) == len(set(calls)) == 25
 
 
