@@ -6,14 +6,14 @@ between a_{2n} and a_1 to the inner boundary; each chord either avoids
 it (flag w=0) or crosses it exactly once (w=1).  Chords wrapping the
 core more than once are not diagrams here.
 
-Planarity is decided in the universal cover (an infinite strip with the
-points repeated with period 2n).  A chord (i, j, w=0) with i < j lifts
-to the segments (i + 2nt, j + 2nt); a chord (i, j, w=1) begins at its
-larger endpoint and passes through the gap, so it lifts to
-(j + 2nt, i + 2n(t+1)).  Two chords cross iff some pair of lifts
-interleaves, and since every lift spans less than one period it is
-enough to test translates t in {-2..2} of one chord against the other
-fixed at t=0.
+Planarity is decided by cutting the annulus open along the reference
+segment into a disk.  Its boundary reads L_c..L_1, the points 1..2n,
+then R_1..R_c, where c is the number of w=1 chords and L_h, R_h are the
+two sides of the h-th crossing, counted inward from the outer boundary.
+A chord (i, j, w=0) stays a chord; the h-th chord (i, j, w=1) in order
+of i begins at j, leaves through R_h and comes back through L_h to i.
+The diagram is planar iff this disk matching on 2n + 2c points is: the
+crossings beside point 1 nest, so the smallest i must take L_1.
 
 The pairing of two diagrams glues them along the outer boundary into
 one annulus.  Each glued loop is a simple closed curve there, so it
@@ -26,32 +26,12 @@ two, so the loop counts below and in the cover give both numbers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
 from ._limits import guard, require
-
-_LIFT_RANGE = range(-2, 3)
-
-
-def _lifted(i: int, j: int, w: int, n: int, t: int) -> tuple[int, int]:
-    # lift of chord (i, j, w) shifted t periods; always returned with lo < hi
-    per = 2 * n
-    if w == 0:
-        return (i + per * t, j + per * t)
-    return (j + per * t, i + per * (t + 1))
-
-
-def _chords_cross(c1, c2, n: int) -> bool:
-    a, b = _lifted(*c1, n, 0)
-    for t in _LIFT_RANGE:
-        c, d = _lifted(*c2, n, t)
-        inside = (a < c < b) + (a < d < b)
-        if inside == 1:
-            return True
-    return False
-
 
 def _validate_matching(n: int, chords) -> list[tuple[int, int, int]]:
     if n < 1:
@@ -76,15 +56,33 @@ def _validate_matching(n: int, chords) -> list[tuple[int, int, int]]:
     return norm
 
 
+def _cut_open(n: int, chords) -> tuple[int, ...]:
+    """The disk matching of normalized chords cut along the segment.
+
+    Node c-h is L_h, node c+p-1 is point p, and node c+2n+h-1 is R_h.
+    """
+    c = sum(w for _, _, w in chords)
+    match = [0] * (2 * (n + c))
+    h = 0
+    for i, j, w in chords:
+        p, q = c + i - 1, c + j - 1
+        if w:
+            h += 1
+            left, right = c - h, c + 2 * n + h - 1
+            match[p], match[left] = left, p
+            match[q], match[right] = right, q
+        else:
+            match[p], match[q] = q, p
+    return tuple(match)
+
+
 class AnnularDiagram:
     """A planar flagged matching; chords normalized to i < j, sorted by i."""
 
     def __init__(self, n: int, chords: tuple[tuple[int, int, int], ...]):
         self.n = n
         self.chords = tuple(_validate_matching(n, chords))
-        for c1, c2 in combinations(self.chords, 2):
-            if _chords_cross(c1, c2, n):
-                raise ValueError(f"chords {c1} and {c2} cross")
+        PlanarMatching(n + self.cut_crossings(), _cut_open(n, self.chords))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnnularDiagram):
@@ -242,22 +240,8 @@ class PlanarMatching:
         return "".join("(" if q > p else ")" for p, q in enumerate(self.match))
 
 
-class PairingValue:
-    """Evaluation of the bilinear form on two diagrams: a^m * d^t."""
-
-    __slots__ = ("nontrivial", "trivial")
-
-    def __init__(self, nontrivial: int, trivial: int):
-        self.nontrivial = nontrivial
-        self.trivial = trivial
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairingValue):
-            return NotImplemented
-        return (self.nontrivial, self.trivial) == (other.nontrivial, other.trivial)
-
-    def __hash__(self) -> int:
-        return hash((self.nontrivial, self.trivial))
+PairingValue = namedtuple("PairingValue", "nontrivial trivial")
+PairingValue.__doc__ = "Evaluation of the bilinear form on two diagrams: a^m * d^t."
 
 
 def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:

@@ -112,27 +112,19 @@ def subset_to_diagram(n: int, marks, j: int) -> AnnularDiagram:
 def diagram_to_subset(d: AnnularDiagram, j: int) -> frozenset:
     """Inverse of subset_to_diagram on diagrams with crossing number >= j.
 
-    Every w=0 chord is marked at its smaller endpoint.  Crossing chords
-    are totally ordered by the span of their lifted interval; the c-j
-    with smallest span (nearest the outer gap) are marked at their
-    larger endpoint, the j largest are left unmarked.
+    Every w=0 chord is marked at its smaller endpoint.  The crossing
+    chords of a planar diagram nest, and the stored order (by smaller
+    endpoint) lists them from the outer gap inward; the first c-j are
+    marked at their larger endpoint, the j innermost are left unmarked.
     """
     c = d.cut_crossings()
     if not 1 <= j <= d.n:
         raise ValueError(f"need 1 <= j <= n, got j={j}")
     if c < j:
         raise ValueError(f"diagram has crossing number {c} < j={j}")
-    marks = set()
-    cutting = []
-    for i, jj, w in d.chords:
-        if w == 0:
-            marks.add(i)
-        else:
-            cutting.append((i + 2 * d.n - jj, jj))
-    cutting.sort()
-    spans = [s for s, _ in cutting]
-    assert len(set(spans)) == len(spans), "cutting chords not totally ordered"
-    marks.update(endpoint for _, endpoint in cutting[: c - j])
+    marks = {i for i, _, w in d.chords if w == 0}
+    cutting = [jj for _, jj, w in d.chords if w]
+    marks.update(cutting[: c - j])
     return frozenset(marks)
 
 

@@ -401,6 +401,7 @@ def verify_determinant(
     seed = 0 if seed is None else seed
     if trials < 1:
         raise ValueError("need at least one trial")
+    guard(trials <= 1000, f"det-verify tested for trials <= 1000, got trials={trials}")
     p = MODULAR_PRIMES[0] if prime is None else prime
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -1,7 +1,9 @@
 """Annular diagrams: enumeration, non-crossing test, loop pairing.
 
-Two independent oracles guard the core here.  Enumeration is re-derived
-by brute force over all flagged matchings, and pairing values are
+Two independent oracles guard the core here.  Planarity and enumeration
+are re-derived by brute force over all flagged matchings with a pairwise
+test of the chords' lifts to the universal cover, which the package
+decides by cutting the annulus open instead.  Pairing values are
 re-derived by counting connected components of the lifted (periodic)
 chord graph, which never looks at a winding sign.
 """
@@ -32,26 +34,73 @@ def all_perfect_matchings(points):
             yield ((first, second),) + tail
 
 
-def brute_force_diagrams(n):
-    """Every flagged matching that the diagram constructor accepts."""
-    out = set()
+def lifts_cross(c1, c2, n):
+    """Independent planarity oracle in the universal cover.
+
+    The cover is a strip with the points repeated with period 2n.  A
+    chord (i, j, w=0) lifts to (i + 2nt, j + 2nt); a chord (i, j, w=1)
+    begins at its larger endpoint and passes through the gap, so it
+    lifts to (j + 2nt, i + 2n(t+1)).  Two chords cross iff some pair of
+    lifts interleaves, and since every lift spans less than one period
+    it is enough to test translates t in -2..2 of c2 against c1 at t=0.
+    """
+    per = 2 * n
+
+    def lifted(i, j, w, t):
+        if w == 0:
+            return (i + per * t, j + per * t)
+        return (j + per * t, i + per * (t + 1))
+
+    a, b = lifted(*c1, 0)
+    for t in range(-2, 3):
+        c, d = lifted(*c2, t)
+        if (a < c < b) + (a < d < b) == 1:
+            return True
+    return False
+
+
+def flagged_matchings(n):
+    """Every perfect matching of 1..2n under every flag assignment."""
     for pairs in all_perfect_matchings(tuple(range(1, 2 * n + 1))):
         for flagbits in range(2**n):
-            chords = tuple(
+            yield tuple(
                 (i, j, (flagbits >> idx) & 1) for idx, (i, j) in enumerate(pairs)
             )
-            try:
-                out.add(AnnularDiagram(n, chords))
-            except ValueError:
-                pass
-    return out
+
+
+def oracle_planar(n, chords):
+    return not any(lifts_cross(c1, c2, n) for c1, c2 in combinations(chords, 2))
+
+
+def brute_force_diagrams(n):
+    """Every flagged matching that the universal-cover oracle calls planar."""
+    return {
+        AnnularDiagram(n, chords)
+        for chords in flagged_matchings(n)
+        if oracle_planar(n, chords)
+    }
+
+
+def constructor_accepts(n, chords):
+    try:
+        AnnularDiagram(n, chords)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_constructor_accepts_exactly_the_oracle_planar_matchings(n):
+    # (2n-1)!! * 2**n: 2, 12, 120, 1,680 and 30,240 flagged matchings
+    for chords in flagged_matchings(n):
+        assert constructor_accepts(n, chords) == oracle_planar(n, chords), chords
 
 
 def test_noncrossing_frozen_examples():
     AnnularDiagram(2, [(1, 2, 0), (3, 4, 0)])
     with pytest.raises(ValueError, match="cross"):
         AnnularDiagram(2, [(1, 3, 0), (2, 4, 0)])
-    # lifts (2,5) and (4,7) interleave
+    # cut open, the piece from L_2 to 3 crosses the piece from 2 to R_1
     with pytest.raises(ValueError, match="cross"):
         AnnularDiagram(2, [(1, 2, 1), (3, 4, 1)])
 

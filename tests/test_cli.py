@@ -460,6 +460,7 @@ HUGE = str(10**6)
     ("gram", HUGE),
     ("det-verify", HUGE),
     ("det-verify", HUGE, "--mode", "modular"),
+    ("det-verify", "1", "--mode", "modular", "--trials", HUGE),
     ("lemma2", HUGE),
     ("nullity-gram", HUGE, "1"),
     ("nullity-skein", HUGE, "1"),

@@ -5,7 +5,12 @@ from math import comb
 
 import pytest
 
-from tlbgram.annular import AnnularDiagram, PlanarMatching, enumerate_diagrams
+from tlbgram.annular import (
+    AnnularDiagram,
+    PlanarMatching,
+    _cut_open,
+    enumerate_diagrams,
+)
 from tlbgram.disk import (
     count_atleast,
     count_atmost,
@@ -124,6 +129,37 @@ def test_count_guards():
         count_atmost(7, 1)
     with pytest.raises(ValueError):
         count_atleast(7, 1)
+
+
+def padded_cut_open(d, k):
+    """Annular diagram d with c <= k crossings as a disk diagram on (d.n, k).
+
+    Turned back by c nodes, the cut-open layout L_c..L_1, 1..2n,
+    R_1..R_c reads a_1..a_2n, l_1..l_c, u_c..u_1, so R_h becomes l_h and
+    L_h becomes u_h; the k - c innermost pairs l_m, u_m (m > c) are then
+    joined by chords.
+    """
+    n, c = d.n, d.cut_crossings()
+    size = 2 * (n + k)
+    match = [0] * size
+    for x, y in enumerate(_cut_open(n, d.chords)):
+        match[(x - c) % size] = (y - c) % size
+    for m in range(c + 1, k + 1):
+        low, up = 2 * n + m - 1, size - m
+        match[low], match[up] = up, low
+    return PlanarMatching(n + k, tuple(match))
+
+
+def test_cut_open_diagrams_padded_to_k_are_the_admissible_disk_diagrams():
+    # why criterion 10's count_atmost(n, k) == count_tilde(n, k) holds:
+    # the padding maps the one set one to one onto the other
+    for n in range(1, 7):
+        basis = enumerate_diagrams(n)
+        for k in range(0, 9 - n):
+            padded = [padded_cut_open(d, k) for d in basis if d.cut_crossings() <= k]
+            admissible = {m for m in enumerate_disk(n, k) if is_admissible(n, m)}
+            assert len(set(padded)) == len(padded)
+            assert set(padded) == admissible
 
 
 def test_bijection_worked_examples():
