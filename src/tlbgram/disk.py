@@ -84,12 +84,6 @@ def count_atmost(n: int, k: int) -> int:
     return sum(1 for d in enumerate_diagrams(n) if d.cut_crossings() <= k)
 
 
-def count_atleast(n: int, j: int) -> int:
-    """Annular diagrams whose crossing number is >= j; equals C(2n, n-j)."""
-    guard(n <= 6, f"count_atleast tested for n <= 6, got n={n}")
-    return sum(1 for d in enumerate_diagrams(n) if d.cut_crossings() >= j)
-
-
 def subset_to_diagram(n: int, marks, j: int) -> AnnularDiagram:
     """Diagram for an (n-j)-subset of marked points, 1 <= j <= n.
 

@@ -220,15 +220,6 @@ class LaurentScalar(_SparseRing):
             total += c * Fraction(a_value) ** e
         return total
 
-    def exact_div(self, divisor: "LaurentScalar") -> "LaurentScalar":
-        """Quotient self/divisor, raising ValueError unless division is exact."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero():
-            return LaurentScalar.zero()
-        quot = _poly_divexact(_dense_from_laurent(self), _dense_from_laurent(divisor))
-        return _laurent_from_dense(quot, self.min_exp() - divisor.min_exp())
-
     def to_text(self) -> str:
         """Canonical text form, e.g. ``1*A^4 + 1*A^-4``."""
         if not self.terms:

@@ -182,39 +182,35 @@ _JW_CACHE: dict[int, TLElement] = {}
 
 
 def jones_wenzl(k: int) -> TLElement:
-    """The projector killed by every cup, built by the usual recurrence:
+    """The projector killed by every cup, built one strand at a time:
 
-        f_1 = 1,   f_k = f' - (D_{k-2}/D_{k-1}) f' e_{k-1} f'
+        f_k = f' + sum_{i=1..k-1} ([i]/[k]) f' e_{k-1} e_{k-2} ... e_i
 
-    where f' is f_{k-1} on the first k-1 strands and D is the quantum
-    dimension.  It is carried fraction-free as f_k = N_k / c_k, with
-    c_1 = 1 and c_k = c_{k-1} D_{k-1}, so that
+    where f' is f_{k-1} on the first k-1 strands, f_0 is the empty
+    diagram and [m] = (-1)^(m-1) D_{m-1} is the quantum integer, D the
+    quantum dimension (Morrison, arXiv:1503.00384).  It is carried
+    fraction-free as f_k = N_k / c_k, with c_k = c_{k-1} D_{k-1}, so
 
-        N_k = D_{k-1} N' - D_{k-2} (N' e_{k-1} N') / c_{k-1}
+        N_k = D_{k-1} N' + sum_i (-1)^(k-i) D_{i-1} N' e_{k-1} ... e_i
 
-    where N' is N_{k-1} on the first k-1 strands.  The division is exact
-    (a ValueError says otherwise); coefficients are never reduced.
+    where N' is N_{k-1} on the first k-1 strands.  Each word is the one
+    before it times a single generator; no coefficient is ever divided.
     """
     require(k >= 1, f"need k >= 1, got k={k}")
     guard(k <= 8, f"jones_wenzl tested for 1 <= k <= 8, got k={k}")
-    if k in _JW_CACHE:
-        return _JW_CACHE[k]
-    if k == 1:
-        f = TLElement.identity(1)
-    else:
-        prev = jones_wenzl(k - 1)
-        top = _embed_element(prev)
-        # side.terms is N' e_{k-1} N'; its denominator is not needed
-        side = top * TLElement.generator(k - 1, k) * top
-        d_prev, d_prev2 = quantum_dimension(k - 1), quantum_dimension(k - 2)
-        terms = {m: c * d_prev for m, c in top.terms.items()}
-        for m, c in side.terms.items():
-            c = (c * d_prev2).exact_div(prev.den)
-            s = terms.get(m)
-            terms[m] = -c if s is None else s - c
-        f = TLElement(k, terms, prev.den * d_prev)
-    _JW_CACHE[k] = f
-    return f
+    if k not in _JW_CACHE:
+        prev = jones_wenzl(k - 1) if k > 1 else TLElement.identity(0)
+        word = _embed_element(prev)
+        d_prev = quantum_dimension(k - 1)
+        terms = {m: c * d_prev for m, c in word.terms.items()}
+        for i in range(k - 1, 0, -1):
+            # word.terms is N' e_{k-1} ... e_i; its denominator is not needed
+            word = word * TLElement.generator(i, k)
+            weight = quantum_dimension(i - 1) * (-1) ** (k - i)
+            for m, c in word.terms.items():
+                terms[m] = terms.get(m, 0) + c * weight
+        _JW_CACHE[k] = TLElement(k, terms, prev.den * d_prev)
+    return _JW_CACHE[k]
 
 
 def encircle(k: int) -> TLElement:

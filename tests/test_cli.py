@@ -111,7 +111,9 @@ def test_jones_wenzl_paren_output(capsys):
 
 
 # sha256 of `jones-wenzl k` stdout, recorded from the gcd-normalised
-# implementation that the fraction-free projectors replaced.
+# implementation that the fraction-free projectors replaced.  The k = 8
+# json entry was recorded from the fraction-free f' e f' recurrence that
+# the single-strand recurrence replaced.
 JONES_WENZL_SHA256 = {
     "text": {
         1: "90be130c2e1692cfed9c5cb3acf4341ad077fb45413f36f3ed561b7b152b29e8",
@@ -131,27 +133,19 @@ JONES_WENZL_SHA256 = {
         5: "36dcf3e4061c60aaea405edf0fb91491b46409a831af7a73ca59b74ad22e0df0",
         6: "67eafaddc07a44ee85a513caf860e2405b0830aa2c86ea9a5e4046357325fec1",
         7: "278073d7ab8ee86eb126c621fcfa20af104139a67b0946c8ff00b5cf8b454a5c",
+        8: "6f275bec90a6ffa551af8167d71f8be1b465af16ea3de842ffe3c80aab75cabe",
     },
 }
 
 
-def assert_jones_wenzl_pinned(capsys, k, fmt):
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_jones_wenzl_output_pinned(capsys, fmt, k):
     flags = () if fmt == "text" else ("--format", fmt)
     code, out = run(capsys, "jones-wenzl", str(k), *flags)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == JONES_WENZL_SHA256[fmt][k]
-
-
-@pytest.mark.parametrize("k", range(1, 8))
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_jones_wenzl_output_pinned(capsys, fmt, k):
-    assert_jones_wenzl_pinned(capsys, k, fmt)
-
-
-@pytest.mark.slow
-def test_jones_wenzl_8_output_pinned(capsys):
-    assert_jones_wenzl_pinned(capsys, 8, "text")
 
 
 # sha256 of nullity stdout, recorded from the implementation that

@@ -293,27 +293,6 @@ def test_laurent_evaluate():
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
-def test_laurent_exact_div_inverts_multiplication():
-    rng = random.Random(116)
-    checked = 0
-    while checked < 30:
-        p = random_laurent(rng)
-        q = random_laurent(rng)
-        if q.is_zero():
-            continue
-        assert (p * q).exact_div(q) == p
-        checked += 1
-
-
-def test_laurent_exact_div_rejects_inexact():
-    with pytest.raises(ValueError):
-        LaurentScalar({2: 1, 0: 1}).exact_div(LaurentScalar({1: 1, 0: 1}))
-    with pytest.raises(ValueError):
-        LaurentScalar.constant(3).exact_div(LaurentScalar.constant(2))
-    with pytest.raises(ZeroDivisionError):
-        LOOP_VALUE_A.exact_div(LaurentScalar.zero())
-
-
 def test_rational_function_reduces_to_canonical_form():
     # (A^4 - A^-4) / (A^2 - A^-2) = A^2 + A^-2
     num = LaurentScalar({4: 1, -4: -1})

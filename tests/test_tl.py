@@ -172,6 +172,13 @@ def test_projector_idempotent_and_cup_killed():
             assert (f * TLElement.generator(i, k)).is_zero()
 
 
+def test_projector_denominator_is_the_product_of_quantum_dimensions():
+    den = LaurentScalar.constant(1)
+    for k in range(1, 9):
+        assert jones_wenzl(k).den == den
+        den = den * quantum_dimension(k)
+
+
 def test_projector_guard():
     with pytest.raises(ValueError):
         jones_wenzl(9)
