@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import count
 from math import comb, gcd, lcm
 from operator import attrgetter, mul
 
@@ -28,14 +29,7 @@ from .annular import (
     pair,
     rotation_permutation,
 )
-from .linalg import (
-    MODULAR_PRIMES,
-    ExactMatrix,
-    _det_mod,
-    _rank_primes,
-    is_prime,
-    rank_exact,
-)
+from .linalg import ExactMatrix, _det_mod, _primes, is_prime, rank_exact
 from .polynomials import BivariatePolynomial, _poly_divexact, chebyshev
 
 
@@ -77,10 +71,6 @@ class GramMatrix:
         table = [[value(m, t) for t in span] for m in span]
         return [[table[v.nontrivial][v.trivial] for v in row] for row in self.pairings]
 
-    def evaluate_mod(self, a_value: int, d_value: int, p: int) -> list[list[int]]:
-        """The monomials at a = a_value, d = d_value, reduced mod p."""
-        return self.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p)
-
 
 @lru_cache(maxsize=None)
 def _pairing_table(n: int):
@@ -88,16 +78,31 @@ def _pairing_table(n: int):
 
     Turning the 2n points one step permutes the basis and keeps every
     pairing, so the row of R(i) is the row of i with its columns moved
-    by R.  One row per rotation orbit is paired; the rest are copies.
-    Both the Gram matrix and the skein matrix read this one table.
+    by R, and only the row of each cycle's first diagram is paired.
+    Pairing is symmetric too, so for cycles o and o' the turn by -r
+    gives G[o_0][o'_r] = G[o'_r][o_0] = G[o'_0][o_(-r)]: over a cycle o'
+    listed before o, the row of o_0 is read off the row of o'_0, and
+    each unordered pair of cycles is paired once.  Both the Gram matrix
+    and the skein matrix read this one table.
     """
     basis = enumerate_diagrams(n)
-    turn = rotation_permutation(n)
-    # back[turn[j]] == j: column k of the turned row is column back[k]
-    back = sorted(range(len(basis)), key=turn.__getitem__)
+    cycles = _rotation_cycles(n)
+    back = [0] * len(basis)  # back[R(j)] == j: column k of the turned row
+    for cycle in cycles:
+        for r, j in enumerate(cycle):
+            back[j] = cycle[r - 1]
     rows: list[tuple[PairingValue, ...] | None] = [None] * len(basis)
-    for cycle in _rotation_cycles(turn):
-        row = tuple(pair(basis[cycle[0]], y) for y in basis)
+    for a, cycle in enumerate(cycles):
+        first = basis[cycle[0]]
+        row: list = [None] * len(basis)
+        for other in cycles[:a]:
+            known = rows[other[0]]
+            for r, j in enumerate(other):
+                row[j] = known[cycle[-r % len(cycle)]]
+        for other in cycles[a:]:
+            for j in other:
+                row[j] = pair(first, basis[j])
+        row = tuple(row)
         for i in cycle:
             assert row[i] == PairingValue(0, n)
             rows[i] = row
@@ -105,8 +110,14 @@ def _pairing_table(n: int):
     return basis, tuple(rows)
 
 
-def _rotation_cycles(turn) -> list[list[int]]:
-    """The cycles of the permutation turn, each from its smallest index."""
+@lru_cache(maxsize=None)
+def _rotation_cycles(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the turn R on the basis, each from its smallest index.
+
+    A cycle o lists o_0, o_1 = R(o_0), ..., o_(s-1), and its size s
+    divides 2n.
+    """
+    turn = rotation_permutation(n)
     cycles = []
     seen: set[int] = set()
     for start in range(len(turn)):
@@ -115,8 +126,8 @@ def _rotation_cycles(turn) -> list[list[int]]:
             while turn[cycle[-1]] != start:
                 cycle.append(turn[cycle[-1]])
             seen.update(cycle)
-            cycles.append(cycle)
-    return cycles
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +163,7 @@ def _rotation_basis(n: int) -> dict:
     invertible matrix P, one square block per cycle.  Every cycle has
     one vector in entry 1.
     """
-    cycles = _rotation_cycles(rotation_permutation(n))
+    cycles = _rotation_cycles(n)
     columns: dict[int, list] = {}
     for e in range(1, 2 * n + 1):
         phi = _cyclotomic(e)
@@ -301,9 +312,96 @@ def degree_bound(n: int) -> int:
     return 2 * n * comb(2 * n, n)
 
 
+@lru_cache(maxsize=None)
+def _root_powers(m: int, p: int) -> tuple[int, ...]:
+    """zeta^k mod p for k < m, zeta a primitive m-th root of unity mod p.
+
+    Such a zeta exists exactly when p = 1 (mod m); any other p is
+    refused.  zeta = x^((p-1)/m) has order m unless zeta^(m/q) = 1 for
+    some prime q dividing m.
+    """
+    require((p - 1) % m == 0, f"need a prime p = 1 (mod {m}), got p={p}")
+    factors = [
+        q for q in range(2, m + 1) if m % q == 0 and all(q % f for f in range(2, q))
+    ]
+    for x in count(2):
+        zeta = pow(x, (p - 1) // m, p)
+        if all(pow(zeta, m // q, p) != 1 for q in factors):
+            break
+    powers = [1]
+    while len(powers) < m:
+        powers.append(powers[-1] * zeta % p)
+    return tuple(powers)
+
+
+def _character_block(n: int, rows, j: int, powers: tuple, p: int) -> list[list[int]]:
+    """C_j mod p: G on the character j of Z/2n, from the rows of the o_0.
+
+    C_j runs over the cycles o with j|o| = 0 (mod 2n), and its entry
+    (o, o') is sum_{r < |o'|} zeta^(jr) G[o_0][o'_r], where powers[k] =
+    zeta^k and rows[o_0] is row o_0 of G mod p.  See _character_det_mod.
+    """
+    m = 2 * n
+    cycles = [o for o in _rotation_cycles(n) if j * len(o) % m == 0]
+    weights = [powers[j * r % m] for r in range(m)]
+    return [
+        [sum(map(mul, weights, map(row.__getitem__, other))) % p for other in cycles]
+        for row in (rows[o[0]] for o in cycles)
+    ]
+
+
+def _character_det_mod(g: GramMatrix, a_value: int, d_value: int, p: int) -> int:
+    """det g mod p at a = a_value, d = d_value, for a prime p = 1 (mod 2n).
+
+    Let zeta be a primitive 2n-th root of unity mod p and R the turn.
+    For a cycle o' of R and a j with j|o'| = 0 (mod 2n), the vector
+    w = sum_{r < |o'|} zeta^(jr) e_(o'_r) has Rw = zeta^(-j) w.  G
+    commutes with R, so Gw lies in the same eigenspace, spanned by the
+    w of the cycles o with j|o| = 0; each of those is 1 at its o_0 and
+    0 at every other cycle's o_0, so Gw is the sum of (Gw)[o_0] times
+    them, and (Gw)[o_0] = C_j(o, o') (_character_block).  Let V hold
+    every such w: on each cycle it is a length-|o| DFT, invertible
+    because p = 1 (mod 2n) and |o| divides 2n, so zeta^(2n/|o|) is a
+    primitive |o|-th root of unity and |o| < p.  So V^-1 G V is block
+    diagonal with blocks C_0, ..., C_(2n-1), and det G = prod det C_j.
+
+    C_(2n-j) runs over the same cycles as C_j.  By symmetry and a turn
+    by -r, G[o'_0][o_r] = G[o_r][o'_0] = G[o_0][o'_(-r)].  The summand
+    zeta^(jr) G[o_0][o'_r] has period |o'| in r, and also |o|, since
+    turning both by R^|o| fixes o_0; so its period divides
+    c = gcd(|o|, |o'|).  With S its sum over r < c,
+    C_j(o, o') = (|o'|/c) S, and
+        C_(2n-j)(o', o) = sum_{r < |o|} zeta^(-jr) G[o'_0][o_r]
+                        = sum_{r < |o|} zeta^(-jr) G[o_0][o'_(-r)]
+                        = (|o|/c) S = (|o|/|o'|) C_j(o, o').
+    So C_(2n-j)^T = D C_j D^-1 with D = diag(|o|), the two blocks have
+    the same determinant, and
+        det G = det C_0 det C_n prod_{0<j<n} (det C_j)^2.
+    Only the rows of the o_0 are evaluated, and each block is one
+    _det_mod.
+    """
+    n = g.n
+    span = range(n + 1)
+    value = [[pow(a_value, m, p) * pow(d_value, t, p) % p for t in span] for m in span]
+    rows = {
+        o[0]: [value[v.nontrivial][v.trivial] for v in g.pairings[o[0]]]
+        for o in _rotation_cycles(n)
+    }
+    powers = _root_powers(2 * n, p)
+    det = 1
+    for j in span:
+        block = _det_mod(_character_block(n, rows, j, powers, p), p)
+        det = det * (block if j in (0, n) else block * block) % p
+    return det
+
+
 def _agrees_at(g: GramMatrix, a_value: int, d_value: int, p: int) -> bool:
-    """Whether det g and the product form agree at a = a_value, d = d_value mod p."""
-    return _det_mod(g.evaluate_mod(a_value, d_value, p), p) == (
+    """Whether det g and the product form agree at a = a_value, d = d_value mod p.
+
+    p must be 1 (mod 2n): det g is the product of its character blocks
+    (see _character_det_mod).
+    """
+    return _character_det_mod(g, a_value, d_value, p) == (
         determinant_product_value_mod(g.n, a_value, d_value, p)
     )
 
@@ -324,8 +422,9 @@ def _product_is_determinant(n: int, product: BivariatePolynomial) -> bool:
     coefficients below N^(N/2) plus product's largest.  A polynomial on
     a lower set that vanishes at its nodes (u^2, v^2) is zero, as long
     as the squares of the nodes stay distinct mod p (divided differences
-    in x, then in y), so h = 0 mod every prime taken from _rank_primes.
-    Once their product exceeds twice the coefficient bound, h = 0.
+    in x, then in y), so h = 0 mod every prime taken, each = 1 (mod 2n)
+    for _agrees_at.  Once their product exceeds twice the coefficient
+    bound, h = 0.
     """
     if not sign_conjugation_check(n):
         raise RuntimeError(f"Lemma 2 parity fails at n={n}: det G_n is not even in a")
@@ -346,7 +445,7 @@ def _product_is_determinant(n: int, product: BivariatePolynomial) -> bool:
     size = g.size()
     bound = size ** (size // 2) + max(map(abs, product.terms.values()))
     modulus = 1
-    primes = _rank_primes()
+    primes = _primes(2 * n)
     while modulus <= 2 * bound:
         p = next(primes)
         if not all(
@@ -374,7 +473,9 @@ def verify_determinant(
     product as the determinant, or null if they differ, and refuses
     trials, a seed and a prime.  Modular mode samples random points mod
     a fixed prime (32 trials from seed 0 unless given), reporting the
-    Schwartz-Zippel style error bound trials * D / p.
+    Schwartz-Zippel style error bound trials * D / p.  Both take primes
+    p = 1 (mod 2n), the largest below 2^53 by default; a given prime
+    that is not is refused.
     """
     require(n >= 1, f"need n >= 1, got n={n}")
     if mode == "symbolic":
@@ -402,10 +503,10 @@ def verify_determinant(
     if trials < 1:
         raise ValueError("need at least one trial")
     guard(trials <= 1000, f"det-verify tested for trials <= 1000, got trials={trials}")
-    p = MODULAR_PRIMES[0] if prime is None else prime
+    g = gram_matrix(n)  # the size checks, before the prime search and the degree bound
+    p = next(_primes(2 * n)) if prime is None else prime
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    g = gram_matrix(n)  # the size checks, before the degree bound's binomial
     bound_degree = degree_bound(n)
     if p <= bound_degree:
         raise ValueError("prime too small for the degree bound")

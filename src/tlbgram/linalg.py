@@ -9,6 +9,7 @@ an exact certificate over Z.  No floating point enters at any stage.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from operator import mul
 
@@ -119,14 +120,30 @@ def _eliminate_mod(m: list, p: int):
         t += 1
 
 
-def _rank_primes():
-    """MODULAR_PRIMES, then every prime below them in decreasing order."""
-    yield from MODULAR_PRIMES
-    q = MODULAR_PRIMES[-1]
-    while True:
-        q -= 2
-        if is_prime(q):
-            yield q
+def _primes(m: int):
+    """The primes q < 2^53 with q = 1 (mod m), largest first.
+
+    For m = 2 these start with MODULAR_PRIMES.  A prime q = 1 (mod m)
+    is one whose multiplicative group holds a primitive m-th root of
+    unity.
+    """
+    q = 2**53 - 1
+    q -= (q - 1) % m
+    while q := _prime_at_or_below(q, m):
+        yield q
+        q -= m
+
+
+@lru_cache(maxsize=None)
+def _prime_at_or_below(q: int, m: int) -> int:
+    """The first prime in q, q - m, q - 2m, ... that is above 1, or 0.
+
+    Cached, so that every rank after the first in a process starts at its
+    prime at once instead of testing each candidate above it again.
+    """
+    while q > 1 and not is_prime(q):
+        q -= m
+    return q if q > 1 else 0
 
 
 def _rational_reconstruction(u: int, modulus: int, bound: int):
@@ -232,7 +249,7 @@ def _integer_rank(rows: list) -> int:
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    for p in _rank_primes():
+    for p in _primes(2):
         m = [[x % p for x in row] for row in rows]
         order = list(range(nrows))
         cols = []

@@ -365,15 +365,6 @@ def chebyshev(i: int) -> BivariatePolynomial:
     return _CHEBYSHEV_CACHE[i]
 
 
-def chebyshev_in_bracket(k: int) -> LaurentScalar:
-    """T_k evaluated at d = -A^2 - A^-2, namely (-1)^k (A^{2k} + A^{-2k})."""
-    require(k >= 0, f"need k >= 0, got k={k}")
-    sign = -1 if k & 1 else 1
-    if k == 0:
-        return LaurentScalar.constant(2)
-    return LaurentScalar({2 * k: sign, -2 * k: sign})
-
-
 def substitute_loop_values(
     p: BivariatePolynomial,
     a_image: LaurentScalar,

@@ -208,11 +208,13 @@ def test_det_verify_output_pinned(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_SHA256[n, fmt]
 
 
-# sha256 of json stdout.  The gram, lemma2 and det-verify entries were
+# sha256 of json stdout.  The gram, lemma2 and det-verify 5 entries were
 # recorded from the implementation that paired every two basis diagrams
 # and rendered each entry as a polynomial; the enumerate entries, which
 # pin the basis order past n = 5, from the one that sorted by a key read
-# off a walk over the points.
+# off a walk over the points; det-verify 3, whose prime is the largest
+# below 2^53 that is 1 mod 6, from the one that multiplied the character
+# blocks of Z/6.
 BASIS_JSON_SHA256 = {
     ("enumerate", "6"):
         "2126f2b40c00a7ba42f0c11222248ae44a4cb626a4466e511e1d64bc5918a4fd",
@@ -226,6 +228,8 @@ BASIS_JSON_SHA256 = {
         "7ead0ce9d27627e7d1ba01ca008535a235ccc64101ff58bd6ef5b31a4a29886d",
     ("det-verify", "5", "--mode", "modular", "--trials", "1", "--seed", "0"):
         "73239eea922026c06c7bfa4552cdf4194635994de669df14aeaf01fe44a89e5f",
+    ("det-verify", "3", "--mode", "modular", "--trials", "3", "--seed", "0"):
+        "f1390a85d3a9e325955f271be297036be88c3fe40edef8d3a1ed8b8cdb0f6e13",
 }
 
 
@@ -405,6 +409,15 @@ def test_prime_past_the_proven_primality_range_exits_2(capsys):
         capsys, "det-verify", "2", "--mode", "modular",
         "--prime", "3317044064679887385961981",
     )
+
+
+def test_prime_not_1_mod_2n_exits_2(capsys):
+    # MODULAR_PRIMES[0] is 5 mod 6, so Z/6 has no characters mod it
+    err = assert_one_line_error(
+        capsys, "det-verify", "3", "--mode", "modular",
+        "--prime", "9007199254740881",
+    )
+    assert "1 (mod 6)" in err
 
 
 def test_symbolic_det_verify_refuses_a_prime(capsys):

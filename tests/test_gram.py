@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, lcm, prod
 
 import pytest
@@ -18,10 +19,15 @@ from tlbgram.annular import (
 from tlbgram.cli import main
 from tlbgram.gram import (
     GramMatrix,
+    _agrees_at,
+    _character_block,
+    _character_det_mod,
     _cyclotomic,
     _nullity_at,
     _product_is_determinant,
+    _root_powers,
     _rotation_basis,
+    _rotation_cycles,
     crossing_signs,
     d_parity_check,
     degree_bound,
@@ -38,6 +44,7 @@ from tlbgram.linalg import (
     MODULAR_PRIMES,
     _det_mod,
     _integer_rank,
+    _primes,
     is_prime,
     rank_exact,
 )
@@ -217,6 +224,11 @@ def test_gram_from_orbits_matches_dense_pairings(n):
     assert gram_matrix(n).pairings == dense_pairings(n)
 
 
+def gram_mod(g, a_value, d_value, p):
+    """The monomials of g at a = a_value, d = d_value, reduced mod p."""
+    return g.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p)
+
+
 def test_evaluate_mod_matches_each_entry():
     rng = random.Random(77)
     p = MODULAR_PRIMES[1]
@@ -227,7 +239,7 @@ def test_evaluate_mod_matches_each_entry():
                 [pow(av, v.nontrivial, p) * pow(dv, v.trivial, p) % p for v in row]
                 for row in g.pairings
             ]
-            assert g.evaluate_mod(av, dv, p) == expected
+            assert gram_mod(g, av, dv, p) == expected
 
 
 def test_product_form_frozen():
@@ -266,42 +278,109 @@ def test_product_form_matches_the_cofactor_expansion():
         assert determinant_product_form(n) == det_by_cofactor(g.entries.entries)
 
 
-def count_det_mod_calls(monkeypatch):
-    """Record the prime of every _det_mod call that gram makes."""
+def count_agreement_calls(monkeypatch):
+    """Record the prime of every _agrees_at call that gram makes."""
     calls = []
     monkeypatch.setattr(
-        "tlbgram.gram._det_mod", lambda m, p: calls.append(p) or _det_mod(m, p)
+        "tlbgram.gram._agrees_at",
+        lambda g, a, d, p: calls.append(p) or _agrees_at(g, a, d, p),
     )
     return calls
 
 
 def test_symbolic_determinant_eliminates_once_per_staircase_point(monkeypatch):
-    calls = count_det_mod_calls(monkeypatch)
+    calls = count_agreement_calls(monkeypatch)
     assert verify_determinant(3, mode="symbolic")["pass"] is True
-    # one prime; x^i y^j with i <= 22, j <= 30 and i + j <= 30
-    assert calls == [MODULAR_PRIMES[0]] * 460
+    # one prime, the largest below 2^53 that is 1 mod 6;
+    # x^i y^j with i <= 22, j <= 30 and i + j <= 30
+    assert calls == [MODULAR_PRIMES[1]] * 460
 
 
-def small_primes():
-    """The primes below 2^20 in decreasing order."""
-    q = 2**20 - 1
-    while q > 2:
-        if is_prime(q):
-            yield q
-        q -= 2
+def small_primes(m):
+    """The primes below 2^20 that are 1 mod m, in decreasing order."""
+    return (q for q in range(2**20 - 1, 2, -1) if q % m == 1 and is_prime(q))
 
 
 def test_symbolic_determinant_takes_primes_until_the_bound(monkeypatch):
     # At n = 3 twice the coefficient bound is about 2^45: three 20-bit
-    # primes, each at all 460 nodes.
-    monkeypatch.setattr("tlbgram.gram._rank_primes", small_primes)
-    calls = count_det_mod_calls(monkeypatch)
+    # primes, each 1 mod 6 and at all 460 nodes.
+    monkeypatch.setattr("tlbgram.gram._primes", small_primes)
+    calls = count_agreement_calls(monkeypatch)
     assert verify_determinant(3, mode="symbolic")["pass"] is True
     primes = list(dict.fromkeys(calls))
     bound = 20**10 + max(map(abs, determinant_product_form(3).terms.values()))
     assert prod(primes[:-1]) <= 2 * bound < prod(primes)
     assert len(primes) == 3
+    assert all(p % 6 == 1 for p in primes)
     assert calls == [p for p in primes for _ in range(460)]
+
+
+# Character blocks.  _character_det_mod reads det G mod p off the
+# blocks C_j of Z/2n; the dense elimination of every entry is the oracle.
+
+
+def test_character_product_matches_dense_det_at_every_staircase_node(monkeypatch):
+    nodes = []
+
+    def spy(g, a, d, p):
+        det = _character_det_mod(g, a, d, p)
+        assert det == _det_mod(gram_mod(g, a, d, p), p), (g.n, a, d, p)
+        nodes.append(p)
+        return det == determinant_product_value_mod(g.n, a, d, p)
+
+    monkeypatch.setattr("tlbgram.gram._agrees_at", spy)
+    for n in (1, 2, 3):
+        nodes.clear()
+        assert verify_determinant(n, mode="symbolic")["pass"] is True
+        assert nodes == [next(_primes(2 * n))] * len(nodes)
+    assert len(nodes) == 460
+
+
+@pytest.mark.parametrize("n, points", [(4, 3), (5, 2)])
+def test_character_product_matches_dense_det_at_random_points(n, points):
+    rng = random.Random(720 + n)
+    g = gram_matrix(n)
+    for p in islice(_primes(2 * n), 2):
+        d0 = rng.randrange(p)
+        # a = T_1(d0) = d0 makes det G vanish: a singular point
+        randoms = [(rng.randrange(p), rng.randrange(p)) for _ in range(points)]
+        for a, d in [(d0, d0)] + randoms:
+            dense = _det_mod(gram_mod(g, a, d, p), p)
+            assert _character_det_mod(g, a, d, p) == dense
+            assert (dense == 0) == (a == d)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_character_block_2n_minus_j_is_the_rescaled_transpose(n):
+    # |o'| C_(2n-j)(o', o) = |o| C_j(o, o'), and the 2n blocks multiply to det G
+    m = 2 * n
+    p = next(_primes(m))
+    rng = random.Random(730 + n)
+    g = gram_matrix(n)
+    rows = gram_mod(g, rng.randrange(p), rng.randrange(p), p)
+    powers = _root_powers(m, p)
+    assert len(set(powers)) == m and pow(powers[1], m, p) == 1  # zeta has order m
+    product = 1
+    for j in range(m):
+        sizes = [len(o) for o in _rotation_cycles(n) if j * len(o) % m == 0]
+        c_j = _character_block(n, rows, j, powers, p)
+        c_bar = _character_block(n, rows, -j % m, powers, p)
+        assert len(c_j) == len(c_bar) == len(sizes)
+        for a, s in enumerate(sizes):
+            for b, s2 in enumerate(sizes):
+                assert s2 * c_bar[b][a] % p == s * c_j[a][b] % p
+        product = product * _det_mod(c_j, p) % p
+    assert product == _det_mod(rows, p)
+
+
+def test_a_prime_not_1_mod_2n_is_refused():
+    # MODULAR_PRIMES[0] is 5 mod 6: no primitive 6th root of unity mod it
+    assert MODULAR_PRIMES[0] % 6 == 5
+    with pytest.raises(ValueError, match=r"1 \(mod 6\)"):
+        verify_determinant(3, mode="modular", prime=MODULAR_PRIMES[0])
+    with pytest.raises(ValueError):
+        _agrees_at(gram_matrix(3), 1, 1, MODULAR_PRIMES[0])
+    assert verify_determinant(3, mode="modular", trials=2)["prime"] == MODULAR_PRIMES[1]
 
 
 def perturbed(n, i, j, dm, dt):
@@ -356,7 +435,7 @@ def test_symbolic_mode_fails_when_a_node_disagrees(monkeypatch, capsys):
 
 
 def test_symbolic_proof_refuses_a_product_outside_the_lower_set(monkeypatch):
-    calls = count_det_mod_calls(monkeypatch)
+    calls = count_agreement_calls(monkeypatch)
     product = determinant_product_form(2)
     assert _product_is_determinant(2, product)
     calls.clear()
@@ -589,7 +668,7 @@ def test_blocks_factor_the_determinant_mod_p(n, det_p):
     rng = random.Random(610 + n)
     for _ in range(3):
         a, d = rng.randrange(p), rng.randrange(p)
-        g = gram_matrix(n).evaluate_mod(a, d, p)
+        g = gram_mod(gram_matrix(n), a, d, p)
         det_g = _det_mod(g, p)
         product = 1
         for block in blocks:

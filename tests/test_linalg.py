@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb, lcm
 
 import pytest
@@ -22,6 +22,7 @@ from tlbgram.linalg import (
     PRIME_TEST_LIMIT,
     _det_mod,
     _integer_rank,
+    _primes,
     is_prime,
     rank_exact,
 )
@@ -382,6 +383,19 @@ def test_modular_primes_are_the_four_largest_below_2_to_53():
         assert all(not is_prime(x) for x in range(lo + 1, hi))
 
 
+def test_primes_are_those_1_mod_m_below_2_to_53_largest_first():
+    top = 2**53
+    for m in range(1, 13):
+        window = range(top - 1, top - 3000, -1)
+        scan = [q for q in window if q % m == 1 % m and is_prime(q)]
+        assert len(scan) >= 5
+        assert list(islice(_primes(m), len(scan))) == scan
+    assert list(islice(_primes(2), 4)) == list(MODULAR_PRIMES)
+    # the default det-verify prime of n = 1..5, the largest one that is 1 mod 2n
+    p0, p1 = MODULAR_PRIMES[:2]
+    assert [next(_primes(2 * n)) for n in range(1, 6)] == [p0, p0, p1, p0, p0]
+
+
 def test_rank_certificate_survives_unlucky_primes():
     p0, p1, p2, p3 = MODULAR_PRIMES
     # rank 1 mod p0; the kernel predicted mod p0 fails over Z
@@ -477,7 +491,6 @@ from tlbgram.gram import determinant_product_value_mod, verify_determinant
 from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, is_prime, rank_exact
 from tlbgram.polynomials import (
     BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
-    chebyshev_in_bracket,
 )
 from tlbgram.tl import (
     TLElement, cup_cap_matching, identity_matching, projector_pairing_value,
@@ -486,6 +499,7 @@ from tlbgram.tl import (
 bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
     lambda: verify_determinant(1, mode="modular", prime=10),
+    lambda: verify_determinant(3, mode="modular", prime=9007199254740881),
     lambda: is_prime(PRIME_TEST_LIMIT),
     lambda: rank_exact([[Fraction(1, 2)]]),
     lambda: rank_exact([[1, 2], [3]]),
@@ -501,7 +515,6 @@ bad = [
     lambda: quantum_dimension(-2),
     lambda: projector_pairing_value(-1, 0, 0),
     lambda: chebyshev(-1),
-    lambda: chebyshev_in_bracket(-1),
     lambda: determinant_product_value_mod(0, 1, 1, 7),
     lambda: verify_determinant(1, prime=7),
     lambda: verify_determinant(1, trials=0),

@@ -10,7 +10,6 @@ from tlbgram.polynomials import (
     BivariatePolynomial,
     LaurentScalar,
     chebyshev,
-    chebyshev_in_bracket,
     lowest_terms,
     quotient_text,
     _poly_divexact,
@@ -29,6 +28,14 @@ def poly_mod(p, a_value, d_value, prime):
         c * pow(a_value, ea, prime) * pow(d_value, ed, prime)
         for (ea, ed), c in p.terms.items()
     ) % prime
+
+
+def chebyshev_in_bracket(k):
+    """T_k evaluated at d = -A^2 - A^-2, namely (-1)^k (A^{2k} + A^{-2k})."""
+    sign = -1 if k & 1 else 1
+    if k == 0:
+        return LaurentScalar.constant(2)
+    return LaurentScalar({2 * k: sign, -2 * k: sign})
 
 
 def negated_a(p):

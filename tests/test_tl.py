@@ -12,7 +12,6 @@ from tlbgram.gram import gram_matrix, specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
     LaurentScalar,
-    chebyshev_in_bracket,
     substitute_loop_values,
 )
 from tlbgram.tl import (
@@ -29,6 +28,7 @@ from tlbgram.tl import (
     skein_nullity,
     skein_nullity_with_resample,
 )
+from test_polynomials import chebyshev_in_bracket
 
 
 def test_matching_validation():
