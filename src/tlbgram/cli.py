@@ -2,8 +2,10 @@
 
 Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical
-output.  Exit status: 0 when the requested check passes or the command
-only computes, 1 when a verification fails, 2 for usage errors.
+output.  A report is written row by row as it is rendered, after every
+check that can refuse the input has run.  Exit status: 0 when the
+requested check passes or the command only computes, 1 when a
+verification fails, 2 for usage errors and failed writes.
 
 Each handler imports the layers it runs, so a cold process loads only
 what its subcommand needs.
@@ -13,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
 
@@ -60,36 +64,61 @@ def _json(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
+class _Lines:
+    """A csv.writer target: writerow hands back the line it formatted."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _json_pieces(report: dict) -> Iterator[str]:
+    """_json(report) + "\n", one piece per item of each top-level list.
+
+    Scalars and dicts between two lists join the piece after them, so a
+    report without lists is a single piece.  A list may be any iterable,
+    read once.
+    """
+    piece, sep = "{", "\n  "
+    for key, value in report.items():
+        piece += f"{sep}{encode_basestring_ascii(key)}: "
+        sep = ",\n  "
+        if type(value) in _SCALARS or isinstance(value, dict):
+            piece += _json(value, "  ")
+            continue
+        empty = True
+        for item in value:
+            yield piece + ("[\n    " if empty else ",\n    ") + _json(item, "    ")
+            piece, empty = "", False
+        piece += "[]" if empty else "\n  ]"
+    yield piece + ("\n}\n" if report else "}\n")
+
+
 def _render(
     report: dict,
     fmt: str,
-    table: list | None = None,
-    text: str | None = None,
-) -> str:
-    """Serialize a report.
+    table: Iterable | None = None,
+    text: Iterable[str] | None = None,
+) -> Iterable[str]:
+    """Serialize a report as pieces of about one row each.
 
     ``table`` (rows of strings) drives the csv form and, unless ``text``
-    overrides it, the plain form as well.
+    (lines) overrides it, the plain form as well.  Both are read only for
+    the formats that use them, so either may be a lazy iterable.
     """
     if fmt == "json":
-        return _json(report) + "\n"
+        return _json_pieces(report)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if table is not None:
-            writer.writerows(table)
-        else:
-            for key, value in report.items():
-                writer.writerow([key, value])
-        return buf.getvalue()
+        rows = table if table is not None else report.items()
+        return map(csv.writer(_Lines, lineterminator="\n").writerow, rows)
     if text is not None:
         return text
     if table is not None:
-        return "\n".join("\t".join(row) for row in table) + "\n"
-    return "\n".join(f"{key}: {value}" for key, value in report.items()) + "\n"
+        return ("\t".join(row) + "\n" for row in table)
+    return (f"{key}: {value}\n" for key, value in report.items())
 
 
-def _cmd_enumerate(args) -> tuple[int, str]:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     from .annular import enumerate_diagrams
 
     basis = enumerate_diagrams(args.n)
@@ -97,16 +126,16 @@ def _cmd_enumerate(args) -> tuple[int, str]:
         "version": __version__,
         "n": args.n,
         "count": len(basis),
-        "diagrams": [d.to_json_obj() for d in basis],
+        "diagrams": (d.to_json_obj() for d in basis),
     }
-    table = [["index", "cut_crossings", "diagram"]] + [
+    table = chain([["index", "cut_crossings", "diagram"]], (
         [str(i), str(d.cut_crossings()), d.to_text()]
         for i, d in enumerate(basis)
-    ]
+    ))
     return 0, _render(report, args.format, table)
 
 
-def _cmd_gram(args) -> tuple[int, str]:
+def _cmd_gram(args) -> tuple[int, Iterable[str]]:
     from .gram import gram_matrix
 
     g = gram_matrix(args.n)
@@ -115,13 +144,13 @@ def _cmd_gram(args) -> tuple[int, str]:
         "version": __version__,
         "n": args.n,
         "size": g.size(),
-        "basis": [d.to_text() for d in g.basis],
+        "basis": (d.to_text() for d in g.basis),
         "entries": texts,
     }
     return 0, _render(report, args.format, table=texts)
 
 
-def _cmd_det_verify(args) -> tuple[int, str]:
+def _cmd_det_verify(args) -> tuple[int, Iterable[str]]:
     from .gram import verify_determinant
 
     report = verify_determinant(
@@ -134,7 +163,7 @@ def _cmd_det_verify(args) -> tuple[int, str]:
     return (0 if report["pass"] else 1), _render(report, args.format)
 
 
-def _cmd_sign_check(args) -> tuple[int, str]:
+def _cmd_sign_check(args) -> tuple[int, Iterable[str]]:
     from .gram import sign_conjugation_check
 
     ok = sign_conjugation_check(args.n)
@@ -142,7 +171,7 @@ def _cmd_sign_check(args) -> tuple[int, str]:
     return (0 if ok else 1), _render(report, args.format)
 
 
-def _cmd_nullity(args) -> tuple[int, str]:
+def _cmd_nullity(args) -> tuple[int, Iterable[str]]:
     """Either nullity route, picked by the subcommand's name."""
     from random import Random
 
@@ -167,7 +196,7 @@ def _cmd_nullity(args) -> tuple[int, str]:
     return (0 if report["pass"] else 1), _render(report, args.format)
 
 
-def _cmd_jones_wenzl(args) -> tuple[int, str]:
+def _cmd_jones_wenzl(args) -> tuple[int, Iterable[str]]:
     from .polynomials import quotient_text
     from .tl import jones_wenzl
 
@@ -178,15 +207,15 @@ def _cmd_jones_wenzl(args) -> tuple[int, str]:
     report = {
         "version": __version__,
         "k": args.k,
-        "terms": [
+        "terms": (
             {"matching": paren, "coefficient": text} for paren, text in terms
-        ],
+        ),
     }
-    table = [["matching", "coefficient"]] + [list(item) for item in terms]
+    table = chain([("matching", "coefficient")], terms)
     return 0, _render(report, args.format, table)
 
 
-def _cmd_counts(args) -> tuple[int, str]:
+def _cmd_counts(args) -> tuple[int, Iterable[str]]:
     from .disk import count_atmost, count_tilde, tilde_count_formula
 
     enumerated = count_tilde(args.n, args.k)
@@ -209,7 +238,7 @@ def _cmd_counts(args) -> tuple[int, str]:
     return (0 if ok else 1), _render(report, args.format, table)
 
 
-def _cmd_bijection(args) -> tuple[int, str]:
+def _cmd_bijection(args) -> tuple[int, Iterable[str]]:
     from .annular import enumerate_diagrams
     from .disk import diagram_to_subset, subset_to_diagram
 
@@ -235,14 +264,14 @@ def _cmd_bijection(args) -> tuple[int, str]:
         "pass": ok,
         "pairs": pairs,
     }
-    table = [["subset", "diagram"]] + [
+    table = chain([["subset", "diagram"]], (
         [" ".join(str(p) for p in item["subset"]), item["diagram"]]
         for item in pairs
-    ]
+    ))
     return (0 if ok else 1), _render(report, args.format, table)
 
 
-def _cmd_telescoping(args) -> tuple[int, str]:
+def _cmd_telescoping(args) -> tuple[int, Iterable[str]]:
     from .disk import telescoping_sides
 
     require(args.n >= 1, f"need n >= 1, got n={args.n}")
@@ -258,12 +287,12 @@ def _cmd_telescoping(args) -> tuple[int, str]:
         "pass": ok,
         "results": results,
     }
-    table = [["n", "lhs", "rhs", "pass"]] + [
+    table = chain([["n", "lhs", "rhs", "pass"]], (
         [str(r["n"]), str(r["lhs"]), str(r["rhs"]), str(r["pass"])]
         for r in results
-    ]
+    ))
     # one line per n in plain mode
-    lines = "".join(
+    lines = (
         "n={n}: {lhs} == {rhs} {verdict}\n".format(
             verdict="PASS" if r["pass"] else "FAIL", **r
         )
@@ -360,19 +389,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, output = args.func(args)
+        code, pieces = args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", newline="") as handle:
-                handle.write(output)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(output)
+                handle.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if not args.out:
+            # What stdout could not take stays in its buffer, and the
+            # flush at exit would fail on it again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

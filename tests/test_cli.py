@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from tlbgram import __version__
-from tlbgram.cli import _render, main
+from tlbgram.cli import _render, build_parser, main
 
 
 def run(capsys, *argv):
@@ -284,7 +284,8 @@ def test_json_renderer_matches_the_stdlib_on_sampled_reports():
         report={"floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300]}
     )
     def same_bytes(report):
-        assert _render(report, "json") == json.dumps(report, indent=2) + "\n"
+        rendered = "".join(_render(report, "json"))
+        assert rendered == json.dumps(report, indent=2) + "\n"
 
     same_bytes()
 
@@ -336,12 +337,73 @@ def test_byte_identical_output(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    _, direct = run(capsys, "counts", "2", "1")
-    target = tmp_path / "table.csv"
-    code = main(["counts", "2", "1", "--out", str(target)])
-    capsys.readouterr()
+    for argv in (
+        ("counts", "2", "1"),
+        ("gram", "4", "--format", "json"),
+        ("gram", "4", "--format", "csv"),
+        ("gram", "4", "--format", "text"),
+        ("enumerate", "6", "--format", "json"),
+    ):
+        _, direct = run(capsys, *argv)
+        target = tmp_path / "report"
+        code = main([*argv, "--out", str(target)])
+        capsys.readouterr()
+        assert code == 0, argv
+        assert target.read_bytes() == direct.encode(), argv
+
+
+# One piece per row: 252 rows of entries, and in json 252 basis items and
+# the closing brace.  A row of gram 5 is about 5 KB.
+@pytest.mark.parametrize("fmt, pieces", [("json", 505), ("csv", 252), ("text", 252)])
+def test_gram_5_is_rendered_one_row_at_a_time(fmt, pieces):
+    args = build_parser().parse_args(["gram", "5", "--format", fmt])
+    code, rendered = args.func(args)
+    sizes = [len(piece) for piece in rendered]
     assert code == 0
-    assert target.read_text() == direct
+    assert len(sizes) == pieces
+    assert max(sizes) <= 8 * 1024
+
+
+# The package is imported before tracing starts, so the peak is that of
+# the run: the n = 5 pairing table and the pieces being written.
+TRACED_GRAM_SCRIPT = """
+import os, tracemalloc
+import tlbgram.gram
+from tlbgram.cli import main
+tracemalloc.start()
+code = main(["gram", "5", "--format", "json", "--out", os.devnull])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_gram_5_json_peaks_below_3_mb():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_GRAM_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_failed_write_to_stdout_exits_2(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "tlbgram.cli", "counts", "2", "1"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=20,
+        )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
