@@ -27,9 +27,11 @@ two, so the loop counts below and in the cover give both numbers.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from ._limits import guard, require
 
@@ -277,6 +279,12 @@ def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:
     return tuple(ends_match), loops
 
 
+@lru_cache(maxsize=None)
+def _pairing_value(loops: int, lifted: int) -> PairingValue:
+    """The one PairingValue of L loops below and L2 in the cover."""
+    return PairingValue(2 * loops - lifted, lifted - loops)
+
+
 def pair(d1: AnnularDiagram, d2: AnnularDiagram) -> PairingValue:
     """Glue two diagrams along the outer boundary and sort the loops.
 
@@ -284,6 +292,7 @@ def pair(d1: AnnularDiagram, d2: AnnularDiagram) -> PairingValue:
     loop to one, so L loops below and L2 in the cover make L2 - L trivial
     loops and 2L - L2 wrapping ones.  Both diagrams share the points and
     the sheets, since regluing keeps each point's angular position.
+    Equal values are one object, so a table of them holds one per (m, t).
     """
     if d1.n != d2.n:
         raise ValueError("diagrams live on different numbers of points")
@@ -291,4 +300,39 @@ def pair(d1: AnnularDiagram, d2: AnnularDiagram) -> PairingValue:
     points2, cover2 = d2.involutions
     loops = _trace(points1, points2, 0)[1]
     lifted = _trace(cover1, cover2, 0)[1]
-    return PairingValue(2 * loops - lifted, lifted - loops)
+    return _pairing_value(loops, lifted)
+
+
+class PairingRows(Sequence):
+    """Rows of the pairing table, one stored for each cycle of the turn R.
+
+    cycles lists each cycle o of R on the basis as o_0, o_1 = R(o_0),
+    ..., and firsts maps each o_0 to its row.  The turn keeps every
+    pairing (see rotation_permutation), so row o_r is row o_0 read
+    through R^r: its entry k is firsts[o_0][R^-r(k)].  Row o_0 is
+    returned as stored, any other row is built when it is read, and the
+    column permutations R^-r are computed once.
+    """
+
+    __slots__ = ("_rows", "_steps", "_turns")
+
+    def __init__(self, cycles, firsts: dict[int, tuple[PairingValue, ...]]):
+        size = sum(map(len, cycles))
+        rows: list = [None] * size  # rows[i] is the stored row of i's o_0
+        steps = bytearray(size)  # i = o_r for r = steps[i]
+        back = [0] * size  # back[R(j)] == j
+        for cycle in cycles:
+            for r, i in enumerate(cycle):
+                rows[i], steps[i], back[i] = firsts[cycle[0]], r, cycle[r - 1]
+        turns, perm = [None], back  # turns[r] picks the columns R^-r(k), k < size
+        for _ in range(1, max(map(len, cycles))):
+            turns.append(itemgetter(*perm))
+            perm = list(map(back.__getitem__, perm))
+        self._rows, self._steps, self._turns = tuple(rows), bytes(steps), tuple(turns)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> tuple[PairingValue, ...]:
+        row, r = self._rows[i], self._steps[i]
+        return self._turns[r](row) if r else row

@@ -37,13 +37,19 @@ _SCALARS = {
 }
 
 
+class _Encoded(list):
+    """A list of strings that are JSON texts already, written as they are."""
+
+    __slots__ = ()
+
+
 def _json(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for the report shapes.
 
-    Those are dicts with str keys, lists and tuples, and scalars of the
-    exact types in _SCALARS, each written by the stdlib's own function.
-    Only the layout is written here, because json.dumps with an indent
-    runs its pure-Python encoder.
+    Those are dicts with str keys, lists and tuples, _Encoded lists, and
+    scalars of the exact types in _SCALARS, each written by the stdlib's
+    own function.  Only the layout is written here, because json.dumps
+    with an indent runs its pure-Python encoder.
     """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
@@ -53,6 +59,8 @@ def _json(value, indent: str = "") -> str:
         items = [
             f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()
         ]
+    elif type(value) is _Encoded:
+        items = value
     elif all(type(v) is str for v in value):
         items = list(map(encode_basestring_ascii, value))
     else:
@@ -139,15 +147,20 @@ def _cmd_gram(args) -> tuple[int, Iterable[str]]:
     from .gram import gram_matrix
 
     g = gram_matrix(args.n)
-    texts = g.tabulate(lambda m, t: g.value(m, t).to_text())
+
+    def text(m, t):
+        return g.value(m, t).to_text()
+
+    # each of the (n+1)^2 texts is JSON-encoded once, not once per entry
+    encoded = g.tabulate(lambda m, t: encode_basestring_ascii(text(m, t)))
     report = {
         "version": __version__,
         "n": args.n,
         "size": g.size(),
         "basis": (d.to_text() for d in g.basis),
-        "entries": texts,
+        "entries": map(_Encoded, encoded),
     }
-    return 0, _render(report, args.format, table=texts)
+    return 0, _render(report, args.format, table=g.tabulate(text))
 
 
 def _cmd_det_verify(args) -> tuple[int, Iterable[str]]:

@@ -14,6 +14,7 @@ set under enough primes to prove them equal.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
@@ -24,6 +25,7 @@ from . import __version__
 from ._limits import guard, require
 from .annular import (
     AnnularDiagram,
+    PairingRows,
     PairingValue,
     enumerate_diagrams,
     pair,
@@ -36,6 +38,8 @@ from .polynomials import BivariatePolynomial, _poly_divexact, chebyshev
 class GramMatrix:
     """Basis diagrams, the pairing of every two of them, and an entry function.
 
+    pairings[i][j] is the pairing of diagrams i and j: PairingRows for
+    gram_matrix and tl.skein_matrix, any sequence of rows otherwise.
     Entry (i, j) is value(m, t) for the exponents a^m d^t of
     pairings[i][j], built when entries is first read: the monomial
     itself by default, a skein value for tl.skein_matrix.
@@ -45,7 +49,7 @@ class GramMatrix:
         self,
         n: int,
         basis: tuple[AnnularDiagram, ...],
-        pairings: tuple[tuple[PairingValue, ...], ...],
+        pairings: Sequence[Sequence[PairingValue]],
         value=None,
     ):
         self.n = n
@@ -61,53 +65,48 @@ class GramMatrix:
     def size(self) -> int:
         return len(self.basis)
 
-    def tabulate(self, value) -> list[list]:
-        """value(m, t) for every pairing a^m d^t, computed once per (m, t).
+    def tabulate(self, value) -> Iterator[list]:
+        """value(m, t) for every pairing a^m d^t, one row at a time.
 
-        A loop of a pairing passes through at least two of the 2n points,
-        so m + t <= n and an (n+1) x (n+1) table covers every entry.
+        value is called once per (m, t), before the first row: a loop
+        of a pairing passes through at least two of the 2n points, so
+        m + t <= n and an (n+1) x (n+1) table covers every entry.
         """
         span = range(self.n + 1)
         table = [[value(m, t) for t in span] for m in span]
-        return [[table[v.nontrivial][v.trivial] for v in row] for row in self.pairings]
+        return ([table[v.nontrivial][v.trivial] for v in row] for row in self.pairings)
 
 
 @lru_cache(maxsize=None)
-def _pairing_table(n: int):
+def _pairing_table(n: int) -> tuple[tuple[AnnularDiagram, ...], PairingRows]:
     """The basis and the pairing of every two of its diagrams.
 
     Turning the 2n points one step permutes the basis and keeps every
-    pairing, so the row of R(i) is the row of i with its columns moved
-    by R, and only the row of each cycle's first diagram is paired.
-    Pairing is symmetric too, so for cycles o and o' the turn by -r
-    gives G[o_0][o'_r] = G[o'_r][o_0] = G[o'_0][o_(-r)]: over a cycle o'
-    listed before o, the row of o_0 is read off the row of o'_0, and
-    each unordered pair of cycles is paired once.  Both the Gram matrix
-    and the skein matrix read this one table.
+    pairing, so only the row of each cycle's first diagram is paired and
+    kept (see PairingRows).  Pairing is symmetric too, so for cycles o
+    and o' the turn by -r gives G[o_0][o'_r] = G[o'_r][o_0] =
+    G[o'_0][o_(-r)]: over a cycle o' listed before o, the row of o_0 is
+    read off the row of o'_0, and each unordered pair of cycles is
+    paired once.  The diagonal entry of o_r is read from that of o_0, so
+    checking it on o_0 checks the cycle.  Both the Gram matrix and the
+    skein matrix read this one table.
     """
     basis = enumerate_diagrams(n)
     cycles = _rotation_cycles(n)
-    back = [0] * len(basis)  # back[R(j)] == j: column k of the turned row
-    for cycle in cycles:
-        for r, j in enumerate(cycle):
-            back[j] = cycle[r - 1]
-    rows: list[tuple[PairingValue, ...] | None] = [None] * len(basis)
+    firsts: dict[int, tuple[PairingValue, ...]] = {}
     for a, cycle in enumerate(cycles):
         first = basis[cycle[0]]
         row: list = [None] * len(basis)
         for other in cycles[:a]:
-            known = rows[other[0]]
+            known = firsts[other[0]]
             for r, j in enumerate(other):
                 row[j] = known[cycle[-r % len(cycle)]]
         for other in cycles[a:]:
             for j in other:
                 row[j] = pair(first, basis[j])
-        row = tuple(row)
-        for i in cycle:
-            assert row[i] == PairingValue(0, n)
-            rows[i] = row
-            row = tuple(map(row.__getitem__, back))
-    return basis, tuple(rows)
+        assert row[cycle[0]] == PairingValue(0, n)
+        firsts[cycle[0]] = tuple(row)
+    return basis, PairingRows(cycles, firsts)
 
 
 @lru_cache(maxsize=None)

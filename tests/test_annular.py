@@ -188,6 +188,18 @@ def test_pair_frozen_examples():
         assert pair(wrapped, plain) == PairingValue(n, 0)
 
 
+def test_pair_returns_one_object_per_value():
+    # a table of pairings holds one PairingValue per (m, t), not one per pair
+    for n in range(1, 5):
+        basis = enumerate_diagrams(n)
+        first: dict = {}
+        for d1 in basis:
+            for d2 in basis:
+                v = pair(d1, d2)
+                assert first.setdefault(v, v) is v
+        assert len(first) <= (n + 1) ** 2
+
+
 def test_pair_rejects_size_mismatch():
     with pytest.raises(ValueError):
         pair(AnnularDiagram(1, ((1, 2, 0),)), enumerate_diagrams(2)[0])

@@ -1,7 +1,10 @@
 """Gram matrix construction, determinant identity, specializations."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -24,6 +27,7 @@ from tlbgram.gram import (
     _character_det_mod,
     _cyclotomic,
     _nullity_at,
+    _pairing_table,
     _product_is_determinant,
     _root_powers,
     _rotation_basis,
@@ -208,7 +212,7 @@ def test_pairing_is_rotation_invariant(n):
         assert all(turned_row[turn[j]] == v for j, v in enumerate(row))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
 def test_pairing_is_reflection_invariant(n):
     basis = enumerate_diagrams(n)
     index = {d: k for k, d in enumerate(basis)}
@@ -221,12 +225,69 @@ def test_pairing_is_reflection_invariant(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_gram_from_orbits_matches_dense_pairings(n):
-    assert gram_matrix(n).pairings == dense_pairings(n)
+    assert tuple(gram_matrix(n).pairings) == dense_pairings(n)
+
+
+@pytest.mark.slow
+def test_pairing_table_6_matches_dense_pairings():
+    assert tuple(_pairing_table(6)[1]) == dense_pairings(6)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pairing_rows_read_in_any_order_match_pair(n):
+    g = gram_matrix(n)
+    size = g.size()
+    rng = random.Random(2300 + n)
+    rows = [*range(size), *(rng.randrange(size) for _ in range(size))]
+    rng.shuffle(rows)
+    for i in rows:
+        for j in (rng.randrange(size) for _ in range(2 * size)):
+            assert g.pairings[i][j] == pair(g.basis[i], g.basis[j]), (i, j)
+    assert len(g.pairings) == size
+    with pytest.raises(IndexError):
+        g.pairings[size]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pairing_rows_keep_one_row_per_rotation_cycle(n):
+    # the row of each cycle's first diagram is handed out as stored;
+    # every other row is built from it and is a fresh tuple
+    rows = gram_matrix(n).pairings
+    cycles = _rotation_cycles(n)
+    stored = {id(rows[o[0]]) for o in cycles}
+    assert len(stored) == len(cycles)
+    assert all(rows[o[0]] is rows[o[0]] for o in cycles)
+    assert not any(id(rows[i]) in stored for o in cycles for i in o[1:])
+    values = {id(v) for o in cycles for v in rows[o[0]]}
+    assert len(values) == len(set().union(*(rows[o[0]] for o in cycles)))
+
+
+# In a fresh process nothing is cached, so the traced memory is what
+# the n = 6 table holds with its basis: 80 stored rows of 924.
+PAIRING_TABLE_6_SCRIPT = """
+import gc, tracemalloc
+from tlbgram.gram import _pairing_table
+tracemalloc.start()
+table = _pairing_table(6)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_pairing_table_6_holds_under_2_mb():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", PAIRING_TABLE_6_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2 * 10**6
 
 
 def gram_mod(g, a_value, d_value, p):
     """The monomials of g at a = a_value, d = d_value, reduced mod p."""
-    return g.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p)
+    return list(g.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p))
 
 
 def test_evaluate_mod_matches_each_entry():
@@ -757,7 +818,7 @@ def test_tabulate_computes_each_exponent_pair_once():
             return (m, t)
 
         pairings = gram_matrix(n).pairings
-        table = gram_matrix(n).tabulate(value)
+        table = list(gram_matrix(n).tabulate(value))
         assert sorted(calls) == sorted(set(calls))
         assert len(calls) == (n + 1) ** 2
         assert table == [[(v.nontrivial, v.trivial) for v in row] for row in pairings]
