@@ -18,10 +18,10 @@ crossings beside point 1 nest, so the smallest i must take L_1.
 The pairing of two diagrams glues them along the outer boundary into
 one annulus.  Each glued loop is a simple closed curve there, so it
 winds around the core 0 or +-1 times: it is trivial (variable d) or
-wraps the core once (variable a) as it crosses the reference segment an
-even or an odd number of times.  In the double cover where a w=1 chord
-switches sheets, a wrapping loop lifts to one loop and a trivial loop to
-two, so the loop counts below and in the cover give both numbers.
+wraps the core once (variable a).  Its winding number is its signed
+count of crossings of the reference segment, so it wraps iff it crosses
+the segment an odd number of times, that is, iff the flags of the
+chords it runs along have an odd sum.
 """
 
 from __future__ import annotations
@@ -100,20 +100,17 @@ class AnnularDiagram:
 
     @cached_property
     def involutions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The chords as involutions of the points and of the double cover.
+        """Each point's partner, and the flag of the chord at each point.
 
-        Point p is node p-1 of 0..2n-1.  In the cover, node p-1 + 2n*s
-        on sheet s goes to q-1 + 2n*(s xor w) for the chord (p, q, w).
+        Point p is node p-1 of 0..2n-1.
         """
         per = 2 * self.n
         points = [0] * per
-        cover = [0] * (2 * per)
+        flags = [0] * per
         for i, j, w in self.chords:
             points[i - 1], points[j - 1] = j - 1, i - 1
-            for s in (0, 1):
-                u, v = i - 1 + per * s, j - 1 + per * (s ^ w)
-                cover[u], cover[v] = v, u
-        return tuple(points), tuple(cover)
+            flags[i - 1] = flags[j - 1] = w
+        return tuple(points), tuple(flags)
 
     def canonical_key(self) -> tuple:
         """Sort key: (partner, flag) of each chord's smaller endpoint in turn."""
@@ -123,18 +120,16 @@ class AnnularDiagram:
         body = ",".join(f"({i},{j},w={w})" for i, j, w in self.chords)
         return f"n={self.n};{body}"
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"i": i, "j": j, "w": w} for i, j, w in self.chords]
-
 
 def diagram_from_marks(n: int, marks, phase2_chords: int = 0) -> AnnularDiagram:
     """Build a diagram from a set of marked points.
 
-    Phase 1 repeatedly draws, in rounds, a w=0 chord from each marked
-    surviving point to its unmarked cyclic successor among the survivors
-    (a draw that wraps past the gap gets w=1 instead); drawn endpoints
-    are removed.  Phase 2 then joins the outermost surviving pair with a
-    w=1 chord, ``phase2_chords`` times, consuming everything left.
+    Phase 1 joins each mark to the unmarked point that closes it, read
+    as brackets counter-clockwise round the circle: a mark opens, an
+    unmarked point closes the innermost open mark.  A chord that passes
+    the gap gets w=1, the others w=0.  Phase 2 then joins the outermost
+    pair of the points left with a w=1 chord, ``phase2_chords`` times,
+    consuming everything left.
     """
     marks = set(marks)
     require(all(1 <= p <= 2 * n for p in marks), f"marks must lie in 1..{2 * n}")
@@ -142,31 +137,22 @@ def diagram_from_marks(n: int, marks, phase2_chords: int = 0) -> AnnularDiagram:
         len(marks) + phase2_chords == n,
         f"need {n} chords, got {len(marks)} marks and {phase2_chords} phase-2 chords",
     )
-    surviving = list(range(1, 2 * n + 1))
     chords: list[tuple[int, int, int]] = []
-    while marks:
-        m = len(surviving)
-        drawn = []
-        for idx, p in enumerate(surviving):
-            if p in marks:
-                q = surviving[(idx + 1) % m]
-                if q not in marks:
-                    drawn.append((p, q, idx + 1 == m))
-        assert drawn, "greedy pairing stalled"
-        used = set()
-        for p, q, wraps in drawn:
-            used.update((p, q))
-            if wraps:
-                # begins at the larger endpoint and crosses the gap
-                chords.append((q, p, 1))
-            else:
-                chords.append((p, q, 0))
-        surviving = [x for x in surviving if x not in used]
-        marks -= used
-    assert len(surviving) == 2 * phase2_chords
-    while surviving:
-        chords.append((surviving[0], surviving[-1], 1))
-        surviving = surviving[1:-1]
+    opened: list[int] = []
+    free: list[int] = []  # unmarked points that no earlier mark takes
+    for p in range(1, 2 * n + 1):
+        if p in marks:
+            opened.append(p)
+        elif opened:
+            chords.append((opened.pop(), p, 0))
+        else:
+            free.append(p)
+    # Every free point precedes every mark still open, so these close
+    # past the gap, the last one on the first free point.
+    wraps = len(opened)
+    chords += [(q, opened.pop(), 1) for q in free[:wraps]]
+    left = free[wraps:]
+    chords += [(left[h], left[-1 - h], 1) for h in range(phase2_chords)]
     return AnnularDiagram(n, tuple(chords))
 
 
@@ -279,28 +265,36 @@ def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:
     return tuple(ends_match), loops
 
 
-@lru_cache(maxsize=None)
-def _pairing_value(loops: int, lifted: int) -> PairingValue:
-    """The one PairingValue of L loops below and L2 in the cover."""
-    return PairingValue(2 * loops - lifted, lifted - loops)
+_pairing_value = lru_cache(maxsize=None)(PairingValue)
 
 
 def pair(d1: AnnularDiagram, d2: AnnularDiagram) -> PairingValue:
     """Glue two diagrams along the outer boundary and sort the loops.
 
-    A trivial loop lifts to two loops of the double cover and a wrapping
-    loop to one, so L loops below and L2 in the cover make L2 - L trivial
-    loops and 2L - L2 wrapping ones.  Both diagrams share the points and
-    the sheets, since regluing keeps each point's angular position.
-    Equal values are one object, so a table of them holds one per (m, t).
+    One walk over the 2n points follows d1's chord, then d2's, until the
+    loop closes, and XORs the flags of the chords it uses: a loop wraps
+    the core iff that parity is odd.  Both diagrams share the points,
+    since regluing keeps each point's angular position.  Equal values
+    are one object, so a table of them holds one per (m, t).
     """
     if d1.n != d2.n:
         raise ValueError("diagrams live on different numbers of points")
-    points1, cover1 = d1.involutions
-    points2, cover2 = d2.involutions
-    loops = _trace(points1, points2, 0)[1]
-    lifted = _trace(cover1, cover2, 0)[1]
-    return _pairing_value(loops, lifted)
+    points1, flags1 = d1.involutions
+    points2, flags2 = d2.involutions
+    seen = [False] * len(points1)
+    loops = wrapping = 0
+    for start in range(len(points1)):
+        if seen[start]:
+            continue
+        loops += 1
+        v, odd = start, 0
+        while not seen[v]:
+            u = points1[v]
+            seen[v] = seen[u] = True
+            odd ^= flags1[v] ^ flags2[u]
+            v = points2[u]
+        wrapping += odd
+    return _pairing_value(wrapping, loops - wrapping)
 
 
 class PairingRows(Sequence):

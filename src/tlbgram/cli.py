@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -126,6 +127,13 @@ def _render(
     return (f"{key}: {value}\n" for key, value in report.items())
 
 
+@lru_cache(maxsize=None)
+def _chord_json(chord: tuple[int, int, int]) -> str:
+    """The JSON text of a chord as it sits in enumerate's diagram list."""
+    i, j, w = chord
+    return _json({"i": i, "j": j, "w": w}, "      ")
+
+
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     from .annular import enumerate_diagrams
 
@@ -134,7 +142,8 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
         "version": __version__,
         "n": args.n,
         "count": len(basis),
-        "diagrams": (d.to_json_obj() for d in basis),
+        # each distinct chord is JSON-encoded once, not once per diagram
+        "diagrams": (_Encoded(map(_chord_json, d.chords)) for d in basis),
     }
     table = chain([["index", "cut_crossings", "diagram"]], (
         [str(i), str(d.cut_crossings()), d.to_text()]

@@ -5,7 +5,8 @@ are re-derived by brute force over all flagged matchings with a pairwise
 test of the chords' lifts to the universal cover, which the package
 decides by cutting the annulus open instead.  Pairing values are
 re-derived by counting connected components of the lifted (periodic)
-chord graph, which never looks at a winding sign.
+chord graph, which never looks at a winding sign.  The one stack pass
+of diagram_from_marks is checked against the greedy rounds it replaced.
 """
 
 import random
@@ -324,11 +325,13 @@ def test_pair_matches_cover_component_oracle_sampled():
         assert pair(d1, d2) == pairing_by_cover_components(d1, d2)
 
 
-def test_pair_matches_cover_component_oracle_on_rotation_orbit_rows():
-    # one row per rotation orbit; with the rotation invariance of pair
-    # (tests/test_gram.py) this covers every pair at n = 4
-    basis = enumerate_diagrams(4)
-    turn = rotation_permutation(4)
+@pytest.mark.parametrize("n", [4, pytest.param(5, marks=pytest.mark.slow)])
+def test_pair_matches_cover_component_oracle_on_rotation_orbit_rows(n):
+    # one row per rotation orbit (26 of 252 at n = 5, about 7 s); with the
+    # rotation invariance of pair (tests/test_gram.py) this covers every
+    # pair, at n = 5 the table that the largest guarded Gram jobs build
+    basis = enumerate_diagrams(n)
+    turn = rotation_permutation(n)
     seen = set()
     for start, d1 in enumerate(basis):
         if start in seen:
@@ -349,14 +352,50 @@ def test_diagram_from_marks_worked_example():
     assert diagram_from_marks(1, {1}) == AnnularDiagram(1, ((1, 2, 0),))
 
 
+def chords_from_marks_in_rounds(n, marks, phase2_chords):
+    """Reference for diagram_from_marks: the greedy pairing in rounds.
+
+    Each round draws, from every marked surviving point, a chord to its
+    unmarked cyclic successor among the survivors (w=1 if the draw wraps
+    past the gap), and removes the drawn endpoints.  The points left are
+    then joined outermost pair first with w=1 chords.
+    """
+    marks = set(marks)
+    surviving = list(range(1, 2 * n + 1))
+    chords = []
+    while marks:
+        m = len(surviving)
+        drawn = []
+        for idx, p in enumerate(surviving):
+            q = surviving[(idx + 1) % m]
+            if p in marks and q not in marks:
+                drawn.append((p, q, int(idx + 1 == m)))
+        assert drawn, "greedy pairing stalled"
+        used = {x for p, q, _ in drawn for x in (p, q)}
+        chords += drawn
+        surviving = [x for x in surviving if x not in used]
+        marks -= used
+    assert len(surviving) == 2 * phase2_chords
+    while surviving:
+        chords.append((surviving[0], surviving[-1], 1))
+        surviving = surviving[1:-1]
+    return chords
+
+
+def test_diagram_from_marks_matches_the_rounds_on_every_input():
+    # every mark set of every size with the phase-2 chords it leaves room
+    # for, n <= 6: 3,367 inputs
+    inputs = 0
+    for n in range(1, 7):
+        for phase2 in range(n + 1):
+            for marks in combinations(range(1, 2 * n + 1), n - phase2):
+                expected = chords_from_marks_in_rounds(n, marks, phase2)
+                got = diagram_from_marks(n, marks, phase2)
+                assert got == AnnularDiagram(n, expected), (n, marks, phase2)
+                inputs += 1
+    assert inputs == 3367
+
+
 def test_text_form():
     d = AnnularDiagram(2, ((1, 2, 0), (3, 4, 1)))
     assert d.to_text() == "n=2;(1,2,w=0),(3,4,w=1)"
-
-
-def test_json_form():
-    d = AnnularDiagram(2, ((1, 2, 0), (3, 4, 1)))
-    assert d.to_json_obj() == [
-        {"i": 1, "j": 2, "w": 0},
-        {"i": 3, "j": 4, "w": 1},
-    ]

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from tlbgram import __version__
-from tlbgram.cli import _render, build_parser, main
+from tlbgram.annular import AnnularDiagram
+from tlbgram.cli import _Encoded, _chord_json, _json, _render, build_parser, main
 
 
 def run(capsys, *argv):
@@ -28,6 +29,14 @@ def test_enumerate_json(capsys):
     assert data["count"] == 6
     assert len(data["diagrams"]) == 6
     assert data["diagrams"][0][0].keys() == {"i", "j", "w"}
+
+
+def test_json_form():
+    # enumerate writes each diagram as the cached texts of its chords
+    d = AnnularDiagram(2, ((1, 2, 0), (3, 4, 1)))
+    report = {"diagrams": [_Encoded(map(_chord_json, d.chords))]}
+    expected = {"diagrams": [[{"i": 1, "j": 2, "w": 0}, {"i": 3, "j": 4, "w": 1}]]}
+    assert _json(report) == json.dumps(expected, indent=2)
 
 
 def test_enumerate_text_lists_all_rows(capsys):
