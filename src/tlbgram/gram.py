@@ -40,6 +40,8 @@ class GramMatrix:
 
     pairings[i][j] is the pairing of diagrams i and j: PairingRows for
     gram_matrix and tl.skein_matrix, any sequence of rows otherwise.
+    Ranks, determinants and parity checks read only the row of each
+    rotation cycle's first diagram, so they need a table the turn keeps.
     Entry (i, j) is value(m, t) for the exponents a^m d^t of
     pairings[i][j], built when entries is first read: the monomial
     itself by default, a skein value for tl.skein_matrix.
@@ -242,12 +244,23 @@ def crossing_signs(basis) -> tuple[int, ...]:
 def _parities_hold(g: GramMatrix, exponent, e) -> bool:
     """Whether every pairing v of i and j has exponent(v) = e[i] + e[j] (mod 2).
 
-    Each e[i] is 0 or 1, so row i holds when exponent(v) + e[j] has the
-    parity e[i] all along it.
+    Only the stored row of each cycle's o_0 is read, once the turn R is
+    seen to shift e by one constant c: e[R(j)] = e[j] + c (mod 2) for
+    every j.  That is needed, since the turn keeps every pairing: the
+    parities for R(i), R(j) and for i, j give e[R(i)] + e[R(j)] =
+    e[i] + e[j], so e[R(i)] - e[i] = e[R(j)] - e[j] (mod 2).  Then row
+    o_0 decides its cycle: if row i holds, the pairing of R(i) and R(j)
+    is that of i and j, whose exponent has the parity of e[i] + e[j] =
+    e[R(i)] + e[R(j)] - 2c, so row R(i) holds.  Each e[i] is 0 or 1, so
+    row i holds when exponent(v) + e[j] has the parity e[i] all along it.
     """
+    cycles = _rotation_cycles(g.n)  # R(o_(r-1)) = o_r
+    if len({(e[i] - e[o[r - 1]]) & 1 for o in cycles for r, i in enumerate(o)}) > 1:
+        return False
     return all(
-        {(x + e_j) & 1 for x, e_j in zip(map(exponent, row), e)} == {e_i}
-        for e_i, row in zip(e, g.pairings)
+        {(x + e_j) & 1 for x, e_j in zip(map(exponent, g.pairings[o[0]]), e)}
+        == {e[o[0]]}
+        for o in cycles
     )
 
 
@@ -316,21 +329,17 @@ def _root_powers(m: int, p: int) -> tuple[int, ...]:
     """zeta^k mod p for k < m, zeta a primitive m-th root of unity mod p.
 
     Such a zeta exists exactly when p = 1 (mod m); any other p is
-    refused.  zeta = x^((p-1)/m) has order m unless zeta^(m/q) = 1 for
-    some prime q dividing m.
+    refused.  zeta = x^((p-1)/m) has zeta^m = 1, so its order divides
+    m, and it is m when zeta^0, ..., zeta^(m-1) are distinct.
     """
     require((p - 1) % m == 0, f"need a prime p = 1 (mod {m}), got p={p}")
-    factors = [
-        q for q in range(2, m + 1) if m % q == 0 and all(q % f for f in range(2, q))
-    ]
     for x in count(2):
         zeta = pow(x, (p - 1) // m, p)
-        if all(pow(zeta, m // q, p) != 1 for q in factors):
-            break
-    powers = [1]
-    while len(powers) < m:
-        powers.append(powers[-1] * zeta % p)
-    return tuple(powers)
+        powers = [1]
+        while len(powers) < m:
+            powers.append(powers[-1] * zeta % p)
+        if len(set(powers)) == m:
+            return tuple(powers)
 
 
 def _character_block(n: int, rows, j: int, powers: tuple, p: int) -> list[list[int]]:
@@ -413,8 +422,10 @@ def _product_is_determinant(n: int, product: BivariatePolynomial) -> bool:
     a = u, d = v has determinant f(u^2, v^2).  Row i of G has degree at
     most max_j m_ij in a, max_j t_ij in d and max_j (m_ij + t_ij) in
     total, so the row sums bound the degrees of det G: 44, 60 and 60 at
-    n = 3.  Halved, they bound f to the 460 terms x^i y^j with i <= 22,
-    j <= 30 and i + j <= 30.  Every entry has modulus 1 where
+    n = 3.  Row o_r of a cycle o permutes row o_0, so each sum is one
+    over the cycles of |o| times the maximum on row o_0.  Halved, they
+    bound f to the 460 terms x^i y^j with i <= 22, j <= 30 and
+    i + j <= 30.  Every entry has modulus 1 where
     |a| = |d| = 1, so Hadamard's bound N^(N/2) caps every coefficient
     (N = C(2n, n) is even).  If product is even in a and d and inside
     the same lower set, so is the difference h = f - product(x, y), with
@@ -430,9 +441,10 @@ def _product_is_determinant(n: int, product: BivariatePolynomial) -> bool:
     if not d_parity_check(n):
         raise RuntimeError(f"d parity fails at n={n}: det G_n is not even in d")
     g = gram_matrix(n)
-    deg_a = sum(max(v.nontrivial for v in row) for row in g.pairings)
-    deg_d = sum(max(v.trivial for v in row) for row in g.pairings)
-    total = sum(max(v.nontrivial + v.trivial for v in row) for row in g.pairings)
+    rows = [(len(o), g.pairings[o[0]]) for o in _rotation_cycles(n)]
+    deg_a = sum(s * max(v.nontrivial for v in row) for s, row in rows)
+    deg_d = sum(s * max(v.trivial for v in row) for s, row in rows)
+    total = sum(s * max(v.nontrivial + v.trivial for v in row) for s, row in rows)
     staircase = [min(deg_d // 2, total // 2 - i) for i in range(deg_a // 2 + 1)]
     if not all(
         ea % 2 == ed % 2 == 0

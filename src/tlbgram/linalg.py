@@ -15,17 +15,6 @@ from operator import mul
 
 from ._limits import require
 
-# The four largest primes below 2^53; large enough that a single random
-# evaluation of a degree-D identity with D ~ 10^4 has error probability
-# well under 2^-30, and small enough that hand checks stay printable.
-MODULAR_PRIMES = (
-    9007199254740881,
-    9007199254740847,
-    9007199254740761,
-    9007199254740727,
-)
-
-
 # The first 13 primes as Miller-Rabin witnesses decide primality below
 # this bound, psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve
 # prime bases", 2017; OEIS A014233); the bound itself passes them but is
@@ -61,9 +50,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-assert all(is_prime(p) for p in MODULAR_PRIMES)
 
 
 class ExactMatrix:
@@ -123,7 +109,9 @@ def _eliminate_mod(m: list, p: int):
 def _primes(m: int):
     """The primes q < 2^53 with q = 1 (mod m), largest first.
 
-    For m = 2 these start with MODULAR_PRIMES.  A prime q = 1 (mod m)
+    For m = 2 that is every odd prime below 2^53, from 9007199254740881
+    down; near 2^53 one random evaluation of a degree-D identity with
+    D ~ 10^4 errs with probability under 2^-30.  A prime q = 1 (mod m)
     is one whose multiplicative group holds a primitive m-th root of
     unity.
     """

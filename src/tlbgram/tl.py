@@ -7,9 +7,10 @@ position 2k-1 sits above position 0).  Composition stacks rectangles,
 and every closed loop produced contributes a factor -A^2 - A^-2.
 
 On top of the diagram algebra this module builds Jones-Wenzl
-projectors, Markov closures, the state-sum expansion of a curve
-encircling all strands, and the matrices of skein evaluations that
-mirror the annular Gram matrix after its loop variables are specialized.
+projectors, Markov closures, a curve encircling all strands (an extra
+strand crossing them, closed by the Markov closure's partial trace),
+and the matrices of skein evaluations that mirror the annular Gram
+matrix after its loop variables are specialized.
 Each such matrix is a `gram.GramMatrix` on the Gram stack's pairing
 table with a skein value for its entry function.  `gram` is imported
 where it is used, so the projectors load neither `gram` nor `linalg`.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 import random
 
 from ._limits import guard, require
@@ -135,17 +135,38 @@ class TLElement:
                 out[key] = coeff if s is None else s + coeff
         return TLElement(k, out, self.den * other.den)
 
+    def _close(self, j: int) -> "TLElement":
+        """Partial trace: join the two ends of each of the rightmost j strands.
+
+        Nodes 0..ends-1 are the kept ends, positions 0..k-j-1 and
+        k+j..2k-1, in order, so they are already positions of the result.
+        The closed ends k-j..k+j-1 follow, and bottom slot s joins its top
+        position 2k-1-s.  Each loop formed runs through one of the j joins.
+        """
+        k = self.k
+        ends = 2 * (k - j)
+        node = [*range(ends // 2), *range(ends, 2 * k), *range(ends // 2, ends)]
+        joins = [0] * ends + [2 * k - 1 + ends - v for v in range(ends, 2 * k)]
+        powers = _loop_powers(j + 1)
+        out: dict = {}
+        for m, c in self.terms.items():
+            total = [0] * (2 * k)
+            for p, q in enumerate(m.match):
+                total[node[p]] = node[q]
+            match, loops = _trace(total, joins, ends)
+            key = PlanarMatching(k - j, match)
+            coeff = c * powers[loops]
+            s = out.get(key)
+            out[key] = coeff if s is None else s + coeff
+        return TLElement(k - j, out, self.den)
+
     def markov_closure(self) -> tuple[LaurentScalar, LaurentScalar]:
         """Trace: close every strand around and evaluate the loops.
 
         Returns the numerator and denominator of the value.
         """
-        k = self.k
-        closure = [2 * k - 1 - p for p in range(2 * k)]
-        total = LaurentScalar.zero()
-        for m, c in self.terms.items():
-            total = total + c * LOOP_VALUE_A ** _trace(m.match, closure, 0)[1]
-        return total, self.den
+        closed = self._close(self.k)
+        return sum(closed.terms.values(), LaurentScalar.zero()), closed.den
 
     def __repr__(self):
         body = ", ".join(
@@ -216,57 +237,22 @@ def jones_wenzl(k: int) -> TLElement:
 def encircle(k: int) -> TLElement:
     """Bracket expansion of a simple closed curve around all k strands.
 
-    Each strand meets the curve twice: at the lower crossing the curve
-    passes over the strand, at the upper one it passes under.  All 4^k
-    smoothings are resolved; a state contributes A^(#A - #B) times the
-    loop value for each closed component.
+    The curve is an extra strand on the right of TL_(k+1), closed on the
+    right by the partial trace.  Stacked from the bottom, it crosses the
+    k strands leftwards, s_k ... s_1, and back, s_1 ... s_k.  The
+    crossing s_i = A + A^-1 e_i has its over-strand running up to the
+    right, so the curve passes under each strand below and over it
+    above: tilted the other way, the same curve up to isotopy.
     """
     require(k >= 0, f"need k >= 0, got k={k}")
     guard(k <= 4, f"encircle tested for 0 <= k <= 4, got k={k}")
-    if k == 0:
-        return TLElement(0, {PlanarMatching(0, ()): LOOP_VALUE_A})
-
-    # Boundary position p is node p.  Slot s (counter-clockwise W=0, S=1,
-    # E=2, N=3) of crossing j is node 2k + 4j + s; crossings 0..k-1 are
-    # the lower ones, k..2k-1 the upper ones.
-    def port(j: int, slot: int) -> int:
-        return 2 * k + 4 * j + slot
-
-    edges = [0] * (10 * k)
-
-    def join(p1, p2):
-        edges[p1] = p2
-        edges[p2] = p1
-
-    for i in range(k):
-        join(i, port(i, 1))
-        join(port(i, 3), port(k + i, 1))
-        join(port(k + i, 3), 2 * k - 1 - i)
-        if i + 1 < k:
-            join(port(i, 2), port(i + 1, 0))
-            join(port(k + i, 2), port(k + i + 1, 0))
-    join(port(0, 0), port(k, 0))
-    join(port(k - 1, 2), port(2 * k - 1, 2))
-
-    terms: dict[PlanarMatching, LaurentScalar] = {}
-    for state in product((0, 1), repeat=2 * k):  # 0 = A smoothing, 1 = B
-        smooth = [0] * (10 * k)
-        exponent = 0
-        for j, choice in enumerate(state):
-            s = 0 if j < k else 1  # curve is horizontal below, strand vertical above
-            step = -1 if choice == 0 else 1
-            exponent += 1 - 2 * choice
-            for end in (s, s + 2):
-                a = port(j, end)
-                b = port(j, (end + step) % 4)
-                smooth[a] = b
-                smooth[b] = a
-        match, loops = _trace(edges, smooth, 2 * k)
-        weight = LaurentScalar.monomial(exponent) * LOOP_VALUE_A**loops
-        key = PlanarMatching(k, match)
-        prev = terms.get(key)
-        terms[key] = weight if prev is None else prev + weight
-    return TLElement(k, terms)
+    strands = k + 1
+    a, a_inv = LaurentScalar.monomial(1), LaurentScalar.monomial(-1)
+    word = TLElement.identity(strands)
+    for i in [*range(k, 0, -1), *range(1, strands)]:
+        crossing = {identity_matching(strands): a, cup_cap_matching(i, strands): a_inv}
+        word = word * TLElement(strands, crossing)
+    return word._close(1)
 
 
 def encircle_eigenvalue(k: int) -> LaurentScalar:

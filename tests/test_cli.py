@@ -483,7 +483,7 @@ def test_prime_past_the_proven_primality_range_exits_2(capsys):
 
 
 def test_prime_not_1_mod_2n_exits_2(capsys):
-    # MODULAR_PRIMES[0] is 5 mod 6, so Z/6 has no characters mod it
+    # the largest prime below 2^53 is 5 mod 6, so Z/6 has no characters mod it
     err = assert_one_line_error(
         capsys, "det-verify", "3", "--mode", "modular",
         "--prime", "9007199254740881",

@@ -9,11 +9,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, lcm, prod
+from operator import attrgetter
 
 import pytest
 
 from tlbgram.annular import (
     AnnularDiagram,
+    PairingRows,
     PairingValue,
     enumerate_diagrams,
     pair,
@@ -28,6 +30,7 @@ from tlbgram.gram import (
     _cyclotomic,
     _nullity_at,
     _pairing_table,
+    _parities_hold,
     _product_is_determinant,
     _root_powers,
     _rotation_basis,
@@ -45,7 +48,6 @@ from tlbgram.gram import (
     verify_determinant,
 )
 from tlbgram.linalg import (
-    MODULAR_PRIMES,
     _det_mod,
     _integer_rank,
     _primes,
@@ -55,7 +57,7 @@ from tlbgram.linalg import (
 from tlbgram.polynomials import BivariatePolynomial, chebyshev
 from tlbgram.tl import projector_pairing_value, random_bracket_sample, skein_nullity
 from test_cli import assert_one_line_error
-from test_linalg import det_by_cofactor, scaled_rows
+from test_linalg import MODULAR_PRIMES, det_by_cofactor, scaled_rows
 from test_polynomials import negated_a, poly_mod
 
 A = BivariatePolynomial.monomial(1, 0)
@@ -130,13 +132,60 @@ def test_sign_conjugation_matches_the_polynomial_statement():
 
 
 def test_sign_conjugation_catches_one_wrong_parity(monkeypatch):
+    # one wrong pairing in a stored orbit row: the turn carries it to every
+    # row of that orbit, as a fault in pair() would
     g = gram_matrix(3)
-    rows = [list(row) for row in g.pairings]
-    v = rows[1][7]
-    rows[1][7] = PairingValue(v.nontrivial + 1, v.trivial)
-    broken = GramMatrix(3, g.basis, tuple(tuple(row) for row in rows))
+    cycles = _rotation_cycles(3)
+    firsts = {o[0]: list(g.pairings[o[0]]) for o in cycles}
+    v = firsts[1][7]
+    firsts[1][7] = PairingValue(v.nontrivial + 1, v.trivial)
+    broken = GramMatrix(3, g.basis, PairingRows(cycles, firsts))
     monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
     assert not sign_conjugation_check(3)
+
+
+def parities_hold_everywhere(g, exponent, e):
+    """The full walk: every row i and column j of g.pairings."""
+    return all(
+        (exponent(v) - e_i - e_j) % 2 == 0
+        for e_i, row in zip(e, g.pairings)
+        for v, e_j in zip(row, e)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_parities_on_orbit_rows_agree_with_the_full_walk(n):
+    g = gram_matrix(n)
+    odd = [int(s < 0) for s in crossing_signs(g.basis)]
+    d_odd = [(v.trivial - n) & 1 for v in g.pairings[0]]
+    for exponent in (attrgetter("nontrivial"), lambda v: v.trivial - n):
+        for e in (odd, d_odd):
+            for flip in [None, *range(len(e))]:
+                x = e if flip is None else [b ^ (i == flip) for i, b in enumerate(e)]
+                assert _parities_hold(g, exponent, x) == (
+                    parities_hold_everywhere(g, exponent, x)
+                )
+
+
+def test_parities_refuse_an_e_that_the_turn_does_not_shift_evenly():
+    # Orbit rows that hold for e, on a turn-invariant table, while the turn
+    # moves e by 1 at one point and by 0 elsewhere: the full walk fails too.
+    n = 3
+    cycles = _rotation_cycles(n)
+    e = [0] * sum(map(len, cycles))
+    e[cycles[1][1]] = 1
+    firsts = {
+        o[0]: tuple(PairingValue((e[o[0]] + e_j) & 1, n) for e_j in e)
+        for o in cycles
+    }
+    g = GramMatrix(n, gram_matrix(n).basis, PairingRows(cycles, firsts))
+    nontrivial = attrgetter("nontrivial")
+    assert all(
+        {(v.nontrivial + e_j) & 1 for v, e_j in zip(g.pairings[o[0]], e)} == {e[o[0]]}
+        for o in cycles
+    )
+    assert not parities_hold_everywhere(g, nontrivial, e)
+    assert not _parities_hold(g, nontrivial, e)
 
 
 # Rotation orbits.  gram_matrix pairs one row per orbit of the turn

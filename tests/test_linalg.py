@@ -17,7 +17,6 @@ from tlbgram.gram import (
     verify_determinant,
 )
 from tlbgram.linalg import (
-    MODULAR_PRIMES,
     ExactMatrix,
     PRIME_TEST_LIMIT,
     _det_mod,
@@ -32,6 +31,14 @@ from test_polynomials import poly_mod
 
 A = BivariatePolynomial.monomial(1, 0)
 D = BivariatePolynomial.var_d()
+# The four largest primes below 2^53, the first that _primes(2) yields
+# (test_primes_are_those_1_mod_m_below_2_to_53_largest_first).
+MODULAR_PRIMES = (
+    9007199254740881,
+    9007199254740847,
+    9007199254740761,
+    9007199254740727,
+)
 P = MODULAR_PRIMES[0]
 
 

@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import pytest
 
-from tlbgram.annular import PlanarMatching, pair
+from tlbgram.annular import PlanarMatching, _trace, pair
 from tlbgram.gram import gram_matrix, specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
@@ -212,6 +213,90 @@ def test_markov_closure_frozen_values():
     assert TLElement.generator(1, 2).markov_closure() == (delta, 1)
     num, den = jones_wenzl(3).markov_closure()
     assert num == quantum_dimension(3) * den
+
+
+def test_partial_traces_compose():
+    # closing j strands, then j' more, closes the rightmost j + j' at once
+    elements = [
+        jones_wenzl(4),
+        TLElement.generator(1, 4)
+        * TLElement.generator(3, 4)
+        * TLElement.generator(2, 4),
+        encircle(3),
+        encircle(2) * jones_wenzl(2),
+    ]
+    for x in elements:
+        for j in range(x.k + 1):
+            once = x._close(j)
+            assert once.k == x.k - j
+            assert once.den == x.den
+            for j2 in range(x.k - j + 1):
+                assert once._close(j2) == x._close(j + j2)
+        assert x._close(0) == x
+        num, den = x.markov_closure()
+        assert TLElement(0, {PlanarMatching(0, ()): num}, den) == x._close(x.k)
+
+
+def state_sum_encircle(k):
+    """The curve around k strands as a sum over its 4^k smoothings.
+
+    Each strand meets the curve twice: at the lower crossing the curve
+    passes over the strand, at the upper one it passes under.  A state
+    contributes A^(#A - #B) times the loop value for each closed
+    component.
+    """
+    if k == 0:
+        return TLElement(0, {PlanarMatching(0, ()): LOOP_VALUE_A})
+
+    # Boundary position p is node p.  Slot s (counter-clockwise W=0, S=1,
+    # E=2, N=3) of crossing j is node 2k + 4j + s; crossings 0..k-1 are
+    # the lower ones, k..2k-1 the upper ones.
+    def port(j, slot):
+        return 2 * k + 4 * j + slot
+
+    edges = [0] * (10 * k)
+
+    def join(p1, p2):
+        edges[p1] = p2
+        edges[p2] = p1
+
+    for i in range(k):
+        join(i, port(i, 1))
+        join(port(i, 3), port(k + i, 1))
+        join(port(k + i, 3), 2 * k - 1 - i)
+        if i + 1 < k:
+            join(port(i, 2), port(i + 1, 0))
+            join(port(k + i, 2), port(k + i + 1, 0))
+    join(port(0, 0), port(k, 0))
+    join(port(k - 1, 2), port(2 * k - 1, 2))
+
+    terms = {}
+    for state in product((0, 1), repeat=2 * k):  # 0 = A smoothing, 1 = B
+        smooth = [0] * (10 * k)
+        exponent = 0
+        for j, choice in enumerate(state):
+            s = 0 if j < k else 1  # curve is horizontal below, strand vertical above
+            step = -1 if choice == 0 else 1
+            exponent += 1 - 2 * choice
+            for end in (s, s + 2):
+                a = port(j, end)
+                b = port(j, (end + step) % 4)
+                smooth[a] = b
+                smooth[b] = a
+        match, loops = _trace(edges, smooth, 2 * k)
+        weight = LaurentScalar.monomial(exponent) * LOOP_VALUE_A**loops
+        key = PlanarMatching(k, match)
+        terms[key] = terms[key] + weight if key in terms else weight
+    return TLElement(k, terms)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_encircle_matches_the_state_sum_term_by_term(k):
+    # f_k kills every term with a cup, so the eigenvalue test cannot see them
+    curve, oracle = encircle(k), state_sum_encircle(k)
+    assert curve.k == oracle.k == k
+    assert curve.terms == oracle.terms
+    assert curve.den == oracle.den == 1
 
 
 def test_encircle_nothing_is_a_free_loop():
