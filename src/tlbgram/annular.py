@@ -170,25 +170,33 @@ def enumerate_diagrams(n: int) -> tuple[AnnularDiagram, ...]:
     return tuple(out)
 
 
-def rotation_permutation(n: int) -> tuple[int, ...]:
-    """Basis index of each diagram turned one step, i -> i+1 (mod 2n).
+def rotation_cycles(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the turn R, i -> i+1 (mod 2n), on the basis.
 
-    The chord at 2n becomes (1, i+1) with its flag toggled: its end
-    moves past the reference segment.  Turning moves the segment, not
-    the loops, and a closed loop's winding does not depend on where it
-    is cut, so pair(R x, R y) == pair(x, y) for the turn R.
+    A cycle o lists o_0, o_1 = R(o_0), ..., o_(s-1) from its smallest
+    basis index, and its size s divides 2n.  R takes a chord (i, 2n) to
+    (1, i+1) with its flag toggled: its end moves past the reference
+    segment.  Turning moves the segment, not the loops, and a closed
+    loop's winding does not depend on where it is cut, so
+    pair(R x, R y) == pair(x, y).
     """
     basis = enumerate_diagrams(n)
     index = {d.chords: k for k, d in enumerate(basis)}
     top = 2 * n
-    turned = (
-        tuple(sorted(
-            (1, i + 1, 1 - w) if j == top else (i + 1, j + 1, w)
-            for i, j, w in d.chords
-        ))
-        for d in basis
-    )
-    return tuple(index[chords] for chords in turned)
+    cycles = []
+    seen = set()
+    for start in range(len(basis)):
+        cycle, i = [], start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = index[tuple(sorted(
+                (1, p + 1, 1 - w) if q == top else (p + 1, q + 1, w)
+                for p, q, w in basis[i].chords
+            ))]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 class PlanarMatching:
@@ -298,35 +306,39 @@ def pair(d1: AnnularDiagram, d2: AnnularDiagram) -> PairingValue:
 
 
 class PairingRows(Sequence):
-    """Rows of the pairing table, one stored for each cycle of the turn R.
+    """A table of pairings, one row stored for each cycle of the turn R.
 
     cycles lists each cycle o of R on the basis as o_0, o_1 = R(o_0),
-    ..., and firsts maps each o_0 to its row.  The turn keeps every
-    pairing (see rotation_permutation), so row o_r is row o_0 read
-    through R^r: its entry k is firsts[o_0][R^-r(k)].  Row o_0 is
-    returned as stored, any other row is built when it is read, and the
-    column permutations R^-r are computed once.
+    ... (see rotation_cycles), and firsts maps each o_0 to its row; both
+    are kept as given.  The turn keeps every pairing, so row o_r is row
+    o_0 read through R^r: its entry k is firsts[o_0][R^-r(k)].  Row o_0
+    is returned as stored, any other row is built when it is read, and
+    the column permutations R^-r are built once, when a row is first
+    read, so a reader of cycles and firsts alone never builds them.
+    The rows may hold any values laid out that way, such as the
+    evaluations of gram.GramMatrix.tabulate.
     """
 
-    __slots__ = ("_rows", "_steps", "_turns")
+    def __init__(self, cycles, firsts):
+        self.cycles, self.firsts = cycles, firsts
 
-    def __init__(self, cycles, firsts: dict[int, tuple[PairingValue, ...]]):
-        size = sum(map(len, cycles))
-        rows: list = [None] * size  # rows[i] is the stored row of i's o_0
-        steps = bytearray(size)  # i = o_r for r = steps[i]
-        back = [0] * size  # back[R(j)] == j
-        for cycle in cycles:
-            for r, i in enumerate(cycle):
-                rows[i], steps[i], back[i] = firsts[cycle[0]], r, cycle[r - 1]
-        turns, perm = [None], back  # turns[r] picks the columns R^-r(k), k < size
-        for _ in range(1, max(map(len, cycles))):
-            turns.append(itemgetter(*perm))
-            perm = list(map(back.__getitem__, perm))
-        self._rows, self._steps, self._turns = tuple(rows), bytes(steps), tuple(turns)
+    @cached_property
+    def _places(self):
+        """(i, o, r) for each i = o_r, in order of i."""
+        return sorted((i, o, r) for o in self.cycles for r, i in enumerate(o))
+
+    @cached_property
+    def _turns(self):
+        """_turns[s] picks the columns R^-s(k) = o_(r-s), k = o_r, for s > 0."""
+        return [None] + [
+            itemgetter(*(o[(r - s) % len(o)] for _, o, r in self._places))
+            for s in range(1, max(map(len, self.cycles)))
+        ]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._places)
 
-    def __getitem__(self, i: int) -> tuple[PairingValue, ...]:
-        row, r = self._rows[i], self._steps[i]
+    def __getitem__(self, i: int) -> Sequence:
+        _, o, r = self._places[i]
+        row = self.firsts[o[0]]
         return self._turns[r](row) if r else row

@@ -14,12 +14,11 @@ set under enough primes to prove them equal.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
-from math import comb, gcd, lcm
-from operator import attrgetter, mul
+from math import comb, gcd, prod
+from operator import mul, xor
 
 from . import __version__
 from ._limits import guard, require
@@ -29,7 +28,7 @@ from .annular import (
     PairingValue,
     enumerate_diagrams,
     pair,
-    rotation_permutation,
+    rotation_cycles,
 )
 from .linalg import ExactMatrix, _det_mod, _primes, is_prime, rank_exact
 from .polynomials import BivariatePolynomial, _poly_divexact, chebyshev
@@ -38,22 +37,22 @@ from .polynomials import BivariatePolynomial, _poly_divexact, chebyshev
 class GramMatrix:
     """Basis diagrams, the pairing of every two of them, and an entry function.
 
-    pairings[i][j] is the pairing of diagrams i and j: PairingRows for
-    gram_matrix and tl.skein_matrix, any sequence of rows otherwise.
-    Ranks, determinants and parity checks read only the row of each
-    rotation cycle's first diagram, so they need a table the turn keeps.
-    Entry (i, j) is value(m, t) for the exponents a^m d^t of
-    pairings[i][j], built when entries is first read: the monomial
-    itself by default, a skein value for tl.skein_matrix.
+    pairings is a PairingRows, and pairings[i][j] is the pairing of
+    diagrams i and j; only the row of each rotation cycle's first
+    diagram is stored.  Entry (i, j) is value(m, t) for the exponents
+    a^m d^t of pairings[i][j], built when entries is first read: the
+    monomial itself by default, a skein value for tl.skein_matrix.
+    Every evaluation of the table goes through tabulate.
     """
 
     def __init__(
         self,
         n: int,
         basis: tuple[AnnularDiagram, ...],
-        pairings: Sequence[Sequence[PairingValue]],
+        pairings: PairingRows,
         value=None,
     ):
+        require(isinstance(pairings, PairingRows), "pairings must be a PairingRows")
         self.n = n
         self.basis = basis
         self.pairings = pairings
@@ -67,16 +66,21 @@ class GramMatrix:
     def size(self) -> int:
         return len(self.basis)
 
-    def tabulate(self, value) -> Iterator[list]:
-        """value(m, t) for every pairing a^m d^t, one row at a time.
+    def tabulate(self, value) -> PairingRows:
+        """value(m, t) for every pairing a^m d^t, on the cycles of pairings.
 
-        value is called once per (m, t), before the first row: a loop
-        of a pairing passes through at least two of the 2n points, so
-        m + t <= n and an (n+1) x (n+1) table covers every entry.
+        value is called once per (m, t), before any row is evaluated: a
+        loop of a pairing passes through at least two of the 2n points,
+        so m + t <= n and an (n+1) x (n+1) table covers every entry.
+        Only the stored row of each cycle's first diagram is evaluated;
+        every other row is read through the turn when it is read.
         """
         span = range(self.n + 1)
         table = [[value(m, t) for t in span] for m in span]
-        return ([table[v.nontrivial][v.trivial] for v in row] for row in self.pairings)
+        return PairingRows(self.pairings.cycles, {
+            i: [table[v.nontrivial][v.trivial] for v in row]
+            for i, row in self.pairings.firsts.items()
+        })
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +98,7 @@ def _pairing_table(n: int) -> tuple[tuple[AnnularDiagram, ...], PairingRows]:
     skein matrix read this one table.
     """
     basis = enumerate_diagrams(n)
-    cycles = _rotation_cycles(n)
+    cycles = rotation_cycles(n)
     firsts: dict[int, tuple[PairingValue, ...]] = {}
     for a, cycle in enumerate(cycles):
         first = basis[cycle[0]]
@@ -109,26 +113,6 @@ def _pairing_table(n: int) -> tuple[tuple[AnnularDiagram, ...], PairingRows]:
         assert row[cycle[0]] == PairingValue(0, n)
         firsts[cycle[0]] = tuple(row)
     return basis, PairingRows(cycles, firsts)
-
-
-@lru_cache(maxsize=None)
-def _rotation_cycles(n: int) -> tuple[tuple[int, ...], ...]:
-    """The cycles of the turn R on the basis, each from its smallest index.
-
-    A cycle o lists o_0, o_1 = R(o_0), ..., o_(s-1), and its size s
-    divides 2n.
-    """
-    turn = rotation_permutation(n)
-    cycles = []
-    seen: set[int] = set()
-    for start in range(len(turn)):
-        if start not in seen:
-            cycle = [start]
-            while turn[cycle[-1]] != start:
-                cycle.append(turn[cycle[-1]])
-            seen.update(cycle)
-            cycles.append(tuple(cycle))
-    return tuple(cycles)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +148,7 @@ def _rotation_basis(n: int) -> dict:
     invertible matrix P, one square block per cycle.  Every cycle has
     one vector in entry 1.
     """
-    cycles = _rotation_cycles(n)
+    cycles = _pairing_table(n)[1].cycles
     columns: dict[int, list] = {}
     for e in range(1, 2 * n + 1):
         phi = _cyclotomic(e)
@@ -204,20 +188,15 @@ def _nullity_at(g: GramMatrix, a_value: Fraction, d_value: Fraction) -> int:
     sections 12-13).  Entry (u, v) of B_e, for u laid over the cycle o
     and v over the cycle o', is sum_k W[k] G[o_0][o'_k] with W from
     _weights, since G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the row of
-    each o_0 is read.  The values a^m d^t are scaled to integers by one
-    common lcm; each block is evaluated on and above its diagonal and
-    mirrored, each row is divided by its content, and every block rank
-    is certified by rank_exact.
+    each o_0 is read.  The values a^m d^t, m, t <= n, are scaled to
+    integers by the common denominator (qs)^n of a = p/q and d = r/s;
+    each block is evaluated on and above its diagonal and mirrored, each
+    row is divided by its content, and every block rank is certified by
+    rank_exact.
     """
-    span = g.n + 1
-    values = [a_value**m * d_value**t for m in range(span) for t in range(span)]
-    scale = lcm(*(v.denominator for v in values))
-    values = [v.numerator * (scale // v.denominator) for v in values]
+    scale = (a_value.denominator * d_value.denominator) ** g.n
+    rows = g.tabulate(lambda m, t: int(scale * a_value**m * d_value**t)).firsts
     components = _rotation_basis(g.n)
-    rows = {  # the row of each cycle's o_0, as the scaled integers
-        o[0]: [values[v.nontrivial * span + v.trivial] for v in g.pairings[o[0]]]
-        for o, _ in components[1]
-    }
     rank = 0
     for members in components.values():
         raw: list[list[int]] = []
@@ -241,26 +220,26 @@ def crossing_signs(basis) -> tuple[int, ...]:
     return tuple(-1 if d.cut_crossings() & 1 else 1 for d in basis)
 
 
-def _parities_hold(g: GramMatrix, exponent, e) -> bool:
-    """Whether every pairing v of i and j has exponent(v) = e[i] + e[j] (mod 2).
+def _parities_hold(parities: PairingRows, e) -> bool:
+    """Whether every entry x of row i, column j has x = e[i] + e[j] (mod 2).
 
+    parities holds 0 or 1 for each pairing, from GramMatrix.tabulate.
     Only the stored row of each cycle's o_0 is read, once the turn R is
     seen to shift e by one constant c: e[R(j)] = e[j] + c (mod 2) for
     every j.  That is needed, since the turn keeps every pairing: the
     parities for R(i), R(j) and for i, j give e[R(i)] + e[R(j)] =
     e[i] + e[j], so e[R(i)] - e[i] = e[R(j)] - e[j] (mod 2).  Then row
-    o_0 decides its cycle: if row i holds, the pairing of R(i) and R(j)
-    is that of i and j, whose exponent has the parity of e[i] + e[j] =
-    e[R(i)] + e[R(j)] - 2c, so row R(i) holds.  Each e[i] is 0 or 1, so
-    row i holds when exponent(v) + e[j] has the parity e[i] all along it.
+    o_0 decides its cycle: if row i holds, entry (R(i), R(j)) is entry
+    (i, j), which has the parity of e[i] + e[j] = e[R(i)] + e[R(j)] - 2c,
+    so row R(i) holds.  Each x and each e[i] is 0 or 1, so row i holds
+    when x xor e[j] is e[i] all along it.
     """
-    cycles = _rotation_cycles(g.n)  # R(o_(r-1)) = o_r
+    cycles = parities.cycles  # R(o_(r-1)) = o_r
     if len({(e[i] - e[o[r - 1]]) & 1 for o in cycles for r, i in enumerate(o)}) > 1:
         return False
     return all(
-        {(x + e_j) & 1 for x, e_j in zip(map(exponent, g.pairings[o[0]]), e)}
-        == {e[o[0]]}
-        for o in cycles
+        set(map(xor, row, e)) == {e[i]}
+        for i, row in parities.firsts.items()
     )
 
 
@@ -274,7 +253,7 @@ def sign_conjugation_check(n: int) -> bool:
     """
     g = gram_matrix(n)
     odd = [int(s < 0) for s in crossing_signs(g.basis)]
-    return _parities_hold(g, attrgetter("nontrivial"), odd)
+    return _parities_hold(g.tabulate(lambda m, t: m & 1), odd)
 
 
 def d_parity_check(n: int) -> bool:
@@ -285,9 +264,8 @@ def d_parity_check(n: int) -> bool:
     G(a, -d) = (-1)^n S G S with S = diag((-1)^e), so det G is even in d:
     N = C(2n, n) is even and (-1)^(nN) = 1.
     """
-    g = gram_matrix(n)
-    e = [(v.trivial - n) & 1 for v in g.pairings[0]]
-    return _parities_hold(g, lambda v: v.trivial - n, e)
+    parities = gram_matrix(n).tabulate(lambda m, t: (t - n) & 1)
+    return _parities_hold(parities, parities[0])
 
 
 def determinant_product_form(n: int) -> BivariatePolynomial:
@@ -342,19 +320,22 @@ def _root_powers(m: int, p: int) -> tuple[int, ...]:
             return tuple(powers)
 
 
-def _character_block(n: int, rows, j: int, powers: tuple, p: int) -> list[list[int]]:
+def _character_block(
+    rows: PairingRows, j: int, powers: tuple, p: int
+) -> list[list[int]]:
     """C_j mod p: G on the character j of Z/2n, from the rows of the o_0.
 
-    C_j runs over the cycles o with j|o| = 0 (mod 2n), and its entry
-    (o, o') is sum_{r < |o'|} zeta^(jr) G[o_0][o'_r], where powers[k] =
-    zeta^k and rows[o_0] is row o_0 of G mod p.  See _character_det_mod.
+    rows is G mod p from GramMatrix.tabulate, and powers[k] = zeta^k for
+    k < 2n.  C_j runs over the cycles o with j|o| = 0 (mod 2n), and its
+    entry (o, o') is sum_{r < |o'|} zeta^(jr) G[o_0][o'_r].  See
+    _character_det_mod.
     """
-    m = 2 * n
-    cycles = [o for o in _rotation_cycles(n) if j * len(o) % m == 0]
+    m = len(powers)
+    cycles = [o for o in rows.cycles if j * len(o) % m == 0]
     weights = [powers[j * r % m] for r in range(m)]
     return [
         [sum(map(mul, weights, map(row.__getitem__, other))) % p for other in cycles]
-        for row in (rows[o[0]] for o in cycles)
+        for row in (rows.firsts[o[0]] for o in cycles)
     ]
 
 
@@ -389,16 +370,11 @@ def _character_det_mod(g: GramMatrix, a_value: int, d_value: int, p: int) -> int
     _det_mod.
     """
     n = g.n
-    span = range(n + 1)
-    value = [[pow(a_value, m, p) * pow(d_value, t, p) % p for t in span] for m in span]
-    rows = {
-        o[0]: [value[v.nontrivial][v.trivial] for v in g.pairings[o[0]]]
-        for o in _rotation_cycles(n)
-    }
+    rows = g.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p)
     powers = _root_powers(2 * n, p)
     det = 1
-    for j in span:
-        block = _det_mod(_character_block(n, rows, j, powers, p), p)
+    for j in range(n + 1):
+        block = _det_mod(_character_block(rows, j, powers, p), p)
         det = det * (block if j in (0, n) else block * block) % p
     return det
 
@@ -414,47 +390,56 @@ def _agrees_at(g: GramMatrix, a_value: int, d_value: int, p: int) -> bool:
     )
 
 
-def _product_is_determinant(n: int, product: BivariatePolynomial) -> bool:
-    """Whether det G_n equals product over Z[a, d], proven at nodes mod p.
+def _product_is_determinant(n: int) -> bool:
+    """Whether det G_n = prod_i (T_i(d)^2 - a^2)^C(2n, n-i), proven mod p.
 
-    Lemma 2 (sign_conjugation_check) makes det G even in a and
-    d_parity_check makes it even in d, so det G = f(a^2, d^2), and G at
-    a = u, d = v has determinant f(u^2, v^2).  Row i of G has degree at
-    most max_j m_ij in a, max_j t_ij in d and max_j (m_ij + t_ij) in
-    total, so the row sums bound the degrees of det G: 44, 60 and 60 at
-    n = 3.  Row o_r of a cycle o permutes row o_0, so each sum is one
-    over the cycles of |o| times the maximum on row o_0.  Halved, they
-    bound f to the 460 terms x^i y^j with i <= 22, j <= 30 and
-    i + j <= 30.  Every entry has modulus 1 where
-    |a| = |d| = 1, so Hadamard's bound N^(N/2) caps every coefficient
-    (N = C(2n, n) is even).  If product is even in a and d and inside
-    the same lower set, so is the difference h = f - product(x, y), with
-    coefficients below N^(N/2) plus product's largest.  A polynomial on
-    a lower set that vanishes at its nodes (u^2, v^2) is zero, as long
-    as the squares of the nodes stay distinct mod p (divided differences
-    in x, then in y), so h = 0 mod every prime taken, each = 1 (mod 2n)
-    for _agrees_at.  Once their product exceeds twice the coefficient
-    bound, h = 0.
+    The proof holds over Z[a, d], from the nodes of a lower set.  Lemma 2
+    (sign_conjugation_check) makes det G even in a and d_parity_check
+    makes it even in d, so det G = f(a^2, d^2), and G at a = u, d = v
+    has determinant f(u^2, v^2).  Row i of G has degree at most
+    max_j m_ij in a, max_j t_ij in d and max_j (m_ij + t_ij) in total,
+    so the row sums bound the degrees of det G: 44, 60 and 60 at n = 3.
+    Row o_r of a cycle o permutes row o_0, so each sum is one over the
+    cycles of |o| times the maximum on row o_0.  Halved, they bound f to
+    the 460 terms x^i y^j with i <= 22, j <= 30 and i + j <= 30.  The
+    product is F(a^2, d^2) too, since T_i^2 is even in d, and its factor
+    i has degree 1 in x and i in y and in total, so F has degree
+    sum_i C(2n, n-i) in x and sum_i i C(2n, n-i) in y and in total: 22,
+    30 and 30 at n = 3.  If these fit the halved bounds, h = f - F lies
+    in the same lower set.  Every entry of G has modulus 1 where
+    |a| = |d| = 1, so Hadamard's bound N^(N/2) caps every coefficient of
+    f (N = C(2n, n) is even).  The sum of the moduli of the coefficients
+    is submultiplicative, and it is at most L_i^2 + 1 on factor i, with
+    L_i that sum on T_i (the Lucas numbers), so
+    prod_i (L_i^2 + 1)^C(2n, n-i) caps every coefficient of F: below
+    2^40 against N^(N/2) < 2^44 at n = 3.  A polynomial on a lower set
+    that vanishes at its nodes (u^2, v^2) is zero, as long as the
+    squares of the nodes stay distinct mod p (divided differences in x,
+    then in y), and at each node _agrees_at compares det G with F.  So
+    h = 0 mod every prime taken, each = 1 (mod 2n) for _agrees_at.  Once
+    their product exceeds twice the sum of the two caps, h = 0.
     """
     if not sign_conjugation_check(n):
         raise RuntimeError(f"Lemma 2 parity fails at n={n}: det G_n is not even in a")
     if not d_parity_check(n):
         raise RuntimeError(f"d parity fails at n={n}: det G_n is not even in d")
     g = gram_matrix(n)
-    rows = [(len(o), g.pairings[o[0]]) for o in _rotation_cycles(n)]
+    rows = [(len(o), g.pairings.firsts[o[0]]) for o in g.pairings.cycles]
     deg_a = sum(s * max(v.nontrivial for v in row) for s, row in rows)
     deg_d = sum(s * max(v.trivial for v in row) for s, row in rows)
     total = sum(s * max(v.nontrivial + v.trivial for v in row) for s, row in rows)
-    staircase = [min(deg_d // 2, total // 2 - i) for i in range(deg_a // 2 + 1)]
-    if not all(
-        ea % 2 == ed % 2 == 0
-        and ea // 2 < len(staircase)
-        and ed // 2 <= staircase[ea // 2]
-        for ea, ed in product.terms
+    exponents = {i: comb(2 * n, n - i) for i in range(1, n + 1)}
+    if (
+        sum(exponents.values()) > deg_a // 2
+        or sum(i * c for i, c in exponents.items()) > min(deg_d, total) // 2
     ):
         return False
+    staircase = [min(deg_d // 2, total // 2 - i) for i in range(deg_a // 2 + 1)]
     size = g.size()
-    bound = size ** (size // 2) + max(map(abs, product.terms.values()))
+    bound = size ** (size // 2) + prod(
+        (sum(map(abs, chebyshev(i).terms.values())) ** 2 + 1) ** c
+        for i, c in exponents.items()
+    )
     modulus = 1
     primes = _primes(2 * n)
     while modulus <= 2 * bound:
@@ -494,8 +479,7 @@ def verify_determinant(
         require(trials is None, "trials are only taken in modular mode")
         require(seed is None, "a seed is only taken in modular mode")
         guard(n <= 3, f"symbolic verification tested for n <= 3, got n={n}")
-        product = determinant_product_form(n)
-        proven = _product_is_determinant(n, product)
+        proven = _product_is_determinant(n)
         return {
             "version": __version__,
             "n": n,
@@ -505,7 +489,7 @@ def verify_determinant(
             "seed": None,
             "pass": proven,
             "bound": 0.0,
-            "determinant": product.to_text() if proven else None,
+            "determinant": determinant_product_form(n).to_text() if proven else None,
         }
     if mode != "modular":
         raise ValueError(f"mode must be 'symbolic' or 'modular', got {mode!r}")

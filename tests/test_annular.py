@@ -21,7 +21,7 @@ from tlbgram.annular import (
     diagram_from_marks,
     enumerate_diagrams,
     pair,
-    rotation_permutation,
+    rotation_cycles,
 )
 
 
@@ -331,15 +331,8 @@ def test_pair_matches_cover_component_oracle_on_rotation_orbit_rows(n):
     # rotation invariance of pair (tests/test_gram.py) this covers every
     # pair, at n = 5 the table that the largest guarded Gram jobs build
     basis = enumerate_diagrams(n)
-    turn = rotation_permutation(n)
-    seen = set()
-    for start, d1 in enumerate(basis):
-        if start in seen:
-            continue
-        i = start
-        while i not in seen:
-            seen.add(i)
-            i = turn[i]
+    for o in rotation_cycles(n):
+        d1 = basis[o[0]]
         for d2 in basis:
             assert pair(d1, d2) == pairing_by_cover_components(d1, d2), (d1, d2)
 

@@ -217,6 +217,22 @@ def test_det_verify_output_pinned(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DET_VERIFY_SHA256[n, fmt]
 
 
+# sha256 of `gram 5` csv and text stdout, recorded from the implementation
+# whose GramMatrix.tabulate yielded one list per row of the (n+1)^2 value
+# table; the json form is pinned in BASIS_JSON_SHA256.
+GRAM_5_SHA256 = {
+    "csv": "9fe268dcab879b2685f07f5786ae479ea4390c417e472e00522f9ee78b83800c",
+    "text": "fe265dc1d663356de9f6bdb89187a6fce59ee3de2c5e6b0bd14460e58a29eb73",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_gram_5_output_pinned(capsys, fmt):
+    code, out = run(capsys, "gram", "5", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAM_5_SHA256[fmt]
+
+
 # sha256 of json stdout.  The gram, lemma2 and det-verify 5 entries were
 # recorded from the implementation that paired every two basis diagrams
 # and rendered each entry as a polynomial; the enumerate entries, which

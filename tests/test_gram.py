@@ -9,7 +9,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, lcm, prod
-from operator import attrgetter
 
 import pytest
 
@@ -19,7 +18,7 @@ from tlbgram.annular import (
     PairingValue,
     enumerate_diagrams,
     pair,
-    rotation_permutation,
+    rotation_cycles,
 )
 from tlbgram.cli import main
 from tlbgram.gram import (
@@ -31,10 +30,8 @@ from tlbgram.gram import (
     _nullity_at,
     _pairing_table,
     _parities_hold,
-    _product_is_determinant,
     _root_powers,
     _rotation_basis,
-    _rotation_cycles,
     crossing_signs,
     d_parity_check,
     degree_bound,
@@ -135,8 +132,8 @@ def test_sign_conjugation_catches_one_wrong_parity(monkeypatch):
     # one wrong pairing in a stored orbit row: the turn carries it to every
     # row of that orbit, as a fault in pair() would
     g = gram_matrix(3)
-    cycles = _rotation_cycles(3)
-    firsts = {o[0]: list(g.pairings[o[0]]) for o in cycles}
+    cycles = g.pairings.cycles
+    firsts = {i: list(row) for i, row in g.pairings.firsts.items()}
     v = firsts[1][7]
     firsts[1][7] = PairingValue(v.nontrivial + 1, v.trivial)
     broken = GramMatrix(3, g.basis, PairingRows(cycles, firsts))
@@ -145,12 +142,16 @@ def test_sign_conjugation_catches_one_wrong_parity(monkeypatch):
 
 
 def parities_hold_everywhere(g, exponent, e):
-    """The full walk: every row i and column j of g.pairings."""
+    """The full walk: exponent(m, t) over every row i and column j of g.pairings."""
     return all(
-        (exponent(v) - e_i - e_j) % 2 == 0
+        (exponent(v.nontrivial, v.trivial) - e_i - e_j) % 2 == 0
         for e_i, row in zip(e, g.pairings)
         for v, e_j in zip(row, e)
     )
+
+
+def a_exponent(m, t):
+    return m
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -158,11 +159,12 @@ def test_parities_on_orbit_rows_agree_with_the_full_walk(n):
     g = gram_matrix(n)
     odd = [int(s < 0) for s in crossing_signs(g.basis)]
     d_odd = [(v.trivial - n) & 1 for v in g.pairings[0]]
-    for exponent in (attrgetter("nontrivial"), lambda v: v.trivial - n):
+    for exponent in (a_exponent, lambda m, t: t - n):
+        parities = g.tabulate(lambda m, t: exponent(m, t) & 1)
         for e in (odd, d_odd):
             for flip in [None, *range(len(e))]:
                 x = e if flip is None else [b ^ (i == flip) for i, b in enumerate(e)]
-                assert _parities_hold(g, exponent, x) == (
+                assert _parities_hold(parities, x) == (
                     parities_hold_everywhere(g, exponent, x)
                 )
 
@@ -171,7 +173,7 @@ def test_parities_refuse_an_e_that_the_turn_does_not_shift_evenly():
     # Orbit rows that hold for e, on a turn-invariant table, while the turn
     # moves e by 1 at one point and by 0 elsewhere: the full walk fails too.
     n = 3
-    cycles = _rotation_cycles(n)
+    cycles = rotation_cycles(n)
     e = [0] * sum(map(len, cycles))
     e[cycles[1][1]] = 1
     firsts = {
@@ -179,13 +181,12 @@ def test_parities_refuse_an_e_that_the_turn_does_not_shift_evenly():
         for o in cycles
     }
     g = GramMatrix(n, gram_matrix(n).basis, PairingRows(cycles, firsts))
-    nontrivial = attrgetter("nontrivial")
     assert all(
         {(v.nontrivial + e_j) & 1 for v, e_j in zip(g.pairings[o[0]], e)} == {e[o[0]]}
         for o in cycles
     )
-    assert not parities_hold_everywhere(g, nontrivial, e)
-    assert not _parities_hold(g, nontrivial, e)
+    assert not parities_hold_everywhere(g, a_exponent, e)
+    assert not _parities_hold(g.tabulate(lambda m, t: m & 1), e)
 
 
 # Rotation orbits.  gram_matrix pairs one row per orbit of the turn
@@ -218,6 +219,17 @@ def reflected(d):
     return AnnularDiagram(d.n, tuple((top - j, top - i, w) for i, j, w in d.chords))
 
 
+def turn_from_cycles(n):
+    """The turn R as a list, R[i] the basis index of diagram i turned.
+
+    Read off rotation_cycles: R(o_r) = o_(r+1), and R(o_last) = o_0.
+    """
+    turn = {}
+    for o in rotation_cycles(n):
+        turn.update(zip(o, o[1:] + o[:1]))
+    return [turn[i] for i in range(len(turn))]
+
+
 def orbit_count(perm):
     seen = set()
     count = 0
@@ -234,28 +246,33 @@ def orbit_count(perm):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rotation_permutation_turns_each_diagram(n):
     basis = enumerate_diagrams(n)
-    turn = rotation_permutation(n)
+    turn = turn_from_cycles(n)
     assert [basis[k] for k in turn] == [turned(d) for d in basis]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rotation_permutation_has_order_dividing_2n(n):
-    turn = rotation_permutation(n)
+    turn = turn_from_cycles(n)
     assert sorted(turn) == list(range(comb(2 * n, n)))
     power = list(range(len(turn)))
     for _ in range(2 * n):
         power = [turn[k] for k in power]
     assert power == list(range(len(turn)))
+    # each cycle is listed once, from its smallest index, and its size divides 2n
+    cycles = rotation_cycles(n)
+    assert sorted(i for o in cycles for i in o) == list(range(len(turn)))
+    assert all(o[0] == min(o) and 2 * n % len(o) == 0 for o in cycles)
 
 
 def test_rotation_orbit_counts():
-    assert [orbit_count(rotation_permutation(n)) for n in range(1, 6)] == [1, 2, 4, 10, 26]
+    counts = [orbit_count(turn_from_cycles(n)) for n in range(1, 6)]
+    assert counts == [len(rotation_cycles(n)) for n in range(1, 6)] == [1, 2, 4, 10, 26]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pairing_is_rotation_invariant(n):
     table = dense_pairings(n)
-    turn = rotation_permutation(n)
+    turn = turn_from_cycles(n)
     for i, row in enumerate(table):
         turned_row = table[turn[i]]
         assert all(turned_row[turn[j]] == v for j, v in enumerate(row))
@@ -302,7 +319,9 @@ def test_pairing_rows_keep_one_row_per_rotation_cycle(n):
     # the row of each cycle's first diagram is handed out as stored;
     # every other row is built from it and is a fresh tuple
     rows = gram_matrix(n).pairings
-    cycles = _rotation_cycles(n)
+    cycles = rows.cycles
+    assert cycles == rotation_cycles(n)
+    assert list(rows.firsts) == [o[0] for o in cycles]
     stored = {id(rows[o[0]]) for o in cycles}
     assert len(stored) == len(cycles)
     assert all(rows[o[0]] is rows[o[0]] for o in cycles)
@@ -312,12 +331,14 @@ def test_pairing_rows_keep_one_row_per_rotation_cycle(n):
 
 
 # In a fresh process nothing is cached, so the traced memory is what
-# the n = 6 table holds with its basis: 80 stored rows of 924.
+# the n = 6 table holds with its basis: 80 stored rows of 924, and the
+# turns that reading a row not stored builds.
 PAIRING_TABLE_6_SCRIPT = """
 import gc, tracemalloc
 from tlbgram.gram import _pairing_table
 tracemalloc.start()
-table = _pairing_table(6)
+basis, rows = _pairing_table(6)
+rows[max(rows.cycles, key=len)[1]]
 gc.collect()
 print(tracemalloc.get_traced_memory()[0])
 """
@@ -334,9 +355,14 @@ def test_pairing_table_6_holds_under_2_mb():
     assert int(done.stdout) < 2 * 10**6
 
 
+def table_mod(g, a_value, d_value, p):
+    """The PairingRows of g's monomials at a = a_value, d = d_value, mod p."""
+    return g.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p)
+
+
 def gram_mod(g, a_value, d_value, p):
-    """The monomials of g at a = a_value, d = d_value, reduced mod p."""
-    return list(g.tabulate(lambda m, t: pow(a_value, m, p) * pow(d_value, t, p) % p))
+    """The monomials of g at a = a_value, d = d_value, reduced mod p, as lists."""
+    return [list(row) for row in table_mod(g, a_value, d_value, p)]
 
 
 def test_evaluate_mod_matches_each_entry():
@@ -366,7 +392,7 @@ def test_product_form_guard():
 def test_product_value_mod_matches_expansion():
     rng = random.Random(401)
     p = MODULAR_PRIMES[2]
-    for n in (1, 2):
+    for n in (1, 2, 3):
         expanded = determinant_product_form(n)
         for _ in range(10):
             av, dv = rng.randrange(p), rng.randrange(p)
@@ -418,7 +444,9 @@ def test_symbolic_determinant_takes_primes_until_the_bound(monkeypatch):
     calls = count_agreement_calls(monkeypatch)
     assert verify_determinant(3, mode="symbolic")["pass"] is True
     primes = list(dict.fromkeys(calls))
-    bound = 20**10 + max(map(abs, determinant_product_form(3).terms.values()))
+    # Hadamard's 20^10 on det G, plus (L_i^2 + 1)^C(6, 3-i) with L = 1, 3, 4
+    # on the product
+    bound = 20**10 + 2**15 * 10**6 * 17
     assert prod(primes[:-1]) <= 2 * bound < prod(primes)
     assert len(primes) == 3
     assert all(p % 6 == 1 for p in primes)
@@ -467,14 +495,15 @@ def test_character_block_2n_minus_j_is_the_rescaled_transpose(n):
     p = next(_primes(m))
     rng = random.Random(730 + n)
     g = gram_matrix(n)
-    rows = gram_mod(g, rng.randrange(p), rng.randrange(p), p)
+    table = table_mod(g, rng.randrange(p), rng.randrange(p), p)
+    rows = [list(row) for row in table]
     powers = _root_powers(m, p)
     assert len(set(powers)) == m and pow(powers[1], m, p) == 1  # zeta has order m
     product = 1
     for j in range(m):
-        sizes = [len(o) for o in _rotation_cycles(n) if j * len(o) % m == 0]
-        c_j = _character_block(n, rows, j, powers, p)
-        c_bar = _character_block(n, rows, -j % m, powers, p)
+        sizes = [len(o) for o in table.cycles if j * len(o) % m == 0]
+        c_j = _character_block(table, j, powers, p)
+        c_bar = _character_block(table, -j % m, powers, p)
         assert len(c_j) == len(c_bar) == len(sizes)
         for a, s in enumerate(sizes):
             for b, s2 in enumerate(sizes):
@@ -494,16 +523,53 @@ def test_a_prime_not_1_mod_2n_is_refused():
 
 
 def perturbed(n, i, j, dm, dt):
-    """gram_matrix(n) with the pairings (i, j) and (j, i) moved by a^dm d^dt."""
+    """gram_matrix(n) with the pairing of i and j moved by a^dm d^dt.
+
+    The stored rows change, so the table stays symmetric and kept by the
+    turn R, as a fault in pair() would leave it: for i = o_r and j = o'_s,
+    entry (i, j) is entry o'_(s-r) of row o_0, and entry (j, i) is entry
+    o_(r-s) of row o'_0.  Every (R^k i, R^k j) and (R^k j, R^k i) moves.
+    """
     g = gram_matrix(n)
-    rows = [list(row) for row in g.pairings]
-    v = rows[i][j]
-    rows[i][j] = rows[j][i] = PairingValue(v.nontrivial + dm, v.trivial + dt)
-    return GramMatrix(n, g.basis, tuple(tuple(row) for row in rows))
+    cycles = g.pairings.cycles
+    place = {k: (o, r) for o in cycles for r, k in enumerate(o)}
+    firsts = {first: list(row) for first, row in g.pairings.firsts.items()}
+    for (o, r), (o2, s) in ((place[i], place[j]), (place[j], place[i])):
+        k = o2[(s - r) % len(o2)]
+        v = g.pairings.firsts[o[0]][k]
+        firsts[o[0]][k] = PairingValue(v.nontrivial + dm, v.trivial + dt)
+    broken = GramMatrix(n, g.basis, PairingRows(cycles, firsts))
+    assert broken.pairings[i][j] == broken.pairings[j][i] == PairingValue(
+        g.pairings[i][j].nontrivial + dm, g.pairings[i][j].trivial + dt
+    )
+    return broken
+
+
+# At n = 2 the cycles are (0, 4) and (1, 3, 2, 5): neither 2 nor 3 is
+# first in its cycle, so the perturbed pairing a^1 d^0 of (2, 3) is
+# caught only through the turn.
+def test_perturbed_tables_stay_symmetric_and_kept_by_the_turn():
+    assert rotation_cycles(2) == ((0, 4), (1, 3, 2, 5))
+    assert gram_matrix(2).pairings[2][3] == PairingValue(1, 0)
+    turn = turn_from_cycles(2)
+    for dm, dt in ((1, 0), (0, 1), (0, 2)):
+        rows = tuple(perturbed(2, 2, 3, dm, dt).pairings)
+        moved = {
+            (i, j) for i in range(6) for j in range(6)
+            if rows[i][j] != gram_matrix(2).pairings[i][j]
+        }
+        orbit = {(2, 3), (3, 2)}
+        for _ in range(4):
+            orbit |= {(turn[i], turn[j]) for i, j in orbit}
+        assert moved == orbit and len(orbit) == 8
+        assert all(rows[i][j] == rows[j][i] for i in range(6) for j in range(6))
+        assert all(
+            rows[turn[i]][turn[j]] == rows[i][j] for i in range(6) for j in range(6)
+        )
 
 
 def test_symbolic_determinant_refuses_a_wrong_parity(monkeypatch):
-    broken = perturbed(2, 0, 1, 1, 0)
+    broken = perturbed(2, 2, 3, 1, 0)
     monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
     with pytest.raises(RuntimeError):
         verify_determinant(2, mode="symbolic")
@@ -521,7 +587,7 @@ def test_d_parity_holds_entrywise():
 
 
 def test_symbolic_determinant_refuses_a_wrong_d_parity(monkeypatch, capsys):
-    broken = perturbed(2, 0, 1, 0, 1)
+    broken = perturbed(2, 2, 3, 0, 1)
     monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
     assert sign_conjugation_check(2)
     assert not d_parity_check(2)
@@ -532,7 +598,7 @@ def test_symbolic_determinant_refuses_a_wrong_d_parity(monkeypatch, capsys):
 
 def test_symbolic_mode_fails_when_a_node_disagrees(monkeypatch, capsys):
     # d^2 on a^1 d^0 keeps both parities and the table range, not det G
-    broken = perturbed(2, 0, 4, 0, 2)
+    broken = perturbed(2, 2, 3, 0, 2)
     monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
     assert sign_conjugation_check(2)
     assert d_parity_check(2)
@@ -544,15 +610,28 @@ def test_symbolic_mode_fails_when_a_node_disagrees(monkeypatch, capsys):
     assert (out["pass"], out["determinant"]) == (False, None)
 
 
-def test_symbolic_proof_refuses_a_product_outside_the_lower_set(monkeypatch):
+def test_symbolic_proof_refuses_a_table_below_the_product_degrees(monkeypatch):
+    # a^2 -> a^0 at (3, 5), and so at every a^2 of n = 2, keeps both
+    # parities; the row bound on the a-degree of det G drops from 10 to 6,
+    # below the product's 10, so the proof fails before any node
+    broken = perturbed(2, 3, 5, -2, 0)
+    monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: broken)
     calls = count_agreement_calls(monkeypatch)
-    product = determinant_product_form(2)
-    assert _product_is_determinant(2, product)
-    calls.clear()
-    # odd in a, then past the degree bound in d: refused before any node
-    for wrong in (product * A, product * D * D):
-        assert not _product_is_determinant(2, wrong)
+    assert sign_conjugation_check(2)
+    assert d_parity_check(2)
+    assert verify_determinant(2, mode="symbolic")["pass"] is False
     assert calls == []
+
+
+def test_product_coefficients_stay_below_the_lucas_bound():
+    # the cap _product_is_determinant puts on the product's coefficients:
+    # prod_i (L_i^2 + 1)^C(2n, n-i), L_i the sum of |coefficients| of T_i
+    for n in (1, 2, 3):
+        lucas = [sum(map(abs, chebyshev(i).terms.values())) for i in range(n + 1)]
+        assert lucas == [2, 1, 3, 4][: n + 1]
+        cap = prod((lucas[i] ** 2 + 1) ** comb(2 * n, n - i) for i in range(1, n + 1))
+        assert max(map(abs, determinant_product_form(n).terms.values())) <= cap
+    assert cap == 2**15 * 10**6 * 17 < 20**10
 
 
 def test_verify_symbolic_report():
@@ -859,6 +938,7 @@ def test_block_nullity_matches_the_dense_rank_on_the_skein_route(n):
 
 
 def test_tabulate_computes_each_exponent_pair_once():
+    # and evaluates only the stored rows, on the cycles of the pairing table
     for n in range(1, 6):
         calls = []
 
@@ -867,10 +947,26 @@ def test_tabulate_computes_each_exponent_pair_once():
             return (m, t)
 
         pairings = gram_matrix(n).pairings
-        table = list(gram_matrix(n).tabulate(value))
+        table = gram_matrix(n).tabulate(value)
         assert sorted(calls) == sorted(set(calls))
         assert len(calls) == (n + 1) ** 2
-        assert table == [[(v.nontrivial, v.trivial) for v in row] for row in pairings]
+        assert [list(row) for row in table] == [
+            [(v.nontrivial, v.trivial) for v in row] for row in pairings
+        ]
+        assert isinstance(table, PairingRows)
+        assert table.cycles is pairings.cycles
+        assert list(table.firsts) == list(pairings.firsts)
+        for i, row in table.firsts.items():
+            assert row == [(v.nontrivial, v.trivial) for v in pairings.firsts[i]]
+            assert table[i] is row
+
+
+def test_gram_matrix_takes_only_a_pairing_table():
+    g = gram_matrix(2)
+    with pytest.raises(ValueError, match="PairingRows"):
+        GramMatrix(2, g.basis, tuple(g.pairings))
+    with pytest.raises(ValueError, match="PairingRows"):
+        GramMatrix(2, g.basis, [list(row) for row in g.pairings])
 
 
 def test_resample_protocol_returns_all_samples():
