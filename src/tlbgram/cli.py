@@ -14,7 +14,6 @@ what its subcommand needs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -118,6 +117,8 @@ def _render(
     if fmt == "json":
         return _json_pieces(report)
     if fmt == "csv":
+        import csv
+
         rows = table if table is not None else report.items()
         return map(csv.writer(_Lines, lineterminator="\n").writerow, rows)
     if text is not None:
@@ -173,7 +174,7 @@ def _cmd_gram(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_det_verify(args) -> tuple[int, Iterable[str]]:
-    from .gram import verify_determinant
+    from .determinant import verify_determinant
 
     report = verify_determinant(
         args.n,

@@ -1,10 +1,10 @@
 """Exact linear algebra over integer and modular coefficients.
 
 Every determinant and rank runs on one forward elimination over F_p.
-A determinant is only taken mod p: gram proves det G_n equal to its
-product form from such values at the nodes of a lower set, so no
-polynomial type enters here.  A rank found mod p is returned only with
-an exact certificate over Z.  No floating point enters at any stage.
+A determinant is only taken mod p: the determinant module proves det G_n
+equal to its product form from such values at the nodes of a lower set,
+so no polynomial type enters here.  A rank found mod p is returned only
+with an exact certificate over Z.  No floating point enters at any stage.
 """
 
 from __future__ import annotations

@@ -21,12 +21,12 @@ from tlbgram.disk import (
     telescoping_identity,
     tilde_count_formula,
 )
+from tlbgram.determinant import verify_determinant
 from tlbgram.gram import (
     gram_matrix,
     random_delta,
     sign_conjugation_check,
     specialized_nullity,
-    verify_determinant,
 )
 from tlbgram.polynomials import substitute_loop_values
 from tlbgram.tl import (

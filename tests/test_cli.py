@@ -389,11 +389,11 @@ def test_gram_5_is_rendered_one_row_at_a_time(fmt, pieces):
     assert max(sizes) <= 8 * 1024
 
 
-# The package is imported before tracing starts, so the peak is that of
-# the run: the n = 5 pairing table and the pieces being written.
+# The modules gram 5 runs are imported before tracing starts, so the peak
+# is that of the run: the n = 5 pairing table and the pieces being written.
 TRACED_GRAM_SCRIPT = """
 import os, tracemalloc
-import tlbgram.gram
+import tlbgram.gram, tlbgram.polynomials
 from tlbgram.cli import main
 tracemalloc.start()
 code = main(["gram", "5", "--format", "json", "--out", os.devnull])
@@ -649,9 +649,25 @@ IMPORT_FAMILIES = {
         {"tlbgram.gram", "tlbgram.linalg", "tlbgram.disk"},
     ),
     "gram": (
-        [["gram", "2"], ["det-verify", "1"], ["lemma2", "2"],
-         ["nullity-gram", "2", "1"]],
+        [["gram", "2"], ["det-verify", "1"]],
         {"tlbgram.tl", "tlbgram.disk"},
+    ),
+    # The numeric Gram-stack jobs load no polynomial type and no csv; the
+    # parity check ranks nothing, and neither it nor a nullity takes a
+    # determinant.
+    "det-verify-modular": (
+        [["det-verify", "2", "--mode", "modular", "--trials", "1"]],
+        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv"},
+    ),
+    "nullity-gram": (
+        [["nullity-gram", "2", "1"]],
+        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv",
+         "tlbgram.determinant"},
+    ),
+    "lemma2": (
+        [["lemma2", "2"]],
+        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv",
+         "tlbgram.determinant", "tlbgram.linalg"},
     ),
     "skein": ([["nullity-skein", "2", "1"]], set()),
 }

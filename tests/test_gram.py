@@ -21,28 +21,30 @@ from tlbgram.annular import (
     rotation_cycles,
 )
 from tlbgram.cli import main
-from tlbgram.gram import (
-    GramMatrix,
+from tlbgram.determinant import (
     _agrees_at,
     _character_block,
     _character_det_mod,
+    _root_powers,
+    degree_bound,
+    determinant_product_form,
+    determinant_product_value_mod,
+    verify_determinant,
+)
+from tlbgram.gram import (
+    GramMatrix,
     _cyclotomic,
     _nullity_at,
     _pairing_table,
     _parities_hold,
-    _root_powers,
     _rotation_basis,
     crossing_signs,
     d_parity_check,
-    degree_bound,
-    determinant_product_form,
-    determinant_product_value_mod,
     gram_matrix,
     nullity_with_resample,
     random_delta,
     sign_conjugation_check,
     specialized_nullity,
-    verify_determinant,
 )
 from tlbgram.linalg import (
     _det_mod,
@@ -415,10 +417,10 @@ def test_product_form_matches_the_cofactor_expansion():
 
 
 def count_agreement_calls(monkeypatch):
-    """Record the prime of every _agrees_at call that gram makes."""
+    """Record the prime of every _agrees_at call that determinant makes."""
     calls = []
     monkeypatch.setattr(
-        "tlbgram.gram._agrees_at",
+        "tlbgram.determinant._agrees_at",
         lambda g, a, d, p: calls.append(p) or _agrees_at(g, a, d, p),
     )
     return calls
@@ -440,7 +442,7 @@ def small_primes(m):
 def test_symbolic_determinant_takes_primes_until_the_bound(monkeypatch):
     # At n = 3 twice the coefficient bound is about 2^45: three 20-bit
     # primes, each 1 mod 6 and at all 460 nodes.
-    monkeypatch.setattr("tlbgram.gram._primes", small_primes)
+    monkeypatch.setattr("tlbgram.determinant._primes", small_primes)
     calls = count_agreement_calls(monkeypatch)
     assert verify_determinant(3, mode="symbolic")["pass"] is True
     primes = list(dict.fromkeys(calls))
@@ -466,7 +468,7 @@ def test_character_product_matches_dense_det_at_every_staircase_node(monkeypatch
         nodes.append(p)
         return det == determinant_product_value_mod(g.n, a, d, p)
 
-    monkeypatch.setattr("tlbgram.gram._agrees_at", spy)
+    monkeypatch.setattr("tlbgram.determinant._agrees_at", spy)
     for n in (1, 2, 3):
         nodes.clear()
         assert verify_determinant(n, mode="symbolic")["pass"] is True

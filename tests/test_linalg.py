@@ -10,11 +10,11 @@ from math import comb, lcm
 
 import pytest
 
+from tlbgram.determinant import verify_determinant
 from tlbgram.gram import (
     gram_matrix,
     random_delta,
     specialized_nullity,
-    verify_determinant,
 )
 from tlbgram.linalg import (
     ExactMatrix,
@@ -494,11 +494,10 @@ from tlbgram.annular import PlanarMatching, diagram_from_marks
 from tlbgram.disk import (
     enumerate_disk, noncrossing_matchings, telescoping_sides, tilde_count_formula,
 )
-from tlbgram.gram import determinant_product_value_mod, verify_determinant
+from tlbgram.determinant import determinant_product_value_mod, verify_determinant
 from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, is_prime, rank_exact
-from tlbgram.polynomials import (
-    BivariatePolynomial, LaurentScalar, _poly_divexact, chebyshev,
-)
+from tlbgram._intpoly import _poly_divexact
+from tlbgram.polynomials import BivariatePolynomial, LaurentScalar, chebyshev
 from tlbgram.tl import (
     TLElement, cup_cap_matching, identity_matching, projector_pairing_value,
     quantum_dimension,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from tlbgram._intpoly import _poly_divexact, _poly_gcd, _poly_primitive
+from tlbgram.gram import specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
     BivariatePolynomial,
@@ -12,9 +14,6 @@ from tlbgram.polynomials import (
     chebyshev,
     lowest_terms,
     quotient_text,
-    _poly_divexact,
-    _poly_gcd,
-    _poly_primitive,
     substitute_loop_values,
 )
 
@@ -158,6 +157,21 @@ def test_chebyshev_functional_equation():
         x = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         i = rng.randint(0, 20)
         assert chebyshev(i).evaluate(0, x + 1 / x) == x**i + x**-i
+
+
+def test_specialized_nullity_takes_chebyshev_from_the_recurrence(monkeypatch):
+    # gram reads T_k(d0) off T_0 = 2, T_1 = d, T_i = d T_(i-1) - T_(i-2)
+    # over Q, without the polynomial type, and ranks at a = (-1)^(k-1) T_k(d0)
+    seen = []
+    monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: None)
+    monkeypatch.setattr(
+        "tlbgram.gram._nullity_at", lambda g, a, d: seen.append((a, d)) or 0
+    )
+    for d0 in (Fraction(3, 7), Fraction(5, 2), Fraction(-4, 9), Fraction(-7, 3)):
+        for k in range(1, 7):
+            seen.clear()
+            assert specialized_nullity(6, k, d0) == 0
+            assert seen == [((-1) ** (k - 1) * chebyshev(k).evaluate(0, d0), d0)]
 
 
 def test_chebyshev_in_bracket_frozen_values():
