@@ -1,4 +1,4 @@
-"""Dense integer polynomials as coefficient lists, lowest degree first.
+"""Dense integer polynomials, lowest degree first, and the Chebyshev recurrence.
 
 Exact division and the primitive gcd over Z.  `polynomials` reduces
 Jones-Wenzl quotients with them and `gram` divides out cyclotomic
@@ -68,3 +68,16 @@ def _poly_divexact(p: list, q: list) -> list:
         _poly_trim(p)
     require(not p, "inexact polynomial division")
     return _poly_trim(out)
+
+
+def _chebyshev_values(n: int, d) -> list:
+    """T_0(d), ..., T_n(d), with T_0 = 2, T_1 = d, T_i = d*T_(i-1) - T_(i-2).
+
+    The normalized Chebyshev polynomials: T_i(x + 1/x) = x^i + x^-i.  d
+    lies in any ring that takes integers: Z[d], Q, or Z with the values
+    reduced mod p afterwards.
+    """
+    values = [2 + 0 * d, d]  # 2 in the ring of d
+    while len(values) <= n:
+        values.append(d * values[-1] - values[-2])
+    return values[: n + 1]

@@ -23,6 +23,7 @@ from math import comb, prod
 from operator import mul
 
 from . import __version__, gram
+from ._intpoly import _chebyshev_values
 from ._limits import guard, require
 from .annular import PairingRows
 from .linalg import _det_mod, _primes, is_prime
@@ -45,13 +46,11 @@ def determinant_product_form(n: int) -> BivariatePolynomial:
 def determinant_product_value_mod(n: int, a_value: int, d_value: int, p: int) -> int:
     """The factored determinant evaluated at a point mod p."""
     require(n >= 1, f"need n >= 1, got n={n}")
-    t_prev, t_cur = 2 % p, d_value % p  # T_0, T_1
     a_sq = a_value * a_value % p
     result = 1
-    for i in range(1, n + 1):
-        factor = (t_cur * t_cur - a_sq) % p
+    for i, t_i in enumerate(_chebyshev_values(n, d_value % p)[1:], 1):
+        factor = (t_i * t_i - a_sq) % p
         result = result * pow(factor, comb(2 * n, n - i), p) % p
-        t_prev, t_cur = t_cur, (d_value * t_cur - t_prev) % p
     return result
 
 

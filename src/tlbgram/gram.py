@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul, xor
 
-from ._intpoly import _poly_divexact
+from ._intpoly import _chebyshev_values, _poly_divexact
 from ._limits import guard, require
 from .annular import (
     AnnularDiagram,
@@ -281,40 +281,41 @@ def d_parity_check(n: int) -> bool:
 def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
     """Nullity of G_n at a = (-1)^(k-1) T_k(d0), d = d0, exact over Q.
 
-    d0 should be generic; for a generic sample the answer is the
+    d0 should lie off {0, +-1, +-2}, the rational values q + 1/q at roots
+    of unity q, where the nullity can exceed the generic one: the
     dimension drop forced by the k-th factor of the determinant.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     delta_value = Fraction(delta_value)
-    t_prev, t_k = Fraction(2), delta_value  # T_0, T_1
-    for _ in range(k - 1):
-        t_prev, t_k = t_k, delta_value * t_k - t_prev
-    a_value = t_k if k & 1 else -t_k
+    a_value = (-1) ** (k - 1) * _chebyshev_values(k, delta_value)[k]
     return _nullity_at(gram_matrix(n), a_value, delta_value)
 
 
 def random_delta(rng: random.Random) -> Fraction:
-    """A random rational sample with numerator and denominator up to 10^3."""
-    num = rng.randint(-1000, 1000)
-    if num == 0:
-        num = 1
-    return Fraction(num, rng.randint(1, 1000))
+    """A random rational d0 off {0, +-1, +-2}, numerator and denominator up to 10^3."""
+    while True:
+        d0 = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        if d0 not in (0, 1, -1, 2, -2):
+            return d0
+
+
+_MAX_ATTEMPTS = 5  # samples drawn before a nullity's agreement loop gives up
 
 
 def _resample_until_two_agree(
-    measure, draw, rng: random.Random, max_attempts: int
+    measure, draw, rng: random.Random
 ) -> tuple[int, list[Fraction]]:
     """measure(draw(rng)) at fresh samples until two values agree.
 
     A non-generic sample can inflate a nullity; agreement of two
     independent samples is accepted, disagreement triggers a resample,
-    and more than max_attempts samples raises RuntimeError.  Returns the
-    agreed value together with every sample drawn.
+    and _MAX_ATTEMPTS samples with no two agreeing raise RuntimeError.
+    Returns the agreed value together with every sample drawn.
     """
     counts: dict[int, int] = {}
     samples: list[Fraction] = []
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         sample = draw(rng)
         samples.append(sample)
         value = measure(sample)
@@ -322,14 +323,14 @@ def _resample_until_two_agree(
         if counts[value] == 2:
             return value, samples
     raise RuntimeError(
-        f"no two of {max_attempts} samples agreed on the nullity: {counts}"
+        f"no two of {_MAX_ATTEMPTS} samples agreed on the nullity: {counts}"
     )
 
 
 def nullity_with_resample(
-    n: int, k: int, rng: random.Random, max_attempts: int = 5
+    n: int, k: int, rng: random.Random
 ) -> tuple[int, list[Fraction]]:
     """Specialized nullity at fresh random samples until two of them agree."""
     return _resample_until_two_agree(
-        lambda d: specialized_nullity(n, k, d), random_delta, rng, max_attempts
+        lambda d: specialized_nullity(n, k, d), random_delta, rng
     )

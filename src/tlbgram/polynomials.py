@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._intpoly import _poly_divexact, _poly_gcd
+from ._intpoly import _chebyshev_values, _poly_divexact, _poly_gcd
 from ._limits import require
 
 
@@ -135,8 +135,8 @@ class BivariatePolynomial(_SparseRing):
         self.terms = clean
 
     @classmethod
-    def monomial(cls, a_exp: int, d_exp: int, coeff: int = 1) -> "BivariatePolynomial":
-        return cls({(a_exp, d_exp): coeff})
+    def monomial(cls, a_exp: int, d_exp: int) -> "BivariatePolynomial":
+        return cls({(a_exp, d_exp): 1})
 
     @classmethod
     def var_d(cls) -> "BivariatePolynomial":
@@ -185,8 +185,8 @@ class LaurentScalar(_SparseRing):
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentScalar":
-        return cls({exp: coeff})
+    def monomial(cls, exp: int) -> "LaurentScalar":
+        return cls({exp: 1})
 
     def min_exp(self) -> int:
         assert self.terms
@@ -284,24 +284,10 @@ def _laurent_from_dense(p: list, shift: int) -> LaurentScalar:
     return LaurentScalar({i + shift: c for i, c in enumerate(p) if c})
 
 
-_CHEBYSHEV_CACHE = [
-    BivariatePolynomial.constant(2),
-    BivariatePolynomial.var_d(),
-]
-
-
 def chebyshev(i: int) -> BivariatePolynomial:
-    """Normalized Chebyshev polynomial T_i(d): T_0=2, T_1=d, T_i=d*T_{i-1}-T_{i-2}.
-
-    With this normalization T_i(x + 1/x) = x^i + x^-i.
-    """
+    """Normalized Chebyshev polynomial T_i(d) over Z[d] (see _chebyshev_values)."""
     require(i >= 0, f"need i >= 0, got i={i}")
-    d = BivariatePolynomial.var_d()
-    while len(_CHEBYSHEV_CACHE) <= i:
-        _CHEBYSHEV_CACHE.append(
-            d * _CHEBYSHEV_CACHE[-1] - _CHEBYSHEV_CACHE[-2]
-        )
-    return _CHEBYSHEV_CACHE[i]
+    return _chebyshev_values(i, BivariatePolynomial.var_d())[i]
 
 
 def substitute_loop_values(

@@ -73,8 +73,8 @@ class TLElement:
         self.den = den
 
     @classmethod
-    def from_matching(cls, m: PlanarMatching, coeff=_ONE) -> "TLElement":
-        return cls(m.k, {m: coeff})
+    def from_matching(cls, m: PlanarMatching) -> "TLElement":
+        return cls(m.k, {m: _ONE})
 
     @classmethod
     def identity(cls, k: int) -> "TLElement":
@@ -327,7 +327,7 @@ def random_bracket_sample(rng: random.Random) -> Fraction:
 
 
 def skein_nullity_with_resample(
-    n: int, k: int, rng: random.Random, max_attempts: int = 5
+    n: int, k: int, rng: random.Random
 ) -> tuple[int, list[Fraction]]:
     """Nullity at fresh random samples until two independent ones agree.
 
@@ -336,5 +336,5 @@ def skein_nullity_with_resample(
     from .gram import _resample_until_two_agree
 
     return _resample_until_two_agree(
-        lambda a: skein_nullity(n, k, a), random_bracket_sample, rng, max_attempts
+        lambda a: skein_nullity(n, k, a), random_bracket_sample, rng
     )

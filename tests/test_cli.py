@@ -103,6 +103,16 @@ def test_nullity_gram_json_fields(capsys):
     assert data["pass"] is True
 
 
+def test_nullity_gram_draws_again_at_exceptional_points(capsys):
+    # seed 656217 first draws -2 and 2, where n = 3, k = 2 has nullity 15;
+    # both are drawn again, and the generic C(6, 1) = 6 is reported
+    code, out = run(capsys, "nullity-gram", "3", "2", "--seed", "656217", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["nullity"] == data["bound"] == 6
+    assert not {"0", "1", "-1", "2", "-2"} & set(data["samples"])
+
+
 def test_nullity_skein_json_fields(capsys):
     code, out = run(capsys, "nullity-skein", "2", "2", "--seed", "1")
     assert code == 0

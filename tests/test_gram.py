@@ -399,6 +399,17 @@ def test_product_value_mod_matches_expansion():
         for _ in range(10):
             av, dv = rng.randrange(p), rng.randrange(p)
             assert determinant_product_value_mod(n, av, dv, p) == poly_mod(expanded, av, dv, p)
+    # the recurrence mod p agrees with chebyshev(i), i <= 8, at d, at -d and
+    # at d = 0, under the largest prime p = 1 (mod 2n) below 2^53
+    for n in range(1, 9):
+        p = next(_primes(2 * n))
+        av, dv = rng.randrange(p), rng.randrange(p)
+        for d in (dv, -dv, 0):
+            expected = prod(
+                pow(chebyshev(i).evaluate(0, d) ** 2 - av * av, comb(2 * n, n - i), p)
+                for i in range(1, n + 1)
+            )
+            assert determinant_product_value_mod(n, av, d, p) == expected % p
 
 
 def test_determinant_is_monic_in_loop_variable():
@@ -1001,6 +1012,6 @@ def test_random_delta_stays_in_range():
     rng = random.Random(403)
     for _ in range(200):
         d0 = random_delta(rng)
-        assert d0 != 0
+        assert d0 not in (0, 1, -1, 2, -2)
         assert abs(d0.numerator) <= 1000
         assert 1 <= d0.denominator <= 1000
