@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul, xor
+from operator import xor
 
 from ._intpoly import _chebyshev_values, _poly_divexact
 from ._limits import guard, require
@@ -131,10 +131,12 @@ def gram_matrix(n: int) -> GramMatrix:
     return GramMatrix(n, *_pairing_table(n))
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic(e: int) -> list[int]:
     """Coefficients of the cyclotomic polynomial Phi_e, lowest first.
 
-    x^e - 1 divided by Phi_c for every proper divisor c of e.
+    x^e - 1 divided by Phi_c for every proper divisor c of e.  Cached,
+    so every caller shares the list and none changes it.
     """
     poly = [-1] + [0] * (e - 1) + [1]
     for c in range(1, e):
@@ -143,85 +145,71 @@ def _cyclotomic(e: int) -> list[int]:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _rotation_basis(n: int) -> dict:
-    """The columns of P, split by the rotation components Phi_e, e | 2n.
+def _rotation_block(rows: PairingRows, e: int) -> list[list]:
+    """The Phi_e block of the table rows, expanded over Q.
 
-    Turning the 2n points one step permutes the basis by R.  A cycle
-    o_0, ..., o_(s-1) of R spans the permutation module Q[x]/(x^s - 1)
-    with x acting as R, and its Phi_e component, for each e | s, is
-    spanned by the phi(e) coefficient vectors of x^i (x^s - 1)/Phi_e(x),
-    i < phi(e), laid over the cycle.  Entry e lists these as
-    (cycle, coefficients), in increasing e; over all e they form an
-    invertible matrix P, one square block per cycle.  Every cycle has
-    one vector in entry 1.
+    Take the cycles o of the turn R with e | |o|, and K = Q[x]/Phi_e.
+    The block is A_e(o, o') = sum_{r < |o'|} x^r G[o_0][o'_r] in K: C_j
+    of _character_det_mod with zeta^j replaced by x, for any j of order
+    e.  Row (o, i), i < phi(e), holds the coefficients of x^i A_e(o, o')
+    in 1, x, ..., x^(phi(e)-1), over every o', so each entry is expanded
+    into the transposed matrix of multiplication by it and the rank over
+    Q is phi(e) rank_K A_e.  Empty if no cycle qualifies.
+
+    rank G is the sum of these ranks over e.  Q^N is the sum over the
+    cycles of Q[x]/(x^|o| - 1), x acting as R and o_0 as 1.  G commutes
+    with x, so it keeps each Phi_e component, a copy of K for every
+    cycle with e | |o|.  There G maps the 1 of o' to the sum over o of
+    A_e(o, o')(1/x) times the 1 of o, since G[o_r][o'_0] =
+    G[o_0][o'_(-r)], and x -> 1/x, an automorphism of K, keeps the rank.
     """
-    cycles = _pairing_table(n)[1].cycles
-    columns: dict[int, list] = {}
-    for e in range(1, 2 * n + 1):
-        phi = _cyclotomic(e)
-        deg = len(phi) - 1
-        vectors: dict[int, list] = {}
-        for cycle in cycles:
-            s = len(cycle)
-            if s % e:
-                continue
-            if s not in vectors:
-                q = _poly_divexact([-1] + [0] * (s - 1) + [1], phi)
-                vectors[s] = [
-                    tuple([0] * i + q + [0] * (deg - 1 - i)) for i in range(deg)
-                ]
-            columns.setdefault(e, []).extend((cycle, u) for u in vectors[s])
-    return columns
-
-
-@lru_cache(maxsize=None)
-def _weights(u: tuple, v: tuple) -> tuple:
-    """W[k] = sum of u[r] v[r'] over r' - r = k (mod len(v))."""
-    w = [0] * len(v)
-    for r, c in enumerate(u):
-        for r2, c2 in enumerate(v):
-            w[(r2 - r) % len(v)] += c * c2
-    return tuple(w)
+    phi = _cyclotomic(e)
+    deg = len(phi) - 1
+    cycles = [o for o in rows.cycles if len(o) % e == 0]
+    block = []
+    for o in cycles:
+        row = rows.firsts[o[0]]
+        powers = [[] for _ in range(deg)]  # powers[i]: x^i A_e(o, o') over o'
+        for other in cycles:
+            values = [row[j] for j in other]
+            c = [sum(values[i::e]) for i in range(e)]  # folded mod x^e - 1
+            for i in range(e - 1, deg - 1, -1):  # less c[i] x^(i-deg) Phi_e
+                t = c[i]
+                for k, q in enumerate(phi, i - deg):
+                    c[k] -= t * q
+            del c[deg:]
+            powers[0] += c
+            for power in powers[1:]:
+                t = c[-1]  # times x, less t Phi_e
+                c = [-t * phi[0]] + [v - t * q for v, q in zip(c, phi[1:-1])]
+                power += c
+        block += powers
+    return block
 
 
 def _nullity_at(g: GramMatrix, a_value: Fraction, d_value: Fraction) -> int:
     """Nullity over Q of the pairings of g at a = a_value, d = d_value.
 
     The monomials a^m d^t are ranked, not g's entry function: the skein
-    route passes its own a and d (see tl.skein_nullity).  G commutes
-    with R, so the Phi_e components are G-orthogonal and P^T G P is
-    block diagonal: rank G is the sum of the ranks of the blocks
-    B_e = P_e^T G P_e (Serre, Linear Representations of Finite Groups,
-    sections 12-13).  Entry (u, v) of B_e, for u laid over the cycle o
-    and v over the cycle o', is sum_k W[k] G[o_0][o'_k] with W from
-    _weights, since G[o_r][o'_r'] = G[o_0][o'_(r' - r)]: only the row of
-    each o_0 is read.  The values a^m d^t, m, t <= n, are scaled to
-    integers by the common denominator (qs)^n of a = p/q and d = r/s;
-    each block is evaluated on and above its diagonal and mirrored, each
-    row is divided by its content, and every block rank is certified by
-    rank_exact.
+    route passes its own a and d (see tl.skein_nullity).  rank G is the
+    sum of the ranks of its rotation blocks, one for each e | 2n (see
+    _rotation_block).  The values a^m d^t, m, t <= n, are scaled to
+    integers by the common denominator (qs)^n of a = p/q and d = r/s,
+    each block row is divided by its content, and every block rank is
+    certified by rank_exact.
     """
     from .linalg import rank_exact
 
     scale = (a_value.denominator * d_value.denominator) ** g.n
-    rows = g.tabulate(lambda m, t: int(scale * a_value**m * d_value**t)).firsts
-    components = _rotation_basis(g.n)
+    rows = g.tabulate(lambda m, t: int(scale * a_value**m * d_value**t))
     rank = 0
-    for members in components.values():
-        raw: list[list[int]] = []
-        for i, (cycle, u) in enumerate(members):
-            at = rows[cycle[0]].__getitem__
-            upper = [
-                sum(map(mul, _weights(u, v), map(at, other)))
-                for other, v in members[i:]
-            ]
-            raw.append([r[i] for r in raw] + upper)
+    for e in range(1, 2 * g.n + 1):
         block = []
-        for row in raw:
+        for row in _rotation_block(rows, e):
             c = gcd(*row)
             block.append([v // c for v in row] if c > 1 else row)
-        rank += rank_exact(block)
+        if block:
+            rank += rank_exact(block)
     return g.size() - rank
 
 

@@ -291,11 +291,9 @@ def chebyshev(i: int) -> BivariatePolynomial:
 
 
 def substitute_loop_values(
-    p: BivariatePolynomial,
-    a_image: LaurentScalar,
-    d_image: LaurentScalar = LOOP_VALUE_A,
+    p: BivariatePolynomial, a_image: LaurentScalar
 ) -> LaurentScalar:
-    """Substitute Laurent images for both loop variables."""
+    """Substitute a_image for a and the trivial loop value LOOP_VALUE_A for d."""
     a_pows = [LaurentScalar.constant(1)]
     d_pows = [LaurentScalar.constant(1)]
     total = LaurentScalar.zero()
@@ -303,6 +301,6 @@ def substitute_loop_values(
         while len(a_pows) <= ea:
             a_pows.append(a_pows[-1] * a_image)
         while len(d_pows) <= ed:
-            d_pows.append(d_pows[-1] * d_image)
+            d_pows.append(d_pows[-1] * LOOP_VALUE_A)
         total = total + a_pows[ea] * d_pows[ed] * c
     return total

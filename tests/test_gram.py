@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import pytest
 
@@ -37,7 +37,7 @@ from tlbgram.gram import (
     _nullity_at,
     _pairing_table,
     _parities_hold,
-    _rotation_basis,
+    _rotation_block,
     crossing_signs,
     d_parity_check,
     gram_matrix,
@@ -702,6 +702,29 @@ def test_specialized_nullity_frozen_values():
     assert specialized_nullity(2, 2, Fraction(7, 3)) == 1
 
 
+# nullity for k = 1..n at d0 = +-2, +-1 and 0, each certified exact
+EXCEPTIONAL_NULLITIES = {
+    2: {2: [4, 4], 1: [5, 5], 0: [6, 1]},
+    3: {2: [15, 15, 15], 1: [19, 19, 1], 0: [20, 6, 20]},
+    4: {2: [56, 56, 56, 56], 1: [69, 69, 8, 69], 0: [70, 28, 70, 28]},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nullities_at_the_exceptional_points(n):
+    # d0 = q + 1/q at roots of unity q, where the nullity leaves
+    # C(2n, n-k); at d0 = 0 with k odd, a = 0 and G = 0.
+    for d0 in (2, 1, 0, -1, -2):
+        expected = EXCEPTIONAL_NULLITIES[n][abs(d0)]
+        d0 = Fraction(d0)
+        nullities = [specialized_nullity(n, k, d0) for k in range(1, n + 1)]
+        assert nullities == expected, d0
+        if n <= 3:
+            for k, nullity in enumerate(nullities, 1):
+                a0 = (-1) ** (k - 1) * chebyshev(k).evaluate(0, d0)
+                assert dense_nullity(n, lambda m, t: a0**m * d0**t) == nullity, (d0, k)
+
+
 def test_specialized_nullity_validation():
     with pytest.raises(ValueError):
         specialized_nullity(2, 0, Fraction(2))
@@ -735,26 +758,10 @@ def rank_inputs(monkeypatch):
     return seen
 
 
-def rotation_blocks(n):
-    """Each block P_e^T G P_e from the symbolic_block oracle, in increasing e."""
-    return [
-        symbolic_block(n, members, members)
-        for _, members in sorted(_rotation_basis(n).items())
-    ]
-
-
-def blocks_at(n, a_value, d_value):
-    """Each rotation block evaluated entry by entry over Fraction."""
-    return [
-        [
-            [
-                sum(c * a_value**m * d_value**t for (m, t), c in entry.items())
-                for entry in row
-            ]
-            for row in block
-        ]
-        for block in rotation_blocks(n)
-    ]
+def rotation_blocks(rows, n):
+    """Each non-empty _rotation_block of the table rows, keyed by e."""
+    blocks = {e: _rotation_block(rows, e) for e in range(1, 2 * n + 1)}
+    return {e: block for e, block in blocks.items() if block}
 
 
 def width(row):
@@ -772,7 +779,8 @@ def test_rank_rows_are_positive_multiples_of_the_evaluated_block_rows(monkeypatc
         ):
             seen.clear()
             _nullity_at(gram_matrix(n), a_value, d_value)
-            blocks = blocks_at(n, a_value, d_value)
+            table = gram_matrix(n).tabulate(lambda m, t: a_value**m * d_value**t)
+            blocks = list(rotation_blocks(table, n).values())
             assert len(seen) == len(blocks)
             for rows, block in zip(seen, blocks):
                 assert len(rows) == len(block)
@@ -791,8 +799,8 @@ def test_rank_rows_are_as_narrow_as_the_row_lcm(monkeypatch):
     # On the Gram route a = T_k(d0) has denominator yd^k, so one common
     # factor xd^M yd^T would carry yd^(k M + T) on every row.  The dense
     # 70 x 70 rows cleared by their lcm read 160 bits here; a block entry
-    # is a weighted sum of up to 8 entries of G, and each block row is
-    # divided by its content.
+    # is a signed sum of up to 8 entries of G, folded and reduced mod
+    # Phi_e, and each block row is divided by its content.
     seen = rank_inputs(monkeypatch)
     specialized_nullity(4, 4, Fraction(-997, 991))
     assert [max(map(width, rows)) for rows in seen] == [162, 144, 142, 112]
@@ -817,10 +825,11 @@ def test_cyclotomic_polynomials():
 
 
 def test_rotation_block_sizes():
-    sizes = {
-        n: [len(members) for _, members in sorted(_rotation_basis(n).items())]
-        for n in range(1, 6)
-    }
+    sizes = {}
+    for n in range(1, 6):
+        blocks = rotation_blocks(gram_matrix(n).tabulate(lambda m, t: m + t), n)
+        assert all(len(row) == len(block) for block in blocks.values() for row in block)
+        sizes[n] = [len(block) for block in blocks.values()]
     assert sizes[3] == [4, 4, 6, 6]
     assert sizes[4] == [10, 10, 18, 32]
     assert sizes[5] == [26, 26, 100, 100]
@@ -828,94 +837,45 @@ def test_rotation_block_sizes():
         assert sum(block_sizes) == comb(2 * n, n)
 
 
-def rotation_matrix(n):
-    """P as integer rows, its columns in block order."""
-    size = comb(2 * n, n)
-    columns = []
-    for _, members in sorted(_rotation_basis(n).items()):
-        for cycle, u in members:
-            column = [0] * size
-            for i, c in zip(cycle, u):
-                column[i] = c
-            columns.append(column)
-    return [list(row) for row in zip(*columns)]
+def blocks_mod(n, a_value, d_value, p):
+    """Each rotation block of G at a = a_value, d = d_value, reduced mod p."""
+    rows = table_mod(gram_matrix(n), a_value, d_value, p)
+    return {
+        e: [[x % p for x in row] for row in block]
+        for e, block in rotation_blocks(rows, n).items()
+    }
 
 
-def det_over_q(rows):
-    """Determinant by Fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, len(m)):
-            factor = m[r][col] / m[col][col]
-            if factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-@pytest.mark.parametrize("n, det_p", [(1, 2), (2, -16), (3, 746496)])
-def test_blocks_factor_the_determinant_mod_p(n, det_p):
-    # det(P^T G P) = det(P)^2 det G, and P^T G P is block diagonal.
-    assert det_over_q(rotation_matrix(n)) == det_p
-    det_p_squared = det_p**2
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blocks_factor_the_determinant_mod_p(n):
+    # G is similar over Q to the sum of its rotation blocks, so their
+    # determinants multiply to det G with no change-of-basis factor.
     p = MODULAR_PRIMES[1]
-    blocks = rotation_blocks(n)
     rng = random.Random(610 + n)
     for _ in range(3):
         a, d = rng.randrange(p), rng.randrange(p)
-        g = gram_mod(gram_matrix(n), a, d, p)
-        det_g = _det_mod(g, p)
-        product = 1
-        for block in blocks:
-            rows = [
-                [
-                    sum(c * pow(a, m, p) * pow(d, t, p) for (m, t), c in entry.items())
-                    % p
-                    for entry in row
-                ]
-                for row in block
-            ]
-            product = product * _det_mod(rows, p) % p
-        assert det_g * det_p_squared % p == product
+        product = prod(_det_mod(block, p) for block in blocks_mod(n, a, d, p).values())
+        assert product % p == _det_mod(gram_mod(gram_matrix(n), a, d, p), p)
 
 
-def symbolic_block(n, left, right):
-    """P_e^T G P_f as a matrix of {(m, t): coefficient} dicts, zeros dropped."""
-    pairings = gram_matrix(n).pairings
-    out = []
-    for cycle1, u in left:
-        row = []
-        for cycle2, v in right:
-            entry = {}
-            for i, c in zip(cycle1, u):
-                for j, c2 in zip(cycle2, v):
-                    pv = pairings[i][j]
-                    key = (pv.nontrivial, pv.trivial)
-                    entry[key] = entry.get(key, 0) + c * c2
-            row.append({key: c for key, c in entry.items() if c})
-        out.append(row)
-    return out
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_rotation_components_are_orthogonal_and_blocks_match(n):
-    # P^T G P is block diagonal, and each block matches its transpose,
-    # which lets _nullity_at mirror the entries on and above the diagonal.
-    components = sorted(_rotation_basis(n).items())
-    for e, left in components:
-        for f, right in components:
-            product = symbolic_block(n, left, right)
-            if f != e:
-                assert all(entry == {} for row in product for entry in row), (e, f)
-            else:
-                assert product == [list(col) for col in zip(*product)], e
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rotation_block_det_is_the_product_of_its_character_dets(n):
+    # The two routes read one block formula: block e is C_j with zeta^j
+    # replaced by x, and its determinant is the norm of det C_j from
+    # Q(zeta_e), the product over the characters j of order e.
+    m = 2 * n
+    p = next(_primes(m))
+    powers = _root_powers(m, p)
+    rng = random.Random(640 + n)
+    for _ in range(3):
+        a, d = rng.randrange(p), rng.randrange(p)
+        rows = table_mod(gram_matrix(n), a, d, p)
+        for e, block in blocks_mod(n, a, d, p).items():
+            characters = [j for j in range(m) if m // gcd(j, m) == e]
+            expected = prod(
+                _det_mod(_character_block(rows, j, powers, p), p) for j in characters
+            )
+            assert _det_mod(block, p) == expected % p, (n, e)
 
 
 def dense_nullity(n, value):
