@@ -35,6 +35,12 @@ from operator import itemgetter
 
 from ._limits import guard, require
 
+# One shared tuple per distinct normalized chord: the 924 diagrams at
+# n = 6 hold 5,544 chords, and only 72 differ.  Typed, so a bool flag
+# is kept apart from its int.
+_chord = lru_cache(maxsize=None, typed=True)(lambda *chord: chord)
+
+
 def _validate_matching(n: int, chords) -> list[tuple[int, int, int]]:
     if n < 1:
         raise ValueError("need n >= 1")
@@ -51,7 +57,7 @@ def _validate_matching(n: int, chords) -> list[tuple[int, int, int]]:
         if i in seen or j in seen:
             raise ValueError(f"point reused in chord ({i}, {j})")
         seen.update((i, j))
-        norm.append((i, j, w))
+        norm.append(_chord(i, j, w))
     if len(seen) != 2 * n:
         raise ValueError("chords must match all 2n points")
     norm.sort()

@@ -16,7 +16,6 @@ check.  Only the symbolic proof and expansion load `polynomials`.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import count
 from math import comb, prod
@@ -269,7 +268,9 @@ def verify_determinant(
     bound_degree = degree_bound(n)
     if p <= bound_degree:
         raise ValueError("prime too small for the degree bound")
-    rng = random.Random(seed)
+    from random import Random
+
+    rng = Random(seed)
     trial_results = []
     for _ in range(trials):
         a_value = rng.randrange(p)

@@ -6,13 +6,14 @@ from it, checks the two sign conjugations, and ranks the matrix over Q
 at a = +-T_k(d0), d = d0.  The determinant identity is in
 `determinant`.  `polynomials` and `linalg` are imported where they are
 used, so the parity checks load neither and a nullity loads no
-polynomial type.
+polynomial type.  Only the sampling paths, `specialized_nullity` and
+`random_delta`, load `fractions`, and `random` is never imported: the
+caller's `random.Random` is named in annotations alone, which are
+never evaluated.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import xor
@@ -275,6 +276,8 @@ def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    from fractions import Fraction
+
     delta_value = Fraction(delta_value)
     a_value = (-1) ** (k - 1) * _chebyshev_values(k, delta_value)[k]
     return _nullity_at(gram_matrix(n), a_value, delta_value)
@@ -282,6 +285,8 @@ def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
 
 def random_delta(rng: random.Random) -> Fraction:
     """A random rational d0 off {0, +-1, +-2}, numerator and denominator up to 10^3."""
+    from fractions import Fraction
+
     while True:
         d0 = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
         if d0 not in (0, 1, -1, 2, -2):

@@ -21,7 +21,6 @@ printing, through the dense coefficient lists of ``_intpoly``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from ._intpoly import _chebyshev_values, _poly_divexact, _poly_gcd
@@ -215,9 +214,12 @@ class LaurentScalar(_SparseRing):
     def evaluate(self, a_value: Fraction) -> Fraction:
         """Evaluate at a nonzero exact scalar."""
         require(a_value != 0, "Laurent polynomials are evaluated away from 0")
+        from fractions import Fraction
+
+        a_value = Fraction(a_value)
         total = Fraction(0)
         for e, c in self.terms.items():
-            total += c * Fraction(a_value) ** e
+            total += c * a_value**e
         return total
 
     def to_text(self) -> str:

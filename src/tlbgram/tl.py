@@ -14,13 +14,15 @@ matrix after its loop variables are specialized.
 Each such matrix is a `gram.GramMatrix` on the Gram stack's pairing
 table with a skein value for its entry function.  `gram` is imported
 where it is used, so the projectors load neither `gram` nor `linalg`.
+Only the sampling paths, `skein_nullity` and `random_bracket_sample`,
+load `fractions`, and `random` is never imported: the caller's
+`random.Random` is named in annotations alone, which are never
+evaluated.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
-import random
 
 from ._limits import guard, require
 from .annular import PlanarMatching, _trace
@@ -304,6 +306,8 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    from fractions import Fraction
+
     a_sample = Fraction(a_sample)
     if a_sample in (0, 1, -1):
         raise ValueError("sample must avoid 0 and the roots of unity +-1")
@@ -318,6 +322,8 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
 
 def random_bracket_sample(rng: random.Random) -> Fraction:
     """Random rational A with small height, avoiding 0 and +-1."""
+    from fractions import Fraction
+
     while True:
         num = rng.randint(-50, 50)
         den = rng.randint(1, 50)

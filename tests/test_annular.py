@@ -201,6 +201,22 @@ def test_pair_returns_one_object_per_value():
         assert len(first) <= (n + 1) ** 2
 
 
+def test_basis_shares_one_tuple_per_distinct_chord():
+    basis = enumerate_diagrams(6)
+    slots = [c for d in basis for c in d.chords]
+    assert (len(basis), len(slots)) == (924, 5544)
+    assert len({id(c) for c in slots}) == len(set(slots)) == 72
+    # a diagram built from fresh tuples is still equal to its basis twin
+    twin = basis[417]
+    fresh = AnnularDiagram(6, [tuple(list(c)) for c in reversed(twin.chords)])
+    assert fresh == twin and hash(fresh) == hash(twin)
+    assert all(a is b for a, b in zip(fresh.chords, twin.chords))
+    assert basis.index(fresh) == 417
+    # a bool flag is shared with no int flag, so each diagram prints its own
+    texts = [AnnularDiagram(1, [(1, 2, w)]).to_text() for w in (True, 1)]
+    assert texts == ["n=1;(1,2,w=True)", "n=1;(1,2,w=1)"]
+
+
 def test_pair_rejects_size_mismatch():
     with pytest.raises(ValueError):
         pair(AnnularDiagram(1, ((1, 2, 0),)), enumerate_diagrams(2)[0])

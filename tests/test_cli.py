@@ -647,27 +647,29 @@ def test_cli_contract_holds_for_small_arguments(capsys):
 
 # Subcommand families, each run in one fresh process, and the modules
 # none of its commands may load.  No command may load dataclasses.
+# fractions and random load only where a job samples: the two nullity
+# routes, and random alone for modular det-verify.
 IMPORT_FAMILIES = {
     "combinatorics": (
         [["enumerate", "2"], ["counts", "3", "1"], ["bijection", "2", "1"],
          ["telescoping", "3"]],
         {"tlbgram.gram", "tlbgram.linalg", "tlbgram.tl", "tlbgram.polynomials",
-         "fractions"},
+         "fractions", "random"},
     ),
     "jones-wenzl": (
         [["jones-wenzl", "3"]],
-        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.disk"},
+        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.disk", "fractions", "random"},
     ),
     "gram": (
         [["gram", "2"], ["det-verify", "1"]],
-        {"tlbgram.tl", "tlbgram.disk"},
+        {"tlbgram.tl", "tlbgram.disk", "fractions", "random"},
     ),
     # The numeric Gram-stack jobs load no polynomial type and no csv; the
     # parity check ranks nothing, and neither it nor a nullity takes a
     # determinant.
     "det-verify-modular": (
         [["det-verify", "2", "--mode", "modular", "--trials", "1"]],
-        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv"},
+        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv", "fractions"},
     ),
     "nullity-gram": (
         [["nullity-gram", "2", "1"]],
@@ -677,7 +679,7 @@ IMPORT_FAMILIES = {
     "lemma2": (
         [["lemma2", "2"]],
         {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv",
-         "tlbgram.determinant", "tlbgram.linalg"},
+         "tlbgram.determinant", "tlbgram.linalg", "fractions", "random"},
     ),
     "skein": ([["nullity-skein", "2", "1"]], set()),
 }

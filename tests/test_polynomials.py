@@ -314,6 +314,16 @@ def test_laurent_evaluate():
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
+def test_laurent_evaluate_is_an_exact_fraction_at_ints_and_fractions():
+    # 2A^3 - 1 + 5A^-1 + A^-4: negative powers of an int still give a Fraction
+    s = LaurentScalar({3: 2, 0: -1, -1: 5, -4: 1})
+    for x, value in ((2, Fraction(281, 16)), (-3, Fraction(-4589, 81)),
+                     (Fraction(-3, 2), Fraction(-3527, 324))):
+        result = s.evaluate(x)
+        assert type(result) is Fraction
+        assert result == value
+
+
 def test_rational_function_reduces_to_canonical_form():
     # (A^4 - A^-4) / (A^2 - A^-2) = A^2 + A^-2
     num = LaurentScalar({4: 1, -4: -1})
