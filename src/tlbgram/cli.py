@@ -1,10 +1,15 @@
 """Command-line interface.
 
+One table, _COMMANDS, describes every subcommand: its handler, help,
+int positionals, further options and default format, read by one loop
+in build_parser.  A handler only computes its report; main alone adds
+the "version" header, renders the report and sets the exit status.
+
 Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical
 output.  A report is written row by row as it is rendered, after every
 check that can refuse the input has run.  Exit status: 0 when the
-requested check passes or the command only computes, 1 when a
+report's "pass" holds or the command only computes, 1 when a
 verification fails, 2 for usage errors and failed writes.
 
 Each handler imports the layers it runs, so a cold process loads only
@@ -135,12 +140,15 @@ def _chord_json(chord: tuple[int, int, int]) -> str:
     return _json({"i": i, "j": j, "w": w}, "      ")
 
 
-def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
+# What each handler returns: (report, table, text), the arguments of _render.
+_Report = tuple[dict, "Iterable | None", "Iterable[str] | None"]
+
+
+def _cmd_enumerate(args) -> _Report:
     from .annular import enumerate_diagrams
 
     basis = enumerate_diagrams(args.n)
     report = {
-        "version": __version__,
         "n": args.n,
         "count": len(basis),
         # each distinct chord is JSON-encoded once, not once per diagram
@@ -150,10 +158,10 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
         [str(i), str(d.cut_crossings()), d.to_text()]
         for i, d in enumerate(basis)
     ))
-    return 0, _render(report, args.format, table)
+    return report, table, None
 
 
-def _cmd_gram(args) -> tuple[int, Iterable[str]]:
+def _cmd_gram(args) -> _Report:
     from .gram import gram_matrix
 
     g = gram_matrix(args.n)
@@ -164,16 +172,15 @@ def _cmd_gram(args) -> tuple[int, Iterable[str]]:
     # each of the (n+1)^2 texts is JSON-encoded once, not once per entry
     encoded = g.tabulate(lambda m, t: encode_basestring_ascii(text(m, t)))
     report = {
-        "version": __version__,
         "n": args.n,
         "size": g.size(),
         "basis": (d.to_text() for d in g.basis),
         "entries": map(_Encoded, encoded),
     }
-    return 0, _render(report, args.format, table=g.tabulate(text))
+    return report, g.tabulate(text), None
 
 
-def _cmd_det_verify(args) -> tuple[int, Iterable[str]]:
+def _cmd_det_verify(args) -> _Report:
     from .determinant import verify_determinant
 
     report = verify_determinant(
@@ -183,18 +190,16 @@ def _cmd_det_verify(args) -> tuple[int, Iterable[str]]:
         seed=args.seed,
         prime=args.prime,
     )
-    return (0 if report["pass"] else 1), _render(report, args.format)
+    return report, None, None
 
 
-def _cmd_sign_check(args) -> tuple[int, Iterable[str]]:
+def _cmd_sign_check(args) -> _Report:
     from .gram import sign_conjugation_check
 
-    ok = sign_conjugation_check(args.n)
-    report = {"version": __version__, "n": args.n, "pass": ok}
-    return (0 if ok else 1), _render(report, args.format)
+    return {"n": args.n, "pass": sign_conjugation_check(args.n)}, None, None
 
 
-def _cmd_nullity(args) -> tuple[int, Iterable[str]]:
+def _cmd_nullity(args) -> _Report:
     """Either nullity route, picked by the subcommand's name."""
     from random import Random
 
@@ -205,7 +210,6 @@ def _cmd_nullity(args) -> tuple[int, Iterable[str]]:
     value, samples = resample(args.n, args.k, Random(args.seed))
     bound = comb(2 * args.n, args.n - args.k)
     report = {
-        "version": __version__,
         "n": args.n,
         "k": args.k,
         "seed": args.seed,
@@ -216,10 +220,10 @@ def _cmd_nullity(args) -> tuple[int, Iterable[str]]:
         "bound": bound,
         "pass": value >= bound,
     }
-    return (0 if report["pass"] else 1), _render(report, args.format)
+    return report, None, None
 
 
-def _cmd_jones_wenzl(args) -> tuple[int, Iterable[str]]:
+def _cmd_jones_wenzl(args) -> _Report:
     from .polynomials import quotient_text
     from .tl import jones_wenzl
 
@@ -228,17 +232,15 @@ def _cmd_jones_wenzl(args) -> tuple[int, Iterable[str]]:
         (m.to_paren(), quotient_text(c, f.den)) for m, c in f.terms.items()
     )
     report = {
-        "version": __version__,
         "k": args.k,
         "terms": (
             {"matching": paren, "coefficient": text} for paren, text in terms
         ),
     }
-    table = chain([("matching", "coefficient")], terms)
-    return 0, _render(report, args.format, table)
+    return report, chain([("matching", "coefficient")], terms), None
 
 
-def _cmd_counts(args) -> tuple[int, Iterable[str]]:
+def _cmd_counts(args) -> _Report:
     from .disk import count_atmost, count_tilde, tilde_count_formula
 
     enumerated = count_tilde(args.n, args.k)
@@ -246,7 +248,6 @@ def _cmd_counts(args) -> tuple[int, Iterable[str]]:
     annular = count_atmost(args.n, args.k)
     ok = enumerated == formula == annular
     report = {
-        "version": __version__,
         "n": args.n,
         "k": args.k,
         "count_tilde": enumerated,
@@ -258,10 +259,10 @@ def _cmd_counts(args) -> tuple[int, Iterable[str]]:
         ["n", "k", "count_tilde", "formula", "match"],
         [str(args.n), str(args.k), str(enumerated), str(formula), str(ok)],
     ]
-    return (0 if ok else 1), _render(report, args.format, table)
+    return report, table, None
 
 
-def _cmd_bijection(args) -> tuple[int, Iterable[str]]:
+def _cmd_bijection(args) -> _Report:
     from .annular import enumerate_diagrams
     from .disk import diagram_to_subset, subset_to_diagram
 
@@ -276,25 +277,23 @@ def _cmd_bijection(args) -> tuple[int, Iterable[str]]:
         if subset_to_diagram(n, marks, j) != d:
             roundtrips = False
         pairs.append({"subset": sorted(marks), "diagram": d.to_text()})
-    ok = roundtrips and len(stratum) == expected
     report = {
-        "version": __version__,
         "n": n,
         "j": j,
         "stratum_size": len(stratum),
         "expected": expected,
         "roundtrips": roundtrips,
-        "pass": ok,
+        "pass": roundtrips and len(stratum) == expected,
         "pairs": pairs,
     }
     table = chain([["subset", "diagram"]], (
         [" ".join(str(p) for p in item["subset"]), item["diagram"]]
         for item in pairs
     ))
-    return (0 if ok else 1), _render(report, args.format, table)
+    return report, table, None
 
 
-def _cmd_telescoping(args) -> tuple[int, Iterable[str]]:
+def _cmd_telescoping(args) -> _Report:
     from .disk import telescoping_sides
 
     require(args.n >= 1, f"need n >= 1, got n={args.n}")
@@ -303,11 +302,9 @@ def _cmd_telescoping(args) -> tuple[int, Iterable[str]]:
     for n in range(1, args.n + 1):
         lhs, rhs = telescoping_sides(n)
         results.append({"n": n, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-    ok = all(r["pass"] for r in results)
     report = {
-        "version": __version__,
         "max_n": args.n,
-        "pass": ok,
+        "pass": all(r["pass"] for r in results),
         "results": results,
     }
     table = chain([["n", "lhs", "rhs", "pass"]], (
@@ -321,7 +318,46 @@ def _cmd_telescoping(args) -> tuple[int, Iterable[str]]:
         )
         for r in results
     )
-    return (0 if ok else 1), _render(report, args.format, table, text=lines)
+    return report, table, lines
+
+
+_N = ("n", "number of chords")
+_K = ("k", "factor index, 1..n")
+_SEED = (("--seed", {"type": int, "default": 0}),)
+_MODULAR_ONLY = {"type": int, "help": "modular mode only"}
+
+# Each subcommand: name, handler, help, int positionals (name, help),
+# further options (flag, add_argument keywords) and default format.
+_COMMANDS = (
+    ("enumerate", _cmd_enumerate, "list the annular diagram basis", (_N,), (), "text"),
+    ("gram", _cmd_gram, "print the Gram matrix", (_N,), (), "text"),
+    ("det-verify", _cmd_det_verify, "check the determinant factorization", (_N,), (
+        ("--mode", {
+            "choices": ("symbolic", "modular"),
+            "default": "symbolic",
+            "help": "symbolic proves det G_n equals the product at the nodes "
+            "of a lower set mod primes (n <= 3), then prints the expansion; "
+            "modular compares the two at random points mod a prime",
+        }),
+        ("--trials", _MODULAR_ONLY),
+        ("--seed", _MODULAR_ONLY),
+        ("--prime", _MODULAR_ONLY),
+    ), "text"),
+    ("lemma2", _cmd_sign_check,
+     "check sign conjugation under negating the a variable", (_N,), (), "text"),
+    ("nullity-gram", _cmd_nullity,
+     "nullity of the specialized Gram matrix", (_N, _K), _SEED, "json"),
+    ("nullity-skein", _cmd_nullity,
+     "nullity of the projector-evaluation matrix", (_N, _K), _SEED, "json"),
+    ("jones-wenzl", _cmd_jones_wenzl, "print a Jones-Wenzl projector",
+     (("k", "number of strands"),), (), "text"),
+    ("counts", _cmd_counts, "compare the three diagram counts",
+     (_N, ("k", "crossing bound")), (), "csv"),
+    ("bijection", _cmd_bijection, "round-trip the mark-set bijection",
+     (_N, ("j", "stratum index, 1..n")), (), "json"),
+    ("telescoping", _cmd_telescoping, "check the weighted count identity",
+     (("n", "check every size up to n"),), (), "text"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,91 +367,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def output_flags(p, default="text"):
+    for name, func, text, positionals, options, fmt in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for dest, about in positionals:
+            p.add_argument(dest, type=int, help=about)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
         p.add_argument(
             "--format",
             choices=("json", "csv", "text"),
-            default=default,
-            help=f"output format (default {default})",
+            default=fmt,
+            help=f"output format (default {fmt})",
         )
         p.add_argument("--out", help="write output to this file instead of stdout")
-
-    p = sub.add_parser("enumerate", help="list the annular diagram basis")
-    p.add_argument("n", type=int, help="number of chords")
-    output_flags(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("gram", help="print the Gram matrix")
-    p.add_argument("n", type=int, help="number of chords")
-    output_flags(p)
-    p.set_defaults(func=_cmd_gram)
-
-    p = sub.add_parser("det-verify", help="check the determinant factorization")
-    p.add_argument("n", type=int, help="number of chords")
-    p.add_argument(
-        "--mode",
-        choices=("symbolic", "modular"),
-        default="symbolic",
-        help="exact expansion or random evaluation mod a prime",
-    )
-    p.add_argument("--trials", type=int, default=None, help="modular mode only")
-    p.add_argument("--seed", type=int, default=None, help="modular mode only")
-    p.add_argument("--prime", type=int, default=None, help="modular mode only")
-    output_flags(p)
-    p.set_defaults(func=_cmd_det_verify)
-
-    p = sub.add_parser(
-        "lemma2", help="check sign conjugation under negating the a variable"
-    )
-    p.add_argument("n", type=int, help="number of chords")
-    output_flags(p)
-    p.set_defaults(func=_cmd_sign_check)
-
-    for name, text in (
-        ("nullity-gram", "nullity of the specialized Gram matrix"),
-        ("nullity-skein", "nullity of the projector-evaluation matrix"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("n", type=int, help="number of chords")
-        p.add_argument("k", type=int, help="factor index, 1..n")
-        p.add_argument("--seed", type=int, default=0)
-        output_flags(p, default="json")
-        p.set_defaults(func=_cmd_nullity)
-
-    p = sub.add_parser("jones-wenzl", help="print a Jones-Wenzl projector")
-    p.add_argument("k", type=int, help="number of strands")
-    output_flags(p)
-    p.set_defaults(func=_cmd_jones_wenzl)
-
-    p = sub.add_parser("counts", help="compare the three diagram counts")
-    p.add_argument("n", type=int, help="number of chords")
-    p.add_argument("k", type=int, help="crossing bound")
-    output_flags(p, default="csv")
-    p.set_defaults(func=_cmd_counts)
-
-    p = sub.add_parser("bijection", help="round-trip the mark-set bijection")
-    p.add_argument("n", type=int, help="number of chords")
-    p.add_argument("j", type=int, help="stratum index, 1..n")
-    output_flags(p, default="json")
-    p.set_defaults(func=_cmd_bijection)
-
-    p = sub.add_parser("telescoping", help="check the weighted count identity")
-    p.add_argument("n", type=int, help="check every size up to n")
-    output_flags(p)
-    p.set_defaults(func=_cmd_telescoping)
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code, pieces = args.func(args)
+        report, table, text = args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"version": __version__, **report}
+    pieces = _render(report, args.format, table, text)
     try:
         if args.out:
             with open(args.out, "w", newline="") as handle:
@@ -430,7 +407,7 @@ def main(argv=None) -> int:
             # flush at exit would fail on it again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    return code
+    return 0 if report.get("pass", True) else 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Command-line front end: shapes, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -392,9 +393,8 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("fmt, pieces", [("json", 505), ("csv", 252), ("text", 252)])
 def test_gram_5_is_rendered_one_row_at_a_time(fmt, pieces):
     args = build_parser().parse_args(["gram", "5", "--format", fmt])
-    code, rendered = args.func(args)
-    sizes = [len(piece) for piece in rendered]
-    assert code == 0
+    report, *shapes = args.func(args)
+    sizes = [len(piece) for piece in _render(report, fmt, *shapes)]
     assert len(sizes) == pieces
     assert max(sizes) <= 8 * 1024
 
@@ -456,6 +456,107 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
+# Each parser action as (option strings, dest, type, default, choices,
+# help), recorded from the hand-written parser that the command table
+# replaced, apart from the det-verify --mode help, reworded since.  The
+# subcommand action's choices map each name to its help.  Specs, not
+# --help text, since argparse lays help out differently across versions.
+HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, None,
+        "show this help message and exit")
+OUT = (("--out",), "out", None, None, None,
+       "write output to this file instead of stdout")
+N = ((), "n", int, None, None, "number of chords")
+MODULAR_ONLY = (int, None, None, "modular mode only")
+
+
+def format_flag(default):
+    return (("--format",), "format", None, default, ("json", "csv", "text"),
+            f"output format (default {default})")
+
+
+NULLITY = [
+    HELP, N, ((), "k", int, None, None, "factor index, 1..n"),
+    (("--seed",), "seed", int, 0, None, None), format_flag("json"), OUT,
+]
+
+
+PARSER_SPECS = {
+    None: [
+        HELP,
+        (("--version",), "version", None, argparse.SUPPRESS, None,
+         "show program's version number and exit"),
+        ((), "command", None, None, {
+            "enumerate": "list the annular diagram basis",
+            "gram": "print the Gram matrix",
+            "det-verify": "check the determinant factorization",
+            "lemma2": "check sign conjugation under negating the a variable",
+            "nullity-gram": "nullity of the specialized Gram matrix",
+            "nullity-skein": "nullity of the projector-evaluation matrix",
+            "jones-wenzl": "print a Jones-Wenzl projector",
+            "counts": "compare the three diagram counts",
+            "bijection": "round-trip the mark-set bijection",
+            "telescoping": "check the weighted count identity",
+        }, None),
+    ],
+    "enumerate": [HELP, N, format_flag("text"), OUT],
+    "gram": [HELP, N, format_flag("text"), OUT],
+    "det-verify": [
+        HELP, N,
+        (("--mode",), "mode", None, "symbolic", ("symbolic", "modular"),
+         "symbolic proves det G_n equals the product at the nodes of a lower "
+         "set mod primes (n <= 3), then prints the expansion; modular "
+         "compares the two at random points mod a prime"),
+        (("--trials",), "trials", *MODULAR_ONLY),
+        (("--seed",), "seed", *MODULAR_ONLY),
+        (("--prime",), "prime", *MODULAR_ONLY),
+        format_flag("text"), OUT,
+    ],
+    "lemma2": [HELP, N, format_flag("text"), OUT],
+    "nullity-gram": NULLITY,
+    "nullity-skein": NULLITY,
+    "jones-wenzl": [
+        HELP, ((), "k", int, None, None, "number of strands"),
+        format_flag("text"), OUT,
+    ],
+    "counts": [
+        HELP, N, ((), "k", int, None, None, "crossing bound"),
+        format_flag("csv"), OUT,
+    ],
+    "bijection": [
+        HELP, N, ((), "j", int, None, None, "stratum index, 1..n"),
+        format_flag("json"), OUT,
+    ],
+    "telescoping": [
+        HELP, ((), "n", int, None, None, "check every size up to n"),
+        format_flag("text"), OUT,
+    ],
+}
+
+
+def action_specs(parser):
+    specs = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = {a.dest: a.help for a in action._choices_actions}
+        specs.append((
+            tuple(action.option_strings), action.dest, action.type,
+            action.default, choices, action.help,
+        ))
+    return specs
+
+
+def test_parser_matches_its_recorded_specs():
+    parser = build_parser()
+    (commands,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsers = {None: parser, **commands.choices}
+    assert list(parsers) == list(PARSER_SPECS)
+    for name, expected in PARSER_SPECS.items():
+        assert action_specs(parsers[name]) == expected, name
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -477,10 +578,56 @@ def test_domain_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_verification_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("tlbgram.disk.telescoping_sides", lambda n: (1, 2))
-    assert main(["telescoping", "1"]) == 1
-    capsys.readouterr()
+# Each check a command runs, patched to fail: (argv, target, replacement).
+FAILED_CHECKS = {
+    "telescoping": (
+        ["telescoping", "1"], "tlbgram.disk.telescoping_sides", lambda n: (1, 2),
+    ),
+    "lemma2": (
+        ["lemma2", "2"], "tlbgram.gram.sign_conjugation_check", lambda n: False,
+    ),
+    "counts": (
+        ["counts", "2", "1"], "tlbgram.disk.tilde_count_formula", lambda n, k: -1,
+    ),
+    "bijection": (
+        ["bijection", "2", "1"], "tlbgram.disk.subset_to_diagram",
+        lambda n, marks, j: None,
+    ),
+    "det-verify-symbolic": (
+        ["det-verify", "1"], "tlbgram.determinant._product_is_determinant",
+        lambda n: False,
+    ),
+    "det-verify-modular": (
+        ["det-verify", "1", "--mode", "modular", "--trials", "2"],
+        "tlbgram.determinant._agrees_at", lambda g, a, d, p: False,
+    ),
+    "nullity-gram": (
+        ["nullity-gram", "2", "1"], "tlbgram.gram.specialized_nullity",
+        lambda n, k, d: 0,
+    ),
+    "nullity-skein": (
+        ["nullity-skein", "2", "1"], "tlbgram.tl.skein_nullity",
+        lambda n, k, a: 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILED_CHECKS))
+def test_verification_failure_exits_1(capsys, monkeypatch, command):
+    argv, target, replacement = FAILED_CHECKS[command]
+    monkeypatch.setattr(target, replacement)
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert '"pass": false' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "1"], ["gram", "1"], ["jones-wenzl", "1"],
+], ids=" ".join)
+def test_commands_without_a_check_exit_0(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert "pass" not in json.loads(out)
 
 
 def assert_one_line_error(capsys, *argv):
