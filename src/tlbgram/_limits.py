@@ -3,8 +3,10 @@
 A domain check (require) refuses inputs that have no meaning, such as a
 size below 1, and is always on.  Every guarded entry point also refuses
 inputs beyond the tested range unless TLBGRAM_ALLOW_LARGE is set in the
-environment.  Overriding the guards is unsupported: nothing breaks
-mathematically, but run times and memory are untested out there.
+environment; a cached one (lru_cache) checks only on a miss, so a result
+computed under the override is returned after it is unset.  Overriding
+the guards is unsupported: nothing breaks mathematically, but run times
+and memory are untested out there.
 """
 
 import os

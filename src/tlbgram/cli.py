@@ -2,8 +2,9 @@
 
 One table, _COMMANDS, describes every subcommand: its handler, help,
 int positionals, further options and default format, read by one loop
-in build_parser.  A handler only computes its report; main alone adds
-the "version" header, renders the report and sets the exit status.
+in build_parser.  A handler only computes its report, and no library
+report carries a "version" header: main alone adds it, renders the
+report and sets the exit status.
 
 Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical

@@ -12,6 +12,8 @@ blocks of the rotation group, from the orbit rows of the pairing
 table.  The matrix and both parity checks are looked up on `gram` when
 called, so a table set in place of `gram.gram_matrix` reaches every
 check.  Only the symbolic proof and expansion load `polynomials`.
+verify_determinant's report has no "version" header: cli.main alone
+writes it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import count
 from math import comb, prod
 from operator import mul
 
-from . import __version__, gram
+from . import gram
 from ._intpoly import _chebyshev_values
 from ._limits import guard, require
 from .annular import PairingRows
@@ -236,54 +238,50 @@ def verify_determinant(
     that is not is refused.
     """
     require(n >= 1, f"need n >= 1, got n={n}")
+    if mode not in ("symbolic", "modular"):
+        raise ValueError(f"mode must be 'symbolic' or 'modular', got {mode!r}")
     if mode == "symbolic":
         require(prime is None, "a prime is only taken in modular mode")
         require(trials is None, "trials are only taken in modular mode")
         require(seed is None, "a seed is only taken in modular mode")
         guard(n <= 3, f"symbolic verification tested for n <= 3, got n={n}")
-        proven = _product_is_determinant(n)
-        return {
-            "version": __version__,
-            "n": n,
-            "mode": "symbolic",
-            "trials": None,
-            "prime": None,
-            "seed": None,
-            "pass": proven,
-            "bound": 0.0,
-            "determinant": determinant_product_form(n).to_text() if proven else None,
-        }
-    if mode != "modular":
-        raise ValueError(f"mode must be 'symbolic' or 'modular', got {mode!r}")
-    trials = 32 if trials is None else trials
-    seed = 0 if seed is None else seed
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    guard(trials <= 1000, f"det-verify tested for trials <= 1000, got trials={trials}")
-    # the size checks, before the prime search and the degree bound
-    g = gram.gram_matrix(n)
-    p = next(_primes(2 * n)) if prime is None else prime
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    bound_degree = degree_bound(n)
-    if p <= bound_degree:
-        raise ValueError("prime too small for the degree bound")
-    from random import Random
+        ok = _product_is_determinant(n)
+        bound = 0.0
+        own = {"determinant": determinant_product_form(n).to_text() if ok else None}
+    else:
+        trials = 32 if trials is None else trials
+        seed = 0 if seed is None else seed
+        if trials < 1:
+            raise ValueError("need at least one trial")
+        guard(
+            trials <= 1000, f"det-verify tested for trials <= 1000, got trials={trials}"
+        )
+        # the size checks, before the prime search and the degree bound
+        g = gram.gram_matrix(n)
+        prime = next(_primes(2 * n)) if prime is None else prime
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        bound_degree = degree_bound(n)
+        if prime <= bound_degree:
+            raise ValueError("prime too small for the degree bound")
+        from random import Random
 
-    rng = Random(seed)
-    trial_results = []
-    for _ in range(trials):
-        a_value = rng.randrange(p)
-        d_value = rng.randrange(p)
-        trial_results.append(_agrees_at(g, a_value, d_value, p))
+        rng = Random(seed)
+        trial_results = []
+        for _ in range(trials):
+            a_value = rng.randrange(prime)
+            d_value = rng.randrange(prime)
+            trial_results.append(_agrees_at(g, a_value, d_value, prime))
+        ok = all(trial_results)
+        bound = trials * bound_degree / prime
+        own = {"trial_results": trial_results}
     return {
-        "version": __version__,
         "n": n,
-        "mode": "modular",
+        "mode": mode,
         "trials": trials,
-        "prime": p,
+        "prime": prime,
         "seed": seed,
-        "pass": all(trial_results),
-        "bound": trials * bound_degree / p,
-        "trial_results": trial_results,
+        "pass": ok,
+        "bound": bound,
+        **own,
     }

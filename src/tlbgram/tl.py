@@ -201,9 +201,7 @@ def _embed_element(x: TLElement) -> TLElement:
     return TLElement(x.k + 1, {_embed(m): c for m, c in x.terms.items()}, x.den)
 
 
-_JW_CACHE: dict[int, TLElement] = {}
-
-
+@lru_cache(maxsize=None)
 def jones_wenzl(k: int) -> TLElement:
     """The projector killed by every cup, built one strand at a time:
 
@@ -221,19 +219,17 @@ def jones_wenzl(k: int) -> TLElement:
     """
     require(k >= 1, f"need k >= 1, got k={k}")
     guard(k <= 8, f"jones_wenzl tested for 1 <= k <= 8, got k={k}")
-    if k not in _JW_CACHE:
-        prev = jones_wenzl(k - 1) if k > 1 else TLElement.identity(0)
-        word = _embed_element(prev)
-        d_prev = quantum_dimension(k - 1)
-        terms = {m: c * d_prev for m, c in word.terms.items()}
-        for i in range(k - 1, 0, -1):
-            # word.terms is N' e_{k-1} ... e_i; its denominator is not needed
-            word = word * TLElement.generator(i, k)
-            weight = quantum_dimension(i - 1) * (-1) ** (k - i)
-            for m, c in word.terms.items():
-                terms[m] = terms.get(m, 0) + c * weight
-        _JW_CACHE[k] = TLElement(k, terms, prev.den * d_prev)
-    return _JW_CACHE[k]
+    prev = jones_wenzl(k - 1) if k > 1 else TLElement.identity(0)
+    word = _embed_element(prev)
+    d_prev = quantum_dimension(k - 1)
+    terms = {m: c * d_prev for m, c in word.terms.items()}
+    for i in range(k - 1, 0, -1):
+        # word.terms is N' e_{k-1} ... e_i; its denominator is not needed
+        word = word * TLElement.generator(i, k)
+        weight = quantum_dimension(i - 1) * (-1) ** (k - i)
+        for m, c in word.terms.items():
+            terms[m] = terms.get(m, 0) + c * weight
+    return TLElement(k, terms, prev.den * d_prev)
 
 
 def encircle(k: int) -> TLElement:

@@ -268,12 +268,89 @@ BASIS_JSON_SHA256 = {
         "f1390a85d3a9e325955f271be297036be88c3fe40edef8d3a1ed8b8cdb0f6e13",
 }
 
+# sha256 of the same modular det-verify 3 report in text and csv, recorded
+# from the implementation whose verify_determinant wrote one report per mode.
+MODULAR_3_SHA256 = {
+    "text": "85226e2b9db83648e7c026844ba13c3c92b40ebfe7078d1e68d2094f5307f194",
+    "csv": "a012db2b1c29fd52290b02183ac0768958ae0ae216f28b3cff70ce5c86bc81b8",
+}
+
 
 @pytest.mark.parametrize("argv", list(BASIS_JSON_SHA256), ids=" ".join)
 def test_basis_json_output_pinned(capsys, argv):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_JSON_SHA256[argv]
+
+
+@pytest.mark.parametrize("fmt", list(MODULAR_3_SHA256))
+def test_modular_det_verify_3_output_pinned(capsys, fmt):
+    argv = ("det-verify", "3", "--mode", "modular", "--trials", "3", "--seed", "0")
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODULAR_3_SHA256[fmt]
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_blocks():
+    """The fenced blocks of README.md's Command line section."""
+    with open(README, encoding="utf-8") as handle:
+        section = handle.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```\n")[1::2]
+
+
+# sha256 of the stdout of each example in README.md's command block,
+# recorded from the implementation whose verify_determinant wrote one
+# report per mode.
+README_SHA256 = {
+    ("enumerate", "3"):
+        "a5275b9891cf15872001459826635961fb0a261b71bf2e489657193397c67211",
+    ("gram", "2", "--format", "csv"):
+        "af85fbe5cf9d239983f15c0ccc1257056b58cf3f3bf5b81dea088913bbb62d94",
+    ("det-verify", "3"):
+        "061fbef4a4e9a72d8716fbc48fe461d167433c4a07a7c9ecd9e59aee833af18a",
+    ("det-verify", "4", "--mode", "modular", "--trials", "32", "--seed", "0"):
+        "b7d4ea618269506bf1e5c95cd97a0c869b8b7bf5520f92280d3d93812b9261cf",
+    ("lemma2", "4"):
+        "73e3302dfba63621114e2ab5450addd68071f1957aa4f820593b0d28a7245e79",
+    ("nullity-gram", "3", "2", "--seed", "7"):
+        "96513afeb2b7641c0cd88d1e53c46ed6d2c105959eb21af68e3bfb902e0b20ee",
+    ("nullity-skein", "3", "2", "--seed", "7"):
+        "7d40bcba1fdb05f8079a1eb36ada2d3c3be66a86cb3d8207c4f21138348f5a50",
+    ("jones-wenzl", "3"):
+        "66e8b773b7ef7f58e1251436545d698235c08aa647bbe28628da59ed79d03dea",
+    ("counts", "2", "1", "--format", "csv"):
+        "0e4f268bca46f6dc5e2438bb69551ab69dd0c9d827c5a7d83419e1602ff05c24",
+    ("bijection", "2", "1"):
+        "3debc39984f70848569e8e37f72c24a43efcbf3f8eba0fc64ed67868d838925f",
+    ("telescoping", "50"):
+        "5fc123e398d09c72a432c601a18e81f478a80d05eaa240a05f758b76523a1b50",
+}
+
+
+def test_readme_examples_are_the_pinned_ones():
+    examples = [
+        tuple(line.split("#", 1)[0].split()[1:])
+        for line in readme_blocks()[0].splitlines()
+    ]
+    assert examples == list(README_SHA256)
+
+
+@pytest.mark.parametrize("argv", list(README_SHA256), ids=" ".join)
+def test_readme_example_output_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_SHA256[argv]
+
+
+def test_readme_transcript_is_the_real_output(capsys):
+    command, printed = readme_blocks()[1].split("\n", 1)
+    assert command == "$ tlbgram det-verify 1"
+    code, out = run(capsys, *command.split()[2:])
+    assert code == 0
+    assert out == printed
 
 
 # One json command per report shape the CLI emits.

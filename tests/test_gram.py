@@ -647,8 +647,14 @@ def test_product_coefficients_stay_below_the_lucas_bound():
     assert cap == 2**15 * 10**6 * 17 < 20**10
 
 
+# Both modes' report keys, in order, before the mode's own; cli.main alone
+# adds "version".
+REPORT_KEYS = ["n", "mode", "trials", "prime", "seed", "pass", "bound"]
+
+
 def test_verify_symbolic_report():
     rep = verify_determinant(1, mode="symbolic")
+    assert list(rep) == [*REPORT_KEYS, "determinant"]
     assert rep["pass"] is True
     assert rep["determinant"] == "-1*a^2*d^0 + 1*a^0*d^2"
     assert rep["mode"] == "symbolic"
@@ -658,6 +664,7 @@ def test_verify_symbolic_report():
 
 def test_verify_modular_report():
     rep = verify_determinant(2, mode="modular", trials=8, seed=5)
+    assert list(rep) == [*REPORT_KEYS, "trial_results"]
     assert rep["pass"] is True
     assert rep["trials"] == 8
     assert rep["seed"] == 5
