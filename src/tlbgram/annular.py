@@ -246,39 +246,6 @@ PairingValue = namedtuple("PairingValue", "nontrivial trivial")
 PairingValue.__doc__ = "Evaluation of the bilinear form on two diagrams: a^m * d^t."
 
 
-def _trace(total, partial, ends: int) -> tuple[tuple[int, ...], int]:
-    """Follow two involutions of the nodes 0..N-1 in turn.
-
-    ``total`` is defined on every node, ``partial`` on every node but the
-    ends 0..ends-1.  A path leaves an end along ``total`` and alternates
-    until it reaches another end; the nodes no path visits form closed
-    loops.  Returns the matching of the ends and the number of loops.
-    """
-    seen = [False] * len(total)
-    ends_match = [0] * ends
-    for start in range(ends):
-        if seen[start]:
-            continue
-        v = total[start]
-        while v >= ends:
-            w = partial[v]
-            seen[v] = seen[w] = True
-            v = total[w]
-        seen[start] = seen[v] = True
-        ends_match[start], ends_match[v] = v, start
-    loops = 0
-    for start in range(ends, len(total)):
-        if seen[start]:
-            continue
-        loops += 1
-        v = start
-        while not seen[v]:
-            w = partial[v]
-            seen[v] = seen[w] = True
-            v = total[w]
-    return tuple(ends_match), loops
-
-
 _pairing_value = lru_cache(maxsize=None)(PairingValue)
 
 

@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     report = {"version": __version__, **report}
     pieces = _render(report, args.format, table, text)
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", newline="") as handle:
                 handle.writelines(pieces)
         else:
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if not args.out:
+        if args.out is None:
             # What stdout could not take stays in its buffer, and the
             # flush at exit would fail on it again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -30,6 +30,13 @@ from .annular import (
 )
 
 
+def _monomial(m: int, t: int):
+    """The default entry a^m d^t; it loads the polynomial types when called."""
+    from .polynomials import BivariatePolynomial
+
+    return BivariatePolynomial.monomial(m, t)
+
+
 class GramMatrix:
     """Basis diagrams, the pairing of every two of them, and an entry function.
 
@@ -46,25 +53,13 @@ class GramMatrix:
         n: int,
         basis: tuple[AnnularDiagram, ...],
         pairings: PairingRows,
-        value=None,
+        value=_monomial,
     ):
         require(isinstance(pairings, PairingRows), "pairings must be a PairingRows")
         self.n = n
         self.basis = basis
         self.pairings = pairings
-        if value is not None:
-            self.value = value
-
-    @cached_property
-    def value(self):
-        """The entry function when none is given: the monomial a^m d^t.
-
-        Looked up when first read, so a table read only through
-        tabulate never loads the polynomial types.
-        """
-        from .polynomials import BivariatePolynomial
-
-        return BivariatePolynomial.monomial
+        self.value = value
 
     @cached_property
     def entries(self) -> ExactMatrix:

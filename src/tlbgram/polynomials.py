@@ -296,13 +296,7 @@ def substitute_loop_values(
     p: BivariatePolynomial, a_image: LaurentScalar
 ) -> LaurentScalar:
     """Substitute a_image for a and the trivial loop value LOOP_VALUE_A for d."""
-    a_pows = [LaurentScalar.constant(1)]
-    d_pows = [LaurentScalar.constant(1)]
-    total = LaurentScalar.zero()
-    for (ea, ed), c in sorted(p.terms.items()):
-        while len(a_pows) <= ea:
-            a_pows.append(a_pows[-1] * a_image)
-        while len(d_pows) <= ed:
-            d_pows.append(d_pows[-1] * LOOP_VALUE_A)
-        total = total + a_pows[ea] * d_pows[ed] * c
-    return total
+    return sum(
+        (a_image**ea * LOOP_VALUE_A**ed * c for (ea, ed), c in p.terms.items()),
+        LaurentScalar.zero(),
+    )

@@ -5,6 +5,8 @@ boundary points, indexed circularly: bottom points left to right are
 positions 0..k-1, top points right to left are positions k..2k-1 (so
 position 2k-1 sits above position 0).  Composition stacks rectangles,
 and every closed loop produced contributes a factor -A^2 - A^-2.
+Products and partial traces are both gluings: `_trace` follows their
+strands, and `_weigh` sums the matchings weighted by their loops.
 
 On top of the diagram algebra this module builds Jones-Wenzl
 projectors, Markov closures, a curve encircling all strands (an extra
@@ -25,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from ._limits import guard, require
-from .annular import PlanarMatching, _trace
+from .annular import PlanarMatching
 from .polynomials import LOOP_VALUE_A, LaurentScalar
 
 
@@ -46,15 +48,57 @@ def cup_cap_matching(i: int, k: int) -> PlanarMatching:
 
 _ONE = LaurentScalar.constant(1)
 
-# LOOP_VALUE_A**i at index i, grown by _loop_powers.
-_LOOP_POWERS = [_ONE]
+
+def _trace(total, glue, ends: int) -> tuple[tuple[int, ...], int]:
+    """Follow two involutions of the nodes 0..N-1 in turn.
+
+    ``total`` is defined on every node, ``glue`` on every node but the
+    ends 0..ends-1.  A path leaves an end along ``total`` and alternates
+    until it reaches another end; the nodes no path visits form closed
+    loops.  Returns the matching of the ends and the number of loops.
+    """
+    seen = [False] * len(total)
+    ends_match = [0] * ends
+    for start in range(ends):
+        if seen[start]:
+            continue
+        v = total[start]
+        while v >= ends:
+            w = glue[v]
+            seen[v] = seen[w] = True
+            v = total[w]
+        seen[start] = seen[v] = True
+        ends_match[start], ends_match[v] = v, start
+    loops = 0
+    for start in range(ends, len(total)):
+        if seen[start]:
+            continue
+        loops += 1
+        v = start
+        while not seen[v]:
+            w = glue[v]
+            seen[v] = seen[w] = True
+            v = total[w]
+    return tuple(ends_match), loops
 
 
-def _loop_powers(count: int) -> list[LaurentScalar]:
-    """The cached powers of the loop value, at least count of them."""
-    while len(_LOOP_POWERS) < count:
-        _LOOP_POWERS.append(_LOOP_POWERS[-1] * LOOP_VALUE_A)
-    return _LOOP_POWERS
+def _weigh(k: int, gluings, den: LaurentScalar) -> "TLElement":
+    """The element sum(coeff * LOOP_VALUE_A**loops * match) / den.
+
+    gluings yields pairs of a _trace result (match, loops) and a
+    coefficient; equal matchings are summed.  The loop value's powers
+    are computed only as far as the loop counts reach.
+    """
+    powers = [_ONE]
+    out: dict = {}
+    for (match, loops), coeff in gluings:
+        while len(powers) <= loops:
+            powers.append(powers[-1] * LOOP_VALUE_A)
+        key = PlanarMatching(k, match)
+        coeff = coeff * powers[loops]
+        s = out.get(key)
+        out[key] = coeff if s is None else s + coeff
+    return TLElement(k, out, den)
 
 
 class TLElement:
@@ -121,21 +165,15 @@ class TLElement:
         for m2, c2 in other.terms.items():
             upper = [q if q >= k else q + 3 * k for q in m2.match]
             uppers.append((upper[k:], upper[:k], c2))
-        # each closed loop runs through one of the k glued slots at least
-        powers = _loop_powers(k + 1)
-        out: dict = {}
+        lowers = []
         for m1, c1 in self.terms.items():
             lower = [q if q < k else q + k for q in m1.match]
-            bottom, top = lower[:k], lower[k:]
-            for upper_top, upper_bottom, c2 in uppers:
-                match, loops = _trace(
-                    bottom + upper_top + top + upper_bottom, seam, 2 * k
-                )
-                coeff = c1 * c2 * powers[loops]
-                key = PlanarMatching(k, match)
-                s = out.get(key)
-                out[key] = coeff if s is None else s + coeff
-        return TLElement(k, out, self.den * other.den)
+            lowers.append((lower[:k], lower[k:], c1))
+        return _weigh(k, (
+            (_trace(bottom + upper_top + top + upper_bottom, seam, 2 * k), c1 * c2)
+            for bottom, top, c1 in lowers
+            for upper_top, upper_bottom, c2 in uppers
+        ), self.den * other.den)
 
     def _close(self, j: int) -> "TLElement":
         """Partial trace: join the two ends of each of the rightmost j strands.
@@ -148,19 +186,13 @@ class TLElement:
         k = self.k
         ends = 2 * (k - j)
         node = [*range(ends // 2), *range(ends, 2 * k), *range(ends // 2, ends)]
+        # at[v] is the position at node v, so node v joins node[match[at[v]]]
+        at = [*range(k - j), *range(k + j, 2 * k), *range(k - j, k + j)]
         joins = [0] * ends + [2 * k - 1 + ends - v for v in range(ends, 2 * k)]
-        powers = _loop_powers(j + 1)
-        out: dict = {}
-        for m, c in self.terms.items():
-            total = [0] * (2 * k)
-            for p, q in enumerate(m.match):
-                total[node[p]] = node[q]
-            match, loops = _trace(total, joins, ends)
-            key = PlanarMatching(k - j, match)
-            coeff = c * powers[loops]
-            s = out.get(key)
-            out[key] = coeff if s is None else s + coeff
-        return TLElement(k - j, out, self.den)
+        return _weigh(k - j, (
+            (_trace([node[m.match[p]] for p in at], joins, ends), c)
+            for m, c in self.terms.items()
+        ), self.den)
 
     def markov_closure(self) -> tuple[LaurentScalar, LaurentScalar]:
         """Trace: close every strand around and evaluate the loops.
@@ -184,21 +216,14 @@ def quantum_dimension(k: int) -> LaurentScalar:
     return LaurentScalar({2 * k - 4 * i: sign for i in range(k + 1)})
 
 
-def _embed(m: PlanarMatching) -> PlanarMatching:
-    """Add an uninvolved strand on the right."""
-    k = m.k + 1
-    newmatch = [0] * (2 * k)
-    for p, q in enumerate(m.match):
-        np_ = p if p < k - 1 else p + 2
-        nq = q if q < k - 1 else q + 2
-        newmatch[np_] = nq
-    newmatch[k - 1] = k
-    newmatch[k] = k - 1
-    return PlanarMatching(k, tuple(newmatch))
-
-
-def _embed_element(x: TLElement) -> TLElement:
-    return TLElement(x.k + 1, {_embed(m): c for m, c in x.terms.items()}, x.den)
+def _embed(x: TLElement) -> TLElement:
+    """Add an uninvolved strand on the right of every matching."""
+    k = x.k + 1
+    terms = {}
+    for m, c in x.terms.items():
+        moved = [q if q < k - 1 else q + 2 for q in m.match]
+        terms[PlanarMatching(k, (*moved[: k - 1], k, k - 1, *moved[k - 1 :]))] = c
+    return TLElement(k, terms, x.den)
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +245,7 @@ def jones_wenzl(k: int) -> TLElement:
     require(k >= 1, f"need k >= 1, got k={k}")
     guard(k <= 8, f"jones_wenzl tested for 1 <= k <= 8, got k={k}")
     prev = jones_wenzl(k - 1) if k > 1 else TLElement.identity(0)
-    word = _embed_element(prev)
+    word = _embed(prev)
     d_prev = quantum_dimension(k - 1)
     terms = {m: c * d_prev for m, c in word.terms.items()}
     for i in range(k - 1, 0, -1):

@@ -526,6 +526,11 @@ def test_out_naming_a_directory_exits_2(tmp_path, capsys):
     assert_one_line_error(capsys, "gram", "2", "--out", str(tmp_path))
 
 
+def test_out_naming_the_empty_path_exits_2(capsys):
+    # an empty --out is a target that cannot be opened, not stdout
+    assert_one_line_error(capsys, "gram", "1", "--out", "")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

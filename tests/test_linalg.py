@@ -490,9 +490,12 @@ def test_gram_nullity_at_n5_matches_binomial():
 def test_input_checks_survive_python_O():
     script = """
 from fractions import Fraction
-from tlbgram.annular import PlanarMatching, diagram_from_marks
+from tlbgram.annular import (
+    AnnularDiagram, PlanarMatching, diagram_from_marks, enumerate_diagrams,
+)
 from tlbgram.disk import (
-    enumerate_disk, noncrossing_matchings, telescoping_sides, tilde_count_formula,
+    diagram_to_subset, enumerate_disk, noncrossing_matchings, telescoping_sides,
+    tilde_count_formula,
 )
 from tlbgram.determinant import determinant_product_value_mod, verify_determinant
 from tlbgram.linalg import PRIME_TEST_LIMIT, ExactMatrix, is_prime, rank_exact
@@ -504,6 +507,11 @@ from tlbgram.tl import (
 )
 bad = [
     lambda: ExactMatrix.from_rows([[1, 2], [3]]),
+    lambda: ExactMatrix(((),)),
+    lambda: AnnularDiagram(0, ()),
+    lambda: AnnularDiagram(2, ((1, 2, 0), (2, 3, 0))),
+    lambda: diagram_to_subset(enumerate_diagrams(2)[0], 0),
+    lambda: diagram_to_subset(enumerate_diagrams(2)[0], 3),
     lambda: verify_determinant(1, mode="modular", prime=10),
     lambda: verify_determinant(3, mode="modular", prime=9007199254740881),
     lambda: is_prime(PRIME_TEST_LIMIT),

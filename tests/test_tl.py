@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from tlbgram.annular import PlanarMatching, _trace, pair
+from tlbgram.annular import PlanarMatching, pair
 from tlbgram.gram import gram_matrix, specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
@@ -17,6 +17,7 @@ from tlbgram.polynomials import (
 )
 from tlbgram.tl import (
     TLElement,
+    _trace,
     cup_cap_matching,
     encircle,
     encircle_eigenvalue,
