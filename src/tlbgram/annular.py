@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from ._limits import guard, require
 
@@ -118,10 +118,6 @@ class AnnularDiagram:
             flags[i - 1] = flags[j - 1] = w
         return tuple(points), tuple(flags)
 
-    def canonical_key(self) -> tuple:
-        """Sort key: (partner, flag) of each chord's smaller endpoint in turn."""
-        return tuple((j, w) for _, j, w in self.chords)
-
     def to_text(self) -> str:
         body = ",".join(f"({i},{j},w={w})" for i, j, w in self.chords)
         return f"n={self.n};{body}"
@@ -164,14 +160,20 @@ def diagram_from_marks(n: int, marks, phase2_chords: int = 0) -> AnnularDiagram:
 
 @lru_cache(maxsize=None)
 def enumerate_diagrams(n: int) -> tuple[AnnularDiagram, ...]:
-    """All diagrams on 2n points, canonically ordered; there are C(2n, n)."""
+    """All diagrams on 2n points, canonically ordered; there are C(2n, n).
+
+    The canonical order compares the (partner, flag) of each chord's
+    smaller endpoint in turn.  Chord 1 starts at point 1 and each later
+    chord at the least point not yet used, so the stored chords compare
+    the same way, and the sort reads them instead of building keys.
+    """
     require(n >= 1, f"need n >= 1, got n={n}")
     guard(n <= 7, f"enumerate_diagrams tested for 1 <= n <= 7, got n={n}")
     out = [
         diagram_from_marks(n, marks)
         for marks in combinations(range(1, 2 * n + 1), n)
     ]
-    out.sort(key=AnnularDiagram.canonical_key)
+    out.sort(key=attrgetter("chords"))
     assert len(set(out)) == comb(2 * n, n)
     return tuple(out)
 

@@ -2,9 +2,11 @@
 
 One table, _COMMANDS, describes every subcommand: its handler, help,
 int positionals, further options and default format, read by one loop
-in build_parser.  A handler only computes its report, and no library
-report carries a "version" header: main alone adds it, renders the
-report and sets the exit status.
+in build_parser.  main builds only the subparser its first argument
+names, and every subparser when that names none, as for --help.  A
+handler only computes its report, and no library report carries a
+"version" header: main alone adds it, renders the report and sets the
+exit status.
 
 Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical
@@ -202,21 +204,24 @@ def _cmd_sign_check(args) -> _Report:
 
 def _cmd_nullity(args) -> _Report:
     """Either nullity route, picked by the subcommand's name."""
+    # the routes' own refusal, made before either is loaded
+    n, k = args.n, args.k
+    require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
     from random import Random
 
     if args.command == "nullity-gram":
         from .gram import nullity_with_resample as resample
     else:
         from .tl import skein_nullity_with_resample as resample
-    value, samples = resample(args.n, args.k, Random(args.seed))
-    bound = comb(2 * args.n, args.n - args.k)
+    value, samples = resample(n, k, Random(args.seed))
+    bound = comb(2 * n, n - k)
     report = {
-        "n": args.n,
-        "k": args.k,
+        "n": n,
+        "k": k,
         "seed": args.seed,
         "sample": str(samples[-1]),
         "samples": [str(s) for s in samples],
-        "rank": comb(2 * args.n, args.n) - value,
+        "rank": comb(2 * n, n) - value,
         "nullity": value,
         "bound": bound,
         "pass": value >= bound,
@@ -229,9 +234,9 @@ def _cmd_jones_wenzl(args) -> _Report:
     from .tl import jones_wenzl
 
     f = jones_wenzl(args.k)
-    terms = sorted(
-        (m.to_paren(), quotient_text(c, f.den)) for m, c in f.terms.items()
-    )
+    # each distinct coefficient is reduced once: 201 of the 1,430 at k = 8
+    texts = {c: quotient_text(c, f.den) for c in set(f.terms.values())}
+    terms = sorted((m.to_paren(), texts[c]) for m, c in f.terms.items())
     report = {
         "k": args.k,
         "terms": (
@@ -361,14 +366,25 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser, with only the subparser that argv[0] names, if any.
+
+    A usage line lists every subcommand either way: with one built, the
+    metavar spells them out.  A metavar would also rename "argument
+    command" in the errors that a first argument naming none gets, so
+    it is set only when one is named.
+    """
     parser = argparse.ArgumentParser(
         prog="tlbgram",
         description="Exact Gram determinants of annular chord diagrams.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text, positionals, options, fmt in _COMMANDS:
+    named = [row for row in _COMMANDS if argv and row[0] == argv[0]]
+    every = "{" + ",".join(row[0] for row in _COMMANDS) + "}"
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=every if named else None
+    )
+    for name, func, text, positionals, options, fmt in named or _COMMANDS:
         p = sub.add_parser(name, help=text)
         for dest, about in positionals:
             p.add_argument(dest, type=int, help=about)
@@ -386,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         report, table, text = args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -9,7 +9,10 @@ chord graph, which never looks at a winding sign.  The one stack pass
 of diagram_from_marks is checked against the greedy rounds it replaced.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -156,11 +159,35 @@ def test_enumerate_matches_brute_force():
 
 
 def test_enumerate_is_canonically_sorted_and_duplicate_free():
+    # the documented order: (partner, flag) of each chord's smaller
+    # endpoint in turn
     for n in range(1, 5):
         basis = enumerate_diagrams(n)
-        keys = [d.canonical_key() for d in basis]
+        keys = [tuple((j, w) for _, j, w in d.chords) for d in basis]
         assert keys == sorted(keys)
         assert len(set(basis)) == len(basis)
+
+
+# The module is imported before tracing starts, so the peak is that of
+# the enumeration: the 924 diagrams and the sort, which builds no keys.
+TRACED_ENUMERATE_SCRIPT = """
+import tracemalloc
+from tlbgram.annular import enumerate_diagrams
+tracemalloc.start()
+enumerate_diagrams(6)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_enumerate_6_peaks_below_350_kb():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_ENUMERATE_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 350 * 2**10
 
 
 def test_enumerate_guard():

@@ -168,6 +168,25 @@ def test_jones_wenzl_output_pinned(capsys, fmt, k):
     assert digest == JONES_WENZL_SHA256[fmt][k]
 
 
+@pytest.mark.parametrize("k", [5, 6])
+def test_jones_wenzl_reduces_each_distinct_coefficient_once(capsys, monkeypatch, k):
+    from tlbgram import polynomials
+    from tlbgram.tl import jones_wenzl
+
+    reduced = []
+    quotient_text = polynomials.quotient_text
+
+    def counted(num, den):
+        reduced.append(num)
+        return quotient_text(num, den)
+
+    monkeypatch.setattr(polynomials, "quotient_text", counted)
+    code, _ = run(capsys, "jones-wenzl", str(k))
+    assert code == 0
+    coefficients = list(jones_wenzl(k).terms.values())
+    assert len(reduced) == len(set(coefficients)) < len(coefficients)
+
+
 # sha256 of nullity stdout, recorded from the implementation that
 # evaluated every matrix entry as a Fraction before the rank.
 NULLITY_SHA256 = {
@@ -639,6 +658,44 @@ def test_parser_matches_its_recorded_specs():
         assert action_specs(parsers[name]) == expected, name
 
 
+def test_a_named_command_builds_only_its_subparser():
+    parser = build_parser(["gram", "3"])
+    (commands,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(commands.choices) == ["gram"]
+    assert action_specs(commands.choices["gram"]) == PARSER_SPECS["gram"]
+
+
+# Arguments whose handling must not depend on how many subparsers main
+# builds: help, version, usage errors, refusals and the README examples.
+PARSE_CASES = [
+    [], ["--help"], ["--version"], ["bogus", "3"], ["gram", "3", "extra"],
+    ["--format", "json", "gram", "3"], ["gram"], ["gram", "abc"],
+    ["gram", "3", "--format", "xml"], ["det-verify", "3", "--mode", "bad"],
+    ["nullity-gram", "3", "4"], ["nullity-skein", "3", "4"],
+    *([name, "--help"] for name in PARSER_SPECS if name),
+    *map(list, README_SHA256),
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "-")
+def test_one_subparser_parses_as_all_of_them(capsys, monkeypatch, argv):
+    alone = outcome(capsys, argv)
+    every = build_parser
+    monkeypatch.setattr("tlbgram.cli.build_parser", lambda argv=None: every())
+    assert outcome(capsys, argv) == alone
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -940,3 +997,30 @@ def test_subcommands_import_only_their_layers(family):
     added = set(json.loads(done.stdout))
     assert "tlbgram.cli" in added
     assert not added & (barred | {"dataclasses"})
+
+
+# A factor index past n is refused with the routes' own message before
+# random, fractions or either route's layer is loaded.
+REFUSAL_SCRIPT = """
+import sys
+bare = set(sys.modules)
+import json
+from tlbgram.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
+"""
+
+
+@pytest.mark.parametrize("command", ["nullity-gram", "nullity-skein"])
+def test_nullity_refuses_k_past_n_before_loading_a_layer(command):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", REFUSAL_SCRIPT, command, "3", "4"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.stderr == "error: need 1 <= k <= n, got k=4, n=3\n"
+    # stdout holds the script's one line, so main wrote nothing
+    code, added = json.loads(done.stdout)
+    assert code == 2
+    assert not set(added) & {"tlbgram.gram", "tlbgram.tl", "fractions", "random"}
