@@ -70,14 +70,16 @@ def _poly_divexact(p: list, q: list) -> list:
     return _poly_trim(out)
 
 
-def _chebyshev_values(n: int, d) -> list:
-    """T_0(d), ..., T_n(d), with T_0 = 2, T_1 = d, T_i = d*T_(i-1) - T_(i-2).
+def _chebyshev_values(n: int, d, s=1) -> list:
+    """T_0, ..., T_n of T_0 = 2, T_1 = d, T_i = d*T_(i-1) - s*T_(i-2).
 
-    The normalized Chebyshev polynomials: T_i(x + 1/x) = x^i + x^-i.  d
-    lies in any ring that takes integers: Z[d], Q, or Z with the values
-    reduced mod p afterwards.
+    With s = 1 these are the normalized Chebyshev polynomials at d:
+    T_i(x + 1/x) = x^i + x^-i.  With d = p and s = q^2 they are
+    q^i T_i(p/q), so a rational point stays in integers.  d lies in any
+    ring that takes integers: Z[d], Q, or Z, with the values reduced mod
+    p afterwards if need be.
     """
     values = [2 + 0 * d, d]  # 2 in the ring of d
     while len(values) <= n:
-        values.append(d * values[-1] - values[-2])
+        values.append(d * values[-1] - s * values[-2])
     return values[: n + 1]

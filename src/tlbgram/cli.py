@@ -214,13 +214,15 @@ def _cmd_nullity(args) -> _Report:
     else:
         from .tl import skein_nullity_with_resample as resample
     value, samples = resample(n, k, Random(args.seed))
+    # each reduced pair (p, q) written as str(Fraction(p, q)) writes it
+    samples = [f"{p}/{q}" if q != 1 else str(p) for p, q in samples]
     bound = comb(2 * n, n - k)
     report = {
         "n": n,
         "k": k,
         "seed": args.seed,
-        "sample": str(samples[-1]),
-        "samples": [str(s) for s in samples],
+        "sample": samples[-1],
+        "samples": samples,
         "rank": comb(2 * n, n) - value,
         "nullity": value,
         "bound": bound,

@@ -48,14 +48,19 @@ def noncrossing_matchings(num_points: int):
     return (tuple(match) for _ in rec(0, num_points))
 
 
-def enumerate_disk(n: int, k: int) -> tuple[PlanarMatching, ...]:
-    """All disk diagrams for (n, k); there are Catalan(n + k) of them."""
+def _disk_diagrams(n: int, k: int):
+    """Iterate the disk diagrams for (n, k), checked at the call."""
     require(n >= 1 and k >= 0, f"need n >= 1 and k >= 0, got n={n}, k={k}")
     guard(n + k <= 8, f"enumerate_disk tested for n + k <= 8, got n+k={n + k}")
-    return tuple(
+    return (
         PlanarMatching(n + k, match)
         for match in noncrossing_matchings(2 * (n + k))
     )
+
+
+def enumerate_disk(n: int, k: int) -> tuple[PlanarMatching, ...]:
+    """All disk diagrams for (n, k); there are Catalan(n + k) of them."""
+    return tuple(_disk_diagrams(n, k))
 
 
 def is_admissible(n: int, m: PlanarMatching) -> bool:
@@ -67,8 +72,12 @@ def is_admissible(n: int, m: PlanarMatching) -> bool:
 
 
 def count_tilde(n: int, k: int) -> int:
-    """Number of admissible disk diagrams, by direct enumeration."""
-    return sum(1 for m in enumerate_disk(n, k) if is_admissible(n, m))
+    """Number of admissible disk diagrams, by direct enumeration.
+
+    The diagrams are counted one at a time: at n + k = 8 none of the
+    1,430 is kept.
+    """
+    return sum(1 for m in _disk_diagrams(n, k) if is_admissible(n, m))
 
 
 def tilde_count_formula(n: int, k: int) -> int:

@@ -6,10 +6,12 @@ from it, checks the two sign conjugations, and ranks the matrix over Q
 at a = +-T_k(d0), d = d0.  The determinant identity is in
 `determinant`.  `polynomials` and `linalg` are imported where they are
 used, so the parity checks load neither and a nullity loads no
-polynomial type.  Only the sampling paths, `specialized_nullity` and
-`random_delta`, load `fractions`, and `random` is never imported: the
-caller's `random.Random` is named in annotations alone, which are
-never evaluated.
+polynomial type.  A nullity carries each sample from draw to rank as
+an int pair (numerator, denominator), read, drawn and resampled by
+`_sampling`, so only `random_delta`, which returns the draw as a
+Fraction, loads `fractions`.  `random` is never imported: the caller's
+`random.Random` is named in annotations alone, which are never
+evaluated.
 """
 
 from __future__ import annotations
@@ -183,23 +185,30 @@ def _rotation_block(rows: PairingRows, e: int) -> list[list]:
     return block
 
 
-def _nullity_at(g: GramMatrix, a_value: Fraction, d_value: Fraction) -> int:
+def _nullity_at(g: GramMatrix, a_value, d_value) -> int:
     """Nullity over Q of the pairings of g at a = a_value, d = d_value.
 
-    The monomials a^m d^t are ranked, not g's entry function: the skein
+    a_value and d_value are rationals read by _sampling._ratio, int pairs
+    (numerator, denominator) or values such as a Fraction.  The
+    monomials a^m d^t are ranked, not g's entry function: the skein
     route passes its own a and d (see tl.skein_nullity).  rank G is the
     sum of the ranks of its rotation blocks, one for each e | 2n (see
-    _rotation_block).  The values a^m d^t, m, t <= n, are scaled to
-    integers by the common denominator (qs)^n of a = p/q and d = r/s,
+    _rotation_block).  The values a^m d^t, m, t <= n, are scaled to the
+    integers p^m q^(n-m) r^t s^(n-t) by (qs)^n, for a = p/q and d = r/s,
     each block row is divided by its content, and every block rank is
-    certified by rank_exact.
+    certified by rank_exact.  A pair need not be reduced: a common
+    factor scales every entry alike.
     """
+    from ._sampling import _ratio
     from .linalg import rank_exact
 
-    scale = (a_value.denominator * d_value.denominator) ** g.n
-    rows = g.tabulate(lambda m, t: int(scale * a_value**m * d_value**t))
+    n = g.n
+    (p, q), (r, s) = _ratio(a_value), _ratio(d_value)
+    a_powers = [p**m * q ** (n - m) for m in range(n + 1)]
+    d_powers = [r**t * s ** (n - t) for t in range(n + 1)]
+    rows = g.tabulate(lambda m, t: a_powers[m] * d_powers[t])
     rank = 0
-    for e in range(1, 2 * g.n + 1):
+    for e in range(1, 2 * n + 1):
         block = []
         for row in _rotation_block(rows, e):
             c = gcd(*row)
@@ -262,63 +271,43 @@ def d_parity_check(n: int) -> bool:
     return _parities_hold(parities, parities[0])
 
 
-def specialized_nullity(n: int, k: int, delta_value: Fraction) -> int:
+def specialized_nullity(n: int, k: int, delta_value) -> int:
     """Nullity of G_n at a = (-1)^(k-1) T_k(d0), d = d0, exact over Q.
 
+    d0 = p/q is an int pair (p, q) or any value _sampling._ratio reads.
+    The recurrence run in integers gives q^k T_k(p/q), so a is the pair
+    ((-1)^(k-1) q^k T_k(p/q), q^k).
     d0 should lie off {0, +-1, +-2}, the rational values q + 1/q at roots
     of unity q, where the nullity can exceed the generic one: the
     dimension drop forced by the k-th factor of the determinant.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    from fractions import Fraction
+    from ._sampling import _ratio
 
-    delta_value = Fraction(delta_value)
-    a_value = (-1) ** (k - 1) * _chebyshev_values(k, delta_value)[k]
-    return _nullity_at(gram_matrix(n), a_value, delta_value)
+    p, q = _ratio(delta_value)
+    t_k = _chebyshev_values(k, p, q * q)[k]
+    return _nullity_at(gram_matrix(n), ((-1) ** (k - 1) * t_k, q**k), (p, q))
 
 
 def random_delta(rng: random.Random) -> Fraction:
-    """A random rational d0 off {0, +-1, +-2}, numerator and denominator up to 10^3."""
+    """A random d0 off {0, +-1, +-2}, numerator and denominator up to 10^3."""
     from fractions import Fraction
 
-    while True:
-        d0 = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-        if d0 not in (0, 1, -1, 2, -2):
-            return d0
+    from ._sampling import _draw_delta
 
-
-_MAX_ATTEMPTS = 5  # samples drawn before a nullity's agreement loop gives up
-
-
-def _resample_until_two_agree(
-    measure, draw, rng: random.Random
-) -> tuple[int, list[Fraction]]:
-    """measure(draw(rng)) at fresh samples until two values agree.
-
-    A non-generic sample can inflate a nullity; agreement of two
-    independent samples is accepted, disagreement triggers a resample,
-    and _MAX_ATTEMPTS samples with no two agreeing raise RuntimeError.
-    Returns the agreed value together with every sample drawn.
-    """
-    counts: dict[int, int] = {}
-    samples: list[Fraction] = []
-    for _ in range(_MAX_ATTEMPTS):
-        sample = draw(rng)
-        samples.append(sample)
-        value = measure(sample)
-        counts[value] = counts.get(value, 0) + 1
-        if counts[value] == 2:
-            return value, samples
-    raise RuntimeError(
-        f"no two of {_MAX_ATTEMPTS} samples agreed on the nullity: {counts}"
-    )
+    return Fraction(*_draw_delta(rng))
 
 
 def nullity_with_resample(
     n: int, k: int, rng: random.Random
-) -> tuple[int, list[Fraction]]:
-    """Specialized nullity at fresh random samples until two of them agree."""
+) -> tuple[int, list[tuple[int, int]]]:
+    """Specialized nullity at fresh random samples until two of them agree.
+
+    Returns the agreed value together with every int pair drawn.
+    """
+    from ._sampling import _draw_delta, _resample_until_two_agree
+
     return _resample_until_two_agree(
-        lambda d: specialized_nullity(n, k, d), random_delta, rng
+        lambda d: specialized_nullity(n, k, d), _draw_delta, rng
     )

@@ -212,15 +212,12 @@ class LaurentScalar(_SparseRing):
     __rmul__ = __mul__
 
     def evaluate(self, a_value: Fraction) -> Fraction:
-        """Evaluate at a nonzero exact scalar."""
-        require(a_value != 0, "Laurent polynomials are evaluated away from 0")
+        """Evaluate at a nonzero exact scalar (see _sampling._laurent_ratio)."""
         from fractions import Fraction
 
-        a_value = Fraction(a_value)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * a_value**e
-        return total
+        from ._sampling import _laurent_ratio
+
+        return Fraction(*_laurent_ratio(self, *a_value.as_integer_ratio()))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``1*A^4 + 1*A^-4``."""

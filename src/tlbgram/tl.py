@@ -16,8 +16,8 @@ matrix after its loop variables are specialized.
 Each such matrix is a `gram.GramMatrix` on the Gram stack's pairing
 table with a skein value for its entry function.  `gram` is imported
 where it is used, so the projectors load neither `gram` nor `linalg`.
-Only the sampling paths, `skein_nullity` and `random_bracket_sample`,
-load `fractions`, and `random` is never imported: the caller's
+A sample is an int pair (see `_sampling`): only `random_bracket_sample`
+loads `fractions`, and `random` is never imported: the caller's
 `random.Random` is named in annotations alone, which are never
 evaluated.
 """
@@ -316,9 +316,10 @@ def skein_matrix(n: int, k: int) -> GramMatrix:
     return GramMatrix(n, *_pairing_table(n), partial(projector_pairing_value, k - 1))
 
 
-def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
+def skein_nullity(n: int, k: int, a_sample) -> int:
     """Nullity of the skein matrix at a rational bracket value.
 
+    A is an int pair (p, q) or any value _sampling._ratio reads.
     Evaluation at A is a ring homomorphism, so the skein matrix at A is
     quantum_dimension(k-1) at A times the pairings at
     a = encircle_eigenvalue(k-1), d = LOOP_VALUE_A, both evaluated at A
@@ -327,17 +328,18 @@ def skein_nullity(n: int, k: int, a_sample: Fraction) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    from fractions import Fraction
+    from ._sampling import _laurent_ratio, _ratio
 
-    a_sample = Fraction(a_sample)
-    if a_sample in (0, 1, -1):
-        raise ValueError("sample must avoid 0 and the roots of unity +-1")
+    p, q = _ratio(a_sample)
+    require(
+        p != 0 and abs(p) != abs(q), "sample must avoid 0 and the roots of unity +-1"
+    )
     from .gram import _nullity_at
 
     return _nullity_at(
         skein_matrix(n, k),
-        encircle_eigenvalue(k - 1).evaluate(a_sample),
-        LOOP_VALUE_A.evaluate(a_sample),
+        _laurent_ratio(encircle_eigenvalue(k - 1), p, q),
+        _laurent_ratio(LOOP_VALUE_A, p, q),
     )
 
 
@@ -345,23 +347,20 @@ def random_bracket_sample(rng: random.Random) -> Fraction:
     """Random rational A with small height, avoiding 0 and +-1."""
     from fractions import Fraction
 
-    while True:
-        num = rng.randint(-50, 50)
-        den = rng.randint(1, 50)
-        if num == 0 or abs(num) == den:
-            continue
-        return Fraction(num, den)
+    from ._sampling import _draw_bracket
+
+    return Fraction(*_draw_bracket(rng))
 
 
 def skein_nullity_with_resample(
     n: int, k: int, rng: random.Random
-) -> tuple[int, list[Fraction]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """Nullity at fresh random samples until two independent ones agree.
 
-    Returns the agreed value together with every sample drawn.
+    Returns the agreed value together with every int pair drawn.
     """
-    from .gram import _resample_until_two_agree
+    from ._sampling import _draw_bracket, _resample_until_two_agree
 
     return _resample_until_two_agree(
-        lambda a: skein_nullity(n, k, a), random_bracket_sample, rng
+        lambda a: skein_nullity(n, k, a), _draw_bracket, rng
     )

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,26 @@ def test_nullity_gram_draws_again_at_exceptional_points(capsys):
     data = json.loads(out)
     assert data["nullity"] == data["bound"] == 6
     assert not {"0", "1", "-1", "2", "-2"} & set(data["samples"])
+
+
+SAMPLE_PAIRS = [(-3, 7), (5, 1), (-4, 1), (-1000, 999), (7, 2), (1, 50)]
+
+
+@pytest.mark.parametrize("command, resample", [
+    ("nullity-gram", "tlbgram.gram.nullity_with_resample"),
+    ("nullity-skein", "tlbgram.tl.skein_nullity_with_resample"),
+])
+def test_nullity_samples_are_written_as_fractions(
+    capsys, monkeypatch, command, resample
+):
+    monkeypatch.setattr(resample, lambda n, k, rng: (4, SAMPLE_PAIRS))
+    code, out = run(capsys, command, "2", "1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    texts = [str(Fraction(p, q)) for p, q in SAMPLE_PAIRS]
+    assert texts[:3] == ["-3/7", "5", "-4"]
+    assert data["samples"] == texts
+    assert data["sample"] == texts[-1]
 
 
 def test_nullity_skein_json_fields(capsys):
@@ -932,42 +953,44 @@ def test_cli_contract_holds_for_small_arguments(capsys):
 
 
 # Subcommand families, each run in one fresh process, and the modules
-# none of its commands may load.  No command may load dataclasses.
-# fractions and random load only where a job samples: the two nullity
-# routes, and random alone for modular det-verify.
+# none of its commands may load.  No command may load dataclasses, and
+# none loads fractions with its decimal and numbers: the nullity routes
+# carry each sample as an int pair.  random loads only where a job
+# samples: the two nullity routes and modular det-verify.
+_FRACTIONS = {"fractions", "decimal", "numbers"}
 IMPORT_FAMILIES = {
     "combinatorics": (
         [["enumerate", "2"], ["counts", "3", "1"], ["bijection", "2", "1"],
          ["telescoping", "3"]],
         {"tlbgram.gram", "tlbgram.linalg", "tlbgram.tl", "tlbgram.polynomials",
-         "fractions", "random"},
+         "random", *_FRACTIONS},
     ),
     "jones-wenzl": (
         [["jones-wenzl", "3"]],
-        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.disk", "fractions", "random"},
+        {"tlbgram.gram", "tlbgram.linalg", "tlbgram.disk", "random", *_FRACTIONS},
     ),
     "gram": (
         [["gram", "2"], ["det-verify", "1"]],
-        {"tlbgram.tl", "tlbgram.disk", "fractions", "random"},
+        {"tlbgram.tl", "tlbgram.disk", "random", *_FRACTIONS},
     ),
     # The numeric Gram-stack jobs load no polynomial type and no csv; the
     # parity check ranks nothing, and neither it nor a nullity takes a
     # determinant.
     "det-verify-modular": (
         [["det-verify", "2", "--mode", "modular", "--trials", "1"]],
-        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv", "fractions"},
+        {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv", *_FRACTIONS},
     ),
     "nullity-gram": (
         [["nullity-gram", "2", "1"]],
         {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv",
-         "tlbgram.determinant"},
+         "tlbgram.determinant", *_FRACTIONS},
     ),
     "lemma2": (
         [["lemma2", "2"]],
         {"tlbgram.tl", "tlbgram.disk", "tlbgram.polynomials", "csv",
-         "tlbgram.determinant", "tlbgram.linalg", "fractions", "random"},
+         "tlbgram.determinant", "tlbgram.linalg", "random", *_FRACTIONS},
     ),
-    "skein": ([["nullity-skein", "2", "1"]], set()),
+    "skein": ([["nullity-skein", "2", "1"]], _FRACTIONS),
 }
 
 # The modules present before the package is imported are those of a bare

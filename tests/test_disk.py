@@ -1,5 +1,8 @@
 """Disk diagram counting and the mark-set bijection."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -208,3 +211,24 @@ def test_telescoping():
         assert telescoping_identity(n)
     lhs, rhs = telescoping_sides(3)
     assert lhs == rhs == 3 * comb(6, 3)
+
+
+TRACED_COUNT_SCRIPT = """
+import tracemalloc
+from tlbgram.disk import count_tilde
+tracemalloc.start()
+assert count_tilde(6, 2) == 704
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_count_tilde_keeps_one_disk_diagram_at_a_time():
+    # all 1,430 matchings of 16 points held at once peak near 320 kB
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_COUNT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 64 * 2**10

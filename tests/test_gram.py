@@ -12,6 +12,7 @@ from math import comb, gcd, lcm, prod
 
 import pytest
 
+from tlbgram._sampling import _draw_delta
 from tlbgram.annular import (
     AnnularDiagram,
     PairingRows,
@@ -950,10 +951,16 @@ def test_gram_matrix_takes_only_a_pairing_table():
 
 
 def test_resample_protocol_returns_all_samples():
+    # each sample is the d0 that random_delta draws, as a reduced int pair
     value, samples = nullity_with_resample(2, 1, random.Random(0))
     assert value == 4
     assert 2 <= len(samples) <= 5
-    assert all(isinstance(s, Fraction) for s in samples)
+    assert all(
+        type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+        for p, q in samples
+    )
+    rng = random.Random(0)
+    assert [Fraction(p, q) for p, q in samples] == [random_delta(rng) for _ in samples]
 
 
 def test_resample_protocol_gives_up_after_max_attempts(monkeypatch):
@@ -982,3 +989,80 @@ def test_random_delta_stays_in_range():
         assert d0 not in (0, 1, -1, 2, -2)
         assert abs(d0.numerator) <= 1000
         assert 1 <= d0.denominator <= 1000
+
+
+def fraction_delta(rng):
+    """The Fraction draw that _draw_delta carries as an int pair."""
+    while True:
+        d0 = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        if d0 not in (0, 1, -1, 2, -2):
+            return d0
+
+
+def test_integer_delta_draw_replays_the_fraction_draw():
+    # 1,000 seeds, five draws each.  Seed 656217 first draws -454/227 and
+    # 620/310, which reduce to -2 and 2 and are drawn again.
+    for seed in [*range(1000), 656217]:
+        ints, fractions, wrapped = (random.Random(seed) for _ in range(3))
+        for _ in range(5):
+            d0 = fraction_delta(fractions)
+            assert _draw_delta(ints) == d0.as_integer_ratio()
+            assert random_delta(wrapped) == d0
+        assert ints.getstate() == fractions.getstate() == wrapped.getstate()
+    assert _draw_delta(random.Random(656217)) == (44, 53)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nullity_at_reads_unreduced_pairs_as_their_ratios(n):
+    # a common factor, negative too, scales every entry alike; the last
+    # point is a = 1, d = 1, where the nullity is not the generic one
+    g = gram_matrix(n)
+    for a_value, d_value in (((-7, 3), (5, 4)), ((2, 1), (-9, 10)), ((1, 1), (1, 1))):
+        reduced = _nullity_at(g, a_value, d_value)
+        assert reduced == _nullity_at(g, Fraction(*a_value), Fraction(*d_value))
+        for c, e in ((2, 3), (-5, 1), (6, -4)):
+            scaled_a = (c * a_value[0], c * a_value[1])
+            scaled_d = (e * d_value[0], e * d_value[1])
+            assert _nullity_at(g, scaled_a, scaled_d) == reduced, (c, e)
+    assert _nullity_at(g, (3, 3), (-2, -2)) == EXCEPTIONAL_NULLITIES[n][1][0]
+
+
+def test_non_rational_samples_are_refused_under_python_O():
+    script = """
+from tlbgram.gram import _nullity_at, gram_matrix, specialized_nullity
+from tlbgram._sampling import _laurent_ratio
+from tlbgram.polynomials import LaurentScalar
+from tlbgram.tl import skein_nullity
+bad = [
+    lambda: specialized_nullity(2, 1, "3/7"),
+    lambda: specialized_nullity(2, 1, None),
+    lambda: specialized_nullity(2, 1, 1j),
+    lambda: specialized_nullity(2, 1, float("nan")),
+    lambda: specialized_nullity(2, 1, [3, 7]),
+    lambda: specialized_nullity(2, 1, (3, 0)),
+    lambda: specialized_nullity(2, 1, (3, 7, 1)),
+    lambda: specialized_nullity(2, 1, (1.5, 2)),
+    lambda: specialized_nullity(2, 1, (True, 2)),
+    lambda: skein_nullity(2, 1, "3/2"),
+    lambda: skein_nullity(2, 1, (3, 0)),
+    lambda: skein_nullity(2, 1, (0, 5)),
+    lambda: skein_nullity(2, 1, (2, -2)),
+    lambda: _nullity_at(gram_matrix(2), (1, 2), None),
+    lambda: _laurent_ratio(LaurentScalar.monomial(2), 0, 3),
+    lambda: _laurent_ratio(LaurentScalar.monomial(2), 3, 0),
+    lambda: LaurentScalar.monomial(2).evaluate(0),
+]
+for call in bad:
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from tlbgram._intpoly import _poly_divexact, _poly_gcd, _poly_primitive
+from tlbgram._intpoly import (
+    _chebyshev_values,
+    _poly_divexact,
+    _poly_gcd,
+    _poly_primitive,
+)
+from tlbgram._sampling import _laurent_ratio
 from tlbgram.gram import specialized_nullity
 from tlbgram.polynomials import (
     LOOP_VALUE_A,
@@ -160,18 +166,23 @@ def test_chebyshev_functional_equation():
 
 
 def test_specialized_nullity_takes_chebyshev_from_the_recurrence(monkeypatch):
-    # gram reads T_k(d0) off T_0 = 2, T_1 = d, T_i = d T_(i-1) - T_(i-2)
-    # over Q, without the polynomial type, and ranks at a = (-1)^(k-1) T_k(d0)
+    # gram reads q^k T_k(p/q) off T_0 = 2, T_1 = p, T_i = p T_(i-1) - q^2 T_(i-2)
+    # in integers, without the polynomial type, and ranks at the int pairs
+    # a = ((-1)^(k-1) q^k T_k(d0), q^k) and d = (p, q), d0 = p/q
     seen = []
     monkeypatch.setattr("tlbgram.gram.gram_matrix", lambda n: None)
     monkeypatch.setattr(
         "tlbgram.gram._nullity_at", lambda g, a, d: seen.append((a, d)) or 0
     )
     for d0 in (Fraction(3, 7), Fraction(5, 2), Fraction(-4, 9), Fraction(-7, 3)):
+        p, q = d0.numerator, d0.denominator
         for k in range(1, 9):
-            seen.clear()
-            assert specialized_nullity(8, k, d0) == 0
-            assert seen == [((-1) ** (k - 1) * chebyshev(k).evaluate(0, d0), d0)]
+            a0 = (-1) ** (k - 1) * chebyshev(k).evaluate(0, d0)
+            for point in (d0, (p, q)):
+                seen.clear()
+                assert specialized_nullity(8, k, point) == 0
+                assert seen == [((a0 * q**k, q**k), (p, q))]
+                assert all(type(v) is int for pair in seen[0] for v in pair)
 
 
 def test_chebyshev_in_bracket_frozen_values():
@@ -377,3 +388,30 @@ def test_rational_function_text():
     num, den = LaurentScalar.monomial(2), LaurentScalar({4: 1, 0: 1})
     assert quotient_text(num, den) == "(1*A^2) / (1*A^4 + 1*A^0)"
     assert quotient_text(num * den, den * den) == "(1*A^2) / (1*A^4 + 1*A^0)"
+
+
+def test_chebyshev_values_at_an_int_pair_are_scaled_by_q_to_the_k():
+    # with d = p and s = q^2 the one recurrence gives q^k T_k(p/q) in integers
+    for p, q in ((3, 7), (5, 2), (-4, 9), (-7, 3), (1, 1), (0, 5), (6, -4)):
+        values = _chebyshev_values(8, p, q * q)
+        assert all(type(v) is int for v in values)
+        for k in range(9):
+            expected = q**k * chebyshev(k).evaluate(0, Fraction(p, q))
+            assert values[k] == expected, (p, q, k)
+
+
+def test_laurent_ratio_at_is_the_value_as_an_int_pair():
+    rng = random.Random(113)
+    for _ in range(100):
+        s = random_laurent(rng)
+        p = rng.choice((-1, 1)) * rng.randint(1, 20)
+        q = rng.choice((-1, 1)) * rng.randint(1, 20)
+        num, den = _laurent_ratio(s, p, q)
+        assert type(num) is int and type(den) is int
+        x = Fraction(p, q)
+        value = sum((c * x**e for e, c in s.terms.items()), Fraction(0))
+        assert Fraction(num, den) == s.evaluate(x) == value
+    # the two values the skein route reads, at A = 3/2
+    assert _laurent_ratio(LOOP_VALUE_A, 3, 2) == (-97, 36)
+    eigenvalue = _laurent_ratio(LaurentScalar({4: -1, -4: -1}), 3, 2)
+    assert Fraction(*eigenvalue) == Fraction(-6817, 1296)

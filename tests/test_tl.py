@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from tlbgram._sampling import _draw_bracket
 from tlbgram.annular import PlanarMatching, pair
 from tlbgram.gram import gram_matrix, specialized_nullity
 from tlbgram.polynomials import (
@@ -450,3 +451,37 @@ def test_pair_composes_with_pairing_value():
             assert m.entries[i, j] == projector_pairing_value(
                 k - 1, v.nontrivial, v.trivial
             )
+
+
+def fraction_bracket(rng):
+    """The Fraction draw that _draw_bracket carries as an int pair."""
+    while True:
+        num = rng.randint(-50, 50)
+        den = rng.randint(1, 50)
+        if num == 0 or abs(num) == den:
+            continue
+        return Fraction(num, den)
+
+
+def test_integer_bracket_draw_replays_the_fraction_draw():
+    # 1,000 seeds, five draws each, redraws at 0 and +-1 included
+    for seed in range(1000):
+        ints, fractions, wrapped = (random.Random(seed) for _ in range(3))
+        for _ in range(5):
+            a0 = fraction_bracket(fractions)
+            assert _draw_bracket(ints) == a0.as_integer_ratio()
+            assert random_bracket_sample(wrapped) == a0
+        assert ints.getstate() == fractions.getstate() == wrapped.getstate()
+
+
+def test_skein_nullity_reads_int_pairs():
+    for n, k, a0 in (
+        (2, 1, Fraction(3, 2)), (3, 2, Fraction(-5, 7)), (3, 3, Fraction(4)),
+    ):
+        p, q = a0.as_integer_ratio()
+        expected = skein_nullity(n, k, a0)
+        assert skein_nullity(n, k, (p, q)) == expected
+        assert skein_nullity(n, k, (-2 * p, -2 * q)) == expected
+    for bad in ((0, 3), (4, 4), (-3, 3), (2, -2)):
+        with pytest.raises(ValueError):
+            skein_nullity(2, 1, bad)
