@@ -1,12 +1,17 @@
 """Command-line interface.
 
 One table, _COMMANDS, describes every subcommand: its handler, help,
-int positionals, further options and default format, read by one loop
-in build_parser.  main builds only the subparser its first argument
-names, and every subparser when that names none, as for --help.  A
-handler only computes its report, and no library report carries a
-"version" header: main alone adds it, renders the report and sets the
-exit status.
+int positionals, further options and default format.  Two readers take
+their arguments from it.  _read takes the canonical spelling,
+``<command> <int>... [--flag value]...``, and builds the namespace that
+argparse would, without loading argparse.  It declines every other
+spelling, and main hands those to build_parser: help, --version, usage
+errors, abbreviated flags and the "=" form.  argparse is thus the only
+source of help and error text.  build_parser builds only the subparser
+that the first argument names, and every subparser when that names
+none, as for --help.  A handler only computes its report, and no
+library report carries a "version" header: main alone adds it, renders
+the report and sets the exit status.
 
 Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical
@@ -21,7 +26,6 @@ what its subcommand needs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -30,6 +34,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
+from types import SimpleNamespace
 
 from . import __version__
 from ._limits import guard, require
@@ -368,14 +373,60 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser, with only the subparser that argv[0] names, if any.
+def _shared(fmt: str):
+    """The --format and --out options of every subcommand, as in _COMMANDS."""
+    return (
+        ("--format", {
+            "choices": ("json", "csv", "text"),
+            "default": fmt,
+            "help": f"output format (default {fmt})",
+        }),
+        ("--out", {"help": "write output to this file instead of stdout"}),
+    )
+
+
+def _read(argv):
+    """parse_args(argv) for the canonical spelling, and None for any other.
+
+    Only the named row's exact flags are read, each value converted as
+    its action does.  A word starting with "-" passes only as a negative
+    integer, which argparse reads as a value, since no option looks like
+    one.
+    """
+    try:
+        name, func, _, positionals, options, fmt = next(
+            row for row in _COMMANDS if argv[:1] == [row[0]]
+        )
+        specs = dict(options + _shared(fmt))
+        args = {flag[2:]: spec.get("default") for flag, spec in specs.items()}
+        words = iter(argv[1:])
+        # each flag is read from words after the value before it
+        for dest, spec in chain(
+            ((dest, {"type": int}) for dest, _ in positionals),
+            ((flag[2:], specs[flag]) for flag in words),
+        ):
+            word = next(words)
+            value = spec.get("type", str)(word)
+            if value not in spec.get("choices", [value]) or (
+                word[:1] == "-" and not word[1:].isdecimal()
+            ):
+                return None
+            args[dest] = value
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return SimpleNamespace(command=name, func=func, **args)
+
+
+def build_parser(argv=None):
+    """The argparse parser, with only the subparser that argv[0] names, if any.
 
     A usage line lists every subcommand either way: with one built, the
     metavar spells them out.  A metavar would also rename "argument
     command" in the errors that a first argument naming none gets, so
     it is set only when one is named.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tlbgram",
         description="Exact Gram determinants of annular chord diagrams.",
@@ -390,15 +441,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         for dest, about in positionals:
             p.add_argument(dest, type=int, help=about)
-        for flag, spec in options:
+        for flag, spec in options + _shared(fmt):
             p.add_argument(flag, **spec)
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "text"),
-            default=fmt,
-            help=f"output format (default {fmt})",
-        )
-        p.add_argument("--out", help="write output to this file instead of stdout")
         p.set_defaults(func=func)
     return parser
 
@@ -406,7 +450,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _read(argv) or build_parser(argv).parse_args(argv)
     try:
         report, table, text = args.func(args)
     except (ValueError, RuntimeError) as exc:

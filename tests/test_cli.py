@@ -3,9 +3,12 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +17,17 @@ import pytest
 
 from tlbgram import __version__
 from tlbgram.annular import AnnularDiagram
-from tlbgram.cli import _Encoded, _chord_json, _json, _render, build_parser, main
+from tlbgram.cli import (
+    _COMMANDS,
+    _Encoded,
+    _chord_json,
+    _json,
+    _read,
+    _render,
+    _shared,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -717,6 +730,107 @@ def test_one_subparser_parses_as_all_of_them(capsys, monkeypatch, argv):
     assert outcome(capsys, argv) == alone
 
 
+HERE = os.path.dirname(__file__)
+
+
+def workload_jobs():
+    """One round and the warm-up jobs of each workload in perfbench."""
+    path = os.path.join(HERE, os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        yield from workloads.job_list(name, 0, 1)
+        yield from workloads.WARMUP[name]
+
+
+def ci_command_lines():
+    """Each tlbgram command line of the CI workflow, split as the shell would."""
+    path = os.path.join(HERE, os.pardir, ".github", "workflows", "tests.yml")
+    with open(path, encoding="utf-8") as handle:
+        lines = re.findall(r"\btlbgram ([^|;>\n]*)", handle.read())
+    return [shlex.split(line) for line in lines]
+
+
+def every_option_spelling():
+    """Each option of each row alone, repeated and all together, on
+    positive and negative sizes, with negative ints and paths as values."""
+    for name, _, _, positionals, options, fmt in _COMMANDS:
+        count = len(positionals)
+        for sizes in (["3"] * count, [str(-i) for i in range(1, count + 1)]):
+            base = [name, *sizes]
+            every = []
+            for flag, spec in options + _shared(fmt):
+                values = spec.get("choices") or (
+                    ("5", "-7") if "type" in spec else ("out.txt", "-5")
+                )
+                yield from ([*base, flag, value] for value in values)
+                yield [*base, flag, values[0], flag, values[-1]]
+                every += [flag, values[-1]]
+            yield base
+            yield base + every
+
+
+# The CI lines that only argparse reads: help, the version, a shell
+# variable for the command, and spellings that the CI compares with
+# their canonical form.
+CI_ARGPARSE_ONLY = {
+    "--version", "--help", "$cmd --help", "$cmd 3 4", "gram 2 --format=json",
+    "gram 2 --form json", "nullity-gram --seed 3 3 2",
+}
+
+
+def test_the_reader_builds_the_namespace_that_argparse_builds():
+    corpus = [
+        *(job.argv() for job in workload_jobs()),
+        *map(list, README_SHA256),
+        *ci_command_lines(),
+        *every_option_spelling(),
+    ]
+    declined = set()
+    for argv in corpus:
+        read = _read(argv)
+        if read is None:
+            declined.add(" ".join(argv))
+        else:
+            assert vars(read) == vars(build_parser(argv).parse_args(argv)), argv
+    assert declined == CI_ARGPARSE_ONLY
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--version"], ["gram", "--help"], ["gram", "3", "-h"],
+    ["bogus", "3"], ["gram", "3", "--form", "json"], ["gram", "3", "--seed", "1"],
+    ["gram", "3", "--format=json"], ["nullity-gram", "--seed", "3", "3", "2"],
+    ["gram"], ["counts", "2"], ["gram", "3", "4"], ["gram", "3", "--out"],
+    ["gram", "abc"], ["gram", "3.0"], ["gram", "--3"], ["gram", "-"],
+    ["det-verify", "3", "--trials", "x"], ["gram", "3", "--format", "xml"],
+    ["det-verify", "3", "--mode", "bad"], ["gram", "3", "--out", "-x"],
+    ["gram", "3", "--", "x"], ["gram", "3", "xxformat", "json", "--format", "csv"],
+], ids=lambda a: " ".join(a) or "-")
+def test_the_reader_declines_every_other_spelling(argv):
+    assert _read(argv) is None
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["gram", "abc"], 2)])
+def test_help_and_usage_errors_go_through_argparse(capsys, monkeypatch, argv, code):
+    built = []
+
+    def spy(argv=None, build=build_parser):
+        built.append(argv)
+        return build(argv)
+
+    monkeypatch.setattr("tlbgram.cli.build_parser", spy)
+    assert main(["gram", "1"]) == 0
+    assert built == []
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert built == [argv]
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -953,15 +1067,19 @@ def test_cli_contract_holds_for_small_arguments(capsys):
 
 
 # Subcommand families, each run in one fresh process, and the modules
-# none of its commands may load.  No command may load dataclasses, and
-# none loads fractions with its decimal and numbers: the nullity routes
-# carry each sample as an int pair.  random loads only where a job
-# samples: the two nullity routes and modular det-verify.
+# none of its commands may load.  No command may load dataclasses, nor
+# argparse with its gettext and locale: a canonical command line is read
+# from the command table, negative sizes too, which the package refuses
+# with exit 2.  None loads fractions with its decimal and numbers: the
+# nullity routes carry each sample as an int pair.  random loads only
+# where a job samples: the two nullity routes and modular det-verify.
 _FRACTIONS = {"fractions", "decimal", "numbers"}
+_EVERY_FAMILY = {"dataclasses", "argparse", "gettext", "locale"}
+REFUSED = [["counts", "2", "-1"], ["telescoping", "-3"]]
 IMPORT_FAMILIES = {
     "combinatorics": (
         [["enumerate", "2"], ["counts", "3", "1"], ["bijection", "2", "1"],
-         ["telescoping", "3"]],
+         ["telescoping", "3"], *REFUSED],
         {"tlbgram.gram", "tlbgram.linalg", "tlbgram.tl", "tlbgram.polynomials",
          "random", *_FRACTIONS},
     ),
@@ -1000,10 +1118,8 @@ import sys
 bare = set(sys.modules)
 import json, os
 from tlbgram.cli import main
-for argv in json.loads(sys.argv[1]):
-    if main(argv + ["--out", os.devnull]) != 0:
-        raise SystemExit(f"{argv} failed")
-print(json.dumps(sorted(set(sys.modules) - bare)))
+codes = [main(argv + ["--out", os.devnull]) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.modules) - bare)]))
 """
 
 
@@ -1017,9 +1133,10 @@ def test_subcommands_import_only_their_layers(family):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    added = set(json.loads(done.stdout))
+    codes, added = json.loads(done.stdout)
+    assert codes == [2 if argv in REFUSED else 0 for argv in commands], done.stderr
     assert "tlbgram.cli" in added
-    assert not added & (barred | {"dataclasses"})
+    assert not set(added) & (barred | _EVERY_FAMILY)
 
 
 # A factor index past n is refused with the routes' own message before

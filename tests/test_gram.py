@@ -715,10 +715,11 @@ EXCEPTIONAL_NULLITIES = {
     2: {2: [4, 4], 1: [5, 5], 0: [6, 1]},
     3: {2: [15, 15, 15], 1: [19, 19, 1], 0: [20, 6, 20]},
     4: {2: [56, 56, 56, 56], 1: [69, 69, 8, 69], 0: [70, 28, 70, 28]},
+    5: {2: [210] * 5, 1: [251, 251, 45, 251, 251], 0: [252, 120, 252, 120, 252]},
 }
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_nullities_at_the_exceptional_points(n):
     # d0 = q + 1/q at roots of unity q, where the nullity leaves
     # C(2n, n-k); at d0 = 0 with k odd, a = 0 and G = 0.

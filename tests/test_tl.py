@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -434,10 +434,20 @@ def test_both_routes_give_the_binomial_nullity_at_n5():
 
 
 def test_skein_resample_protocol():
+    # each sample is the A that random_bracket_sample draws, as a reduced
+    # int pair away from 0 and the roots of unity +-1
     value, samples = skein_nullity_with_resample(2, 2, random.Random(3))
     assert value == 1
     assert 2 <= len(samples) <= 5
-    assert all(s not in (0, 1, -1) for s in samples)
+    assert all(
+        type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+        and p != 0 and abs(p) != q
+        for p, q in samples
+    )
+    rng = random.Random(3)
+    assert [Fraction(p, q) for p, q in samples] == [
+        random_bracket_sample(rng) for _ in samples
+    ]
 
 
 def test_pair_composes_with_pairing_value():
