@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: the command table, its two readers and main.
 
 One table, _COMMANDS, describes every subcommand: its handler, help,
 int positionals, further options and default format.  Two readers take
@@ -9,9 +9,9 @@ spelling, and main hands those to build_parser: help, --version, usage
 errors, abbreviated flags and the "=" form.  argparse is thus the only
 source of help and error text.  build_parser builds only the subparser
 that the first argument names, and every subparser when that names
-none, as for --help.  A handler only computes its report, and no
-library report carries a "version" header: main alone adds it, renders
-the report and sets the exit status.
+none, as for --help.  The handlers, in _commands, only compute their
+reports, and no library report carries a "version" header: main alone
+adds it, renders the report through _render and sets the exit status.
 
 Every subcommand emits one deterministic report (json, csv, or plain
 text; no timestamps), so identical invocations produce byte-identical
@@ -20,318 +20,30 @@ check that can refuse the input has run.  Exit status: 0 when the
 report's "pass" holds or the command only computes, 1 when a
 verification fails, 2 for usage errors and failed writes.
 
-Each handler imports the layers it runs, so a cold process loads only
-what its subcommand needs.
+No module of the package imports this one: ``python -m tlbgram.cli``
+runs it as __main__, and an import would run it a second time.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii
-from math import comb
 from types import SimpleNamespace
 
 from . import __version__
-from ._limits import guard, require
-
-
-# How json.dumps writes each scalar type of a report.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: json.dumps,
-    float: json.dumps,
-    type(None): json.dumps,
-}
-
-
-class _Encoded(list):
-    """A list of strings that are JSON texts already, written as they are."""
-
-    __slots__ = ()
-
-
-def _json(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, for the report shapes.
-
-    Those are dicts with str keys, lists and tuples, _Encoded lists, and
-    scalars of the exact types in _SCALARS, each written by the stdlib's
-    own function.  Only the layout is written here, because json.dumps
-    with an indent runs its pure-Python encoder.
-    """
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()
-        ]
-    elif type(value) is _Encoded:
-        items = value
-    elif all(type(v) is str for v in value):
-        items = list(map(encode_basestring_ascii, value))
-    else:
-        items = [_json(v, inner) for v in value]
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not items:
-        return brackets
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
-
-
-class _Lines:
-    """A csv.writer target: writerow hands back the line it formatted."""
-
-    @staticmethod
-    def write(line: str) -> str:
-        return line
-
-
-def _json_pieces(report: dict) -> Iterator[str]:
-    """_json(report) + "\n", one piece per item of each top-level list.
-
-    Scalars and dicts between two lists join the piece after them, so a
-    report without lists is a single piece.  A list may be any iterable,
-    read once.
-    """
-    piece, sep = "{", "\n  "
-    for key, value in report.items():
-        piece += f"{sep}{encode_basestring_ascii(key)}: "
-        sep = ",\n  "
-        if type(value) in _SCALARS or isinstance(value, dict):
-            piece += _json(value, "  ")
-            continue
-        empty = True
-        for item in value:
-            yield piece + ("[\n    " if empty else ",\n    ") + _json(item, "    ")
-            piece, empty = "", False
-        piece += "[]" if empty else "\n  ]"
-    yield piece + ("\n}\n" if report else "}\n")
-
-
-def _render(
-    report: dict,
-    fmt: str,
-    table: Iterable | None = None,
-    text: Iterable[str] | None = None,
-) -> Iterable[str]:
-    """Serialize a report as pieces of about one row each.
-
-    ``table`` (rows of strings) drives the csv form and, unless ``text``
-    (lines) overrides it, the plain form as well.  Both are read only for
-    the formats that use them, so either may be a lazy iterable.
-    """
-    if fmt == "json":
-        return _json_pieces(report)
-    if fmt == "csv":
-        import csv
-
-        rows = table if table is not None else report.items()
-        return map(csv.writer(_Lines, lineterminator="\n").writerow, rows)
-    if text is not None:
-        return text
-    if table is not None:
-        return ("\t".join(row) + "\n" for row in table)
-    return (f"{key}: {value}\n" for key, value in report.items())
-
-
-@lru_cache(maxsize=None)
-def _chord_json(chord: tuple[int, int, int]) -> str:
-    """The JSON text of a chord as it sits in enumerate's diagram list."""
-    i, j, w = chord
-    return _json({"i": i, "j": j, "w": w}, "      ")
-
-
-# What each handler returns: (report, table, text), the arguments of _render.
-_Report = tuple[dict, "Iterable | None", "Iterable[str] | None"]
-
-
-def _cmd_enumerate(args) -> _Report:
-    from .annular import enumerate_diagrams
-
-    basis = enumerate_diagrams(args.n)
-    report = {
-        "n": args.n,
-        "count": len(basis),
-        # each distinct chord is JSON-encoded once, not once per diagram
-        "diagrams": (_Encoded(map(_chord_json, d.chords)) for d in basis),
-    }
-    table = chain([["index", "cut_crossings", "diagram"]], (
-        [str(i), str(d.cut_crossings()), d.to_text()]
-        for i, d in enumerate(basis)
-    ))
-    return report, table, None
-
-
-def _cmd_gram(args) -> _Report:
-    from .gram import gram_matrix
-
-    g = gram_matrix(args.n)
-
-    def text(m, t):
-        return g.value(m, t).to_text()
-
-    # each of the (n+1)^2 texts is JSON-encoded once, not once per entry
-    encoded = g.tabulate(lambda m, t: encode_basestring_ascii(text(m, t)))
-    report = {
-        "n": args.n,
-        "size": g.size(),
-        "basis": (d.to_text() for d in g.basis),
-        "entries": map(_Encoded, encoded),
-    }
-    return report, g.tabulate(text), None
-
-
-def _cmd_det_verify(args) -> _Report:
-    from .determinant import verify_determinant
-
-    report = verify_determinant(
-        args.n,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        prime=args.prime,
-    )
-    return report, None, None
-
-
-def _cmd_sign_check(args) -> _Report:
-    from .gram import sign_conjugation_check
-
-    return {"n": args.n, "pass": sign_conjugation_check(args.n)}, None, None
-
-
-def _cmd_nullity(args) -> _Report:
-    """Either nullity route, picked by the subcommand's name."""
-    # the routes' own refusal, made before either is loaded
-    n, k = args.n, args.k
-    require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
-    from random import Random
-
-    if args.command == "nullity-gram":
-        from .gram import nullity_with_resample as resample
-    else:
-        from .tl import skein_nullity_with_resample as resample
-    value, samples = resample(n, k, Random(args.seed))
-    # each reduced pair (p, q) written as str(Fraction(p, q)) writes it
-    samples = [f"{p}/{q}" if q != 1 else str(p) for p, q in samples]
-    bound = comb(2 * n, n - k)
-    report = {
-        "n": n,
-        "k": k,
-        "seed": args.seed,
-        "sample": samples[-1],
-        "samples": samples,
-        "rank": comb(2 * n, n) - value,
-        "nullity": value,
-        "bound": bound,
-        "pass": value >= bound,
-    }
-    return report, None, None
-
-
-def _cmd_jones_wenzl(args) -> _Report:
-    from .polynomials import quotient_text
-    from .tl import jones_wenzl
-
-    f = jones_wenzl(args.k)
-    # each distinct coefficient is reduced once: 201 of the 1,430 at k = 8
-    texts = {c: quotient_text(c, f.den) for c in set(f.terms.values())}
-    terms = sorted((m.to_paren(), texts[c]) for m, c in f.terms.items())
-    report = {
-        "k": args.k,
-        "terms": (
-            {"matching": paren, "coefficient": text} for paren, text in terms
-        ),
-    }
-    return report, chain([("matching", "coefficient")], terms), None
-
-
-def _cmd_counts(args) -> _Report:
-    from .disk import count_atmost, count_tilde, tilde_count_formula
-
-    enumerated = count_tilde(args.n, args.k)
-    formula = tilde_count_formula(args.n, args.k)
-    annular = count_atmost(args.n, args.k)
-    ok = enumerated == formula == annular
-    report = {
-        "n": args.n,
-        "k": args.k,
-        "count_tilde": enumerated,
-        "formula": formula,
-        "annular_atmost": annular,
-        "pass": ok,
-    }
-    table = [
-        ["n", "k", "count_tilde", "formula", "match"],
-        [str(args.n), str(args.k), str(enumerated), str(formula), str(ok)],
-    ]
-    return report, table, None
-
-
-def _cmd_bijection(args) -> _Report:
-    from .annular import enumerate_diagrams
-    from .disk import diagram_to_subset, subset_to_diagram
-
-    n, j = args.n, args.j
-    require(1 <= j <= n, f"need 1 <= j <= n, got n={n}, j={j}")
-    stratum = [d for d in enumerate_diagrams(n) if d.cut_crossings() >= j]
-    expected = comb(2 * n, n - j)
-    pairs = []
-    roundtrips = True
-    for d in stratum:
-        marks = diagram_to_subset(d, j)
-        if subset_to_diagram(n, marks, j) != d:
-            roundtrips = False
-        pairs.append({"subset": sorted(marks), "diagram": d.to_text()})
-    report = {
-        "n": n,
-        "j": j,
-        "stratum_size": len(stratum),
-        "expected": expected,
-        "roundtrips": roundtrips,
-        "pass": roundtrips and len(stratum) == expected,
-        "pairs": pairs,
-    }
-    table = chain([["subset", "diagram"]], (
-        [" ".join(str(p) for p in item["subset"]), item["diagram"]]
-        for item in pairs
-    ))
-    return report, table, None
-
-
-def _cmd_telescoping(args) -> _Report:
-    from .disk import telescoping_sides
-
-    require(args.n >= 1, f"need n >= 1, got n={args.n}")
-    guard(args.n <= 100, f"telescoping tested for n <= 100, got n={args.n}")
-    results = []
-    for n in range(1, args.n + 1):
-        lhs, rhs = telescoping_sides(n)
-        results.append({"n": n, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-    report = {
-        "max_n": args.n,
-        "pass": all(r["pass"] for r in results),
-        "results": results,
-    }
-    table = chain([["n", "lhs", "rhs", "pass"]], (
-        [str(r["n"]), str(r["lhs"]), str(r["rhs"]), str(r["pass"])]
-        for r in results
-    ))
-    # one line per n in plain mode
-    lines = (
-        "n={n}: {lhs} == {rhs} {verdict}\n".format(
-            verdict="PASS" if r["pass"] else "FAIL", **r
-        )
-        for r in results
-    )
-    return report, table, lines
+from ._commands import (
+    _cmd_bijection,
+    _cmd_counts,
+    _cmd_det_verify,
+    _cmd_enumerate,
+    _cmd_gram,
+    _cmd_jones_wenzl,
+    _cmd_nullity,
+    _cmd_sign_check,
+    _cmd_telescoping,
+)
+from ._render import _render
 
 
 _N = ("n", "number of chords")

@@ -17,13 +17,11 @@ import pytest
 
 from tlbgram import __version__
 from tlbgram.annular import AnnularDiagram
+from tlbgram._commands import _chord_json
+from tlbgram._render import _Encoded, _json, _render
 from tlbgram.cli import (
     _COMMANDS,
-    _Encoded,
-    _chord_json,
-    _json,
     _read,
-    _render,
     _shared,
     build_parser,
     main,
@@ -552,6 +550,55 @@ def test_gram_5_json_peaks_below_3_mb():
     code, peak = map(int, done.stdout.split())
     assert code == 0
     assert peak < 3 * 2**20
+
+
+def uncached_env(tmp_path) -> dict:
+    """A child's environment that compiles every module it imports.
+
+    An empty cache prefix hides each cached .pyc, and no new one is
+    written, as in a cold job without a bytecode cache.
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=str(tmp_path),
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+# json is imported before tracing starts, since the empty cache prefix
+# would have it compiled as well, so the peak is that of the package's
+# own modules, compiled one after the other.
+TRACED_IMPORT_SCRIPT = """
+import json, tracemalloc
+tracemalloc.start()
+import tlbgram.cli
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_importing_the_cli_peaks_below_800_kib(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_IMPORT_SCRIPT],
+        env=uncached_env(tmp_path), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 800 * 1024
+
+
+# python -m runs cli.py as __main__; were it imported as well, it would be
+# compiled twice, and its handlers would meet a second set of its objects.
+def test_python_m_compiles_the_cli_once_and_writes_mains_bytes(tmp_path, capsys):
+    argv = ["enumerate", "3", "--format", "json"]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tlbgram.cli", *argv],
+        env=uncached_env(tmp_path), capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.decode().splitlines()]
+    assert "tlbgram._commands" in imported
+    assert "tlbgram.cli" not in imported
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert done.stdout == out.encode()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
