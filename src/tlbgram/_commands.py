@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from math import comb
 
 from ._limits import guard, require
-from ._render import _Encoded, _json
+from ._render import _Encoded, _json, encode_basestring_ascii
 
 
 @lru_cache(maxsize=None)
@@ -52,6 +51,11 @@ def _cmd_enumerate(args) -> _Report:
 
 def _cmd_gram(args) -> _Report:
     from .gram import gram_matrix
+
+    # The entries' texts need the polynomial types.  Compiled before the
+    # table is built, polynomials.py (a 667 KiB compile peak) no longer
+    # sits on top of the n = 5 table in a cold job.
+    from . import polynomials
 
     g = gram_matrix(args.n)
 

@@ -6,22 +6,41 @@ and the largest compile sets the heap floor of every job; split three
 ways, the command line compiles in pieces of at most about 1,500
 tokens.  No module of the package imports cli: ``python -m tlbgram.cli``
 runs that file as __main__, and an import would run it again.
+
+No job loads the json package.  Strings are escaped by the C function
+of ``_json`` that json.encoder re-exports on CPython, the literals
+``true``, ``false`` and ``null`` are written as they are, and a float
+as json.dumps writes it: its repr, or NaN, Infinity and -Infinity.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    # json.encoder's own fallback, where _json is missing
+    from json.encoder import encode_basestring_ascii
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    """A float as json.dumps writes it."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
 
 
 # How json.dumps writes each scalar type of a report.
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: json.dumps,
-    float: json.dumps,
-    type(None): json.dumps,
+    bool: _LITERALS.__getitem__,
+    float: _float,
+    type(None): _LITERALS.__getitem__,
 }
 
 
@@ -35,8 +54,8 @@ def _json(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for the report shapes.
 
     Those are dicts with str keys, lists and tuples, _Encoded lists, and
-    scalars of the exact types in _SCALARS, each written by the stdlib's
-    own function.  Only the layout is written here, because json.dumps
+    scalars of the exact types in _SCALARS, each written as json.dumps
+    writes it.  Only the layout is written here, because json.dumps
     with an indent runs its pure-Python encoder.
     """
     scalar = _SCALARS.get(type(value))

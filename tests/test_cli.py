@@ -454,6 +454,19 @@ def test_json_renderer_matches_the_stdlib_on_sampled_reports():
     same_bytes()
 
 
+# Strings are escaped by the stdlib's own function, not a copy of it, so
+# they are written byte for byte as json.dumps writes them.
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's _json")
+def test_strings_are_escaped_by_the_stdlibs_own_function():
+    from json.encoder import encode_basestring_ascii
+
+    from tlbgram import _commands, _render as render
+
+    assert render._SCALARS[str] is encode_basestring_ascii
+    assert render.encode_basestring_ascii is encode_basestring_ascii
+    assert _commands.encode_basestring_ascii is encode_basestring_ascii
+
+
 def test_nullity_skein_past_its_guard_exits_2(capsys):
     assert_one_line_error(capsys, "nullity-skein", "6", "2")
 
@@ -581,6 +594,30 @@ def test_importing_the_cli_peaks_below_800_kib(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 800 * 1024
+
+
+# A cold gram 5 compiles every module it loads.  json is imported before
+# tracing starts, as above, so that only the package's own compiles and
+# the run are traced; polynomials.py is compiled before the n = 5 table
+# is built, so its compile no longer sits on top of the table.
+TRACED_COLD_GRAM_SCRIPT = """
+import json, os, tracemalloc
+tracemalloc.start()
+from tlbgram.cli import main
+code = main(["gram", "5", "--format", "json", "--out", os.devnull])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_a_cold_gram_5_peaks_below_960_kib(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_COLD_GRAM_SCRIPT],
+        env=uncached_env(tmp_path), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    assert peak < 960 * 1024
 
 
 # python -m runs cli.py as __main__; were it imported as well, it would be
@@ -1117,11 +1154,14 @@ def test_cli_contract_holds_for_small_arguments(capsys):
 # none of its commands may load.  No command may load dataclasses, nor
 # argparse with its gettext and locale: a canonical command line is read
 # from the command table, negative sizes too, which the package refuses
-# with exit 2.  None loads fractions with its decimal and numbers: the
-# nullity routes carry each sample as an int pair.  random loads only
-# where a job samples: the two nullity routes and modular det-verify.
+# with exit 2.  None loads the json package: a report is written with
+# the C escaper of _json, which is allowed, and literal scalars.  None
+# loads fractions with its decimal and numbers: the nullity routes carry
+# each sample as an int pair.  random loads only where a job samples:
+# the two nullity routes and modular det-verify.
 _FRACTIONS = {"fractions", "decimal", "numbers"}
-_EVERY_FAMILY = {"dataclasses", "argparse", "gettext", "locale"}
+_EVERY_FAMILY = {"dataclasses", "argparse", "gettext", "locale",
+                 "json", "json.decoder", "json.encoder", "json.scanner"}
 REFUSED = [["counts", "2", "-1"], ["telescoping", "-3"]]
 IMPORT_FAMILIES = {
     "combinatorics": (
@@ -1159,14 +1199,19 @@ IMPORT_FAMILIES = {
 }
 
 # The modules present before the package is imported are those of a bare
-# interpreter, with whatever site and .pth files loaded.
+# interpreter, with whatever site and .pth files loaded.  The commands
+# come one per line, and json is imported only after the added modules
+# are taken, to print them.
 FOOTPRINT_SCRIPT = """
 import sys
 bare = set(sys.modules)
-import json, os
+import os
 from tlbgram.cli import main
-codes = [main(argv + ["--out", os.devnull]) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(set(sys.modules) - bare)]))
+commands = [line.split() for line in sys.argv[1].splitlines()]
+codes = [main(argv + ["--out", os.devnull]) for argv in commands]
+added = sorted(set(sys.modules) - bare)
+import json
+print(json.dumps([codes, added]))
 """
 
 
@@ -1175,7 +1220,7 @@ def test_subcommands_import_only_their_layers(family):
     commands, barred = IMPORT_FAMILIES[family]
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, "\n".join(map(" ".join, commands))],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
     )
